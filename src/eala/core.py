@@ -257,7 +257,11 @@ def eala_weights(q_mat, khat, theta) -> np.ndarray:
     if th.ndim != 1 or th.size != q.shape[0]:
         raise ValueError("theta must be 1-D with one entry per query")
     n = kh.shape[0]
-    return (1.0 + (q @ kh.T) / th[:, None]) / n
+    w = q @ kh.T
+    w /= th[:, None]
+    w += 1.0
+    w /= n
+    return w
 
 
 def select_path(path: str, n: int, c: int) -> str:

@@ -3,9 +3,12 @@
 `compare` runs both implementations on one calibrated workload and scores
 the approximation per query: the two entropy estimates, the closed-form
 temperature against an independent bisection solve, the KL divergence from
-the softmax weights to the linear weights, and ranking agreement.  Reports
-serialize to JSON and CSV with a fixed schema and deterministic bytes for a
-fixed seed.
+the softmax weights to the linear weights, and ranking agreement.  The
+per-query columns are computed a block of queries at a time: one batched
+`bisection_theta` call solves a whole block, and the KL and ranking columns
+read the block's rows of the two weight matrices.  Each value has the bits
+the per-query 1-D oracle calls give.  Reports serialize to JSON and CSV
+with a fixed schema and deterministic bytes for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,8 +28,12 @@ from .workload import WorkloadSpec, gen_workload
 # excluded from ranking checks; their argsort is not well defined.
 TIE_TOL = 1e-12
 
-# Bisection is quadratic-ish in n per sweep, so it is skipped beyond this.
+# Bisection costs O(n) per step for each query, about 50 steps to converge,
+# so O(n^2 * steps) for a report; the column is skipped beyond this n.
 BISECTION_N_LIMIT = 1024
+
+# Queries per block of the per-query columns; scratch is O(block * n).
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -135,27 +142,46 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _rank_comparison(scores: np.ndarray, exact_weights: np.ndarray,
-                     eala_w: np.ndarray) -> list:
-    """Per-query argsort agreement; None where scores tie within TIE_TOL.
+def _tied_rows(scores: np.ndarray) -> np.ndarray:
+    """Rows whose sorted scores have an adjacent gap at or below TIE_TOL.
 
     Ties are detected on the raw score rows: both weight families are
     strictly monotone in the scores, so an ambiguous ranking can only come
     from near-equal scores, not from the weight transforms.
     """
-    out = []
-    for i in range(scores.shape[0]):
-        row = scores[i]
-        srt = np.sort(row)
-        if row.size > 1 and float(np.min(np.diff(srt))) <= TIE_TOL:
-            out.append(None)
-            continue
-        same = np.array_equal(
-            np.argsort(exact_weights[i], kind="stable"),
-            np.argsort(eala_w[i], kind="stable"),
-        )
-        out.append(bool(same))
-    return out
+    m, n = scores.shape
+    tied = np.zeros(m, dtype=bool)
+    if n > 1:
+        for lo in range(0, m, _ROW_BLOCK):
+            srt = np.sort(scores[lo : lo + _ROW_BLOCK], axis=1)
+            tied[lo : lo + _ROW_BLOCK] = np.min(np.diff(srt, axis=1), axis=1) <= TIE_TOL
+    return tied
+
+
+def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
+                     eala_w: np.ndarray) -> list:
+    """Per-query argsort agreement of two weight rows; None where tied."""
+    same = np.all(np.argsort(exact_weights, axis=1, kind="stable")
+                  == np.argsort(eala_w, axis=1, kind="stable"), axis=1)
+    return [None if t else bool(s) for t, s in zip(tied, same)]
+
+
+def _bisection_column(q_mat: np.ndarray, khat: np.ndarray, targets) -> list:
+    """bisection_theta for each query, one batched call per row block.
+
+    Each score row is the product khat @ q_i of the query alone: one GEMM
+    over the block rounds some entries differently.
+    """
+    m, n = q_mat.shape[0], khat.shape[0]
+    rows = np.empty((min(_ROW_BLOCK, m), n))
+    col: list = []
+    for lo in range(0, m, _ROW_BLOCK):
+        a = rows[: min(_ROW_BLOCK, m - lo)]
+        for j in range(a.shape[0]):
+            np.matmul(khat, q_mat[lo + j], out=a[j])
+        thetas = bisection_theta(a, targets[lo : lo + a.shape[0]])
+        col += [None if math.isnan(t) else t for t in thetas.tolist()]
+    return col
 
 
 def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport:
@@ -170,8 +196,6 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     if cfg is None:
         cfg = EalaConfig()
     q_mat, k_mat, v_mat = gen_workload(spec)
-    exact = exact_attention(q_mat, k_mat, v_mat, keep_weights=True,
-                            scale_scores=cfg.scale_scores)
     res_approx = eala_attention(q_mat, k_mat, v_mat,
                                 dataclasses.replace(cfg, entropy_source="approx"))
     res_exact_src = eala_attention(q_mat, k_mat, v_mat,
@@ -182,36 +206,31 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     if cfg.scale_scores:
         khat = khat / np.sqrt(spec.c)
     thetas = selected.thetas
-    eala_w = eala_weights(q_mat, khat, thetas)
-
     n = spec.n
-    kl_col: list = []
-    valid_col: list = []
-    for i in range(n):
-        row = eala_w[i]
-        if np.all(row > 0.0):
-            valid_col.append(True)
-            try:
-                kl_col.append(float(kl_divergence(exact.weights[i], row)))
-            except ValueError:
-                valid_col[-1] = False
-                kl_col.append(None)
-        else:
-            valid_col.append(False)
-            kl_col.append(None)
 
-    bis_col: list = []
+    # Beyond three n x n matrices the columns keep O(block * n) scratch.  The
+    # bisection runs before any of them exists, and the raw scores are gone
+    # once the tie flags are known, so at most two are alive at once.
     if n <= BISECTION_N_LIMIT:
-        targets = selected.entropies
-        for i in range(n):
-            try:
-                bis_col.append(float(bisection_theta(khat @ q_mat[i], targets[i])))
-            except ValueError:
-                bis_col.append(None)
+        bis_col = _bisection_column(q_mat, khat, selected.entropies)
     else:
         bis_col = [None] * n
+    tied = _tied_rows(q_mat @ k_mat.T)
+    exact = exact_attention(q_mat, k_mat, v_mat, keep_weights=True,
+                            scale_scores=cfg.scale_scores)
+    # one GEMM over all queries: a row block of it can round differently
+    eala_w = eala_weights(q_mat, khat, thetas)
 
-    match_col = _rank_comparison(q_mat @ k_mat.T, exact.weights, eala_w)
+    kl_col: list = []
+    valid_col: list = []
+    match_col: list = []
+    for lo in range(0, n, _ROW_BLOCK):
+        blk = slice(lo, lo + _ROW_BLOCK)
+        kl = kl_divergence(exact.weights[blk], eala_w[blk])
+        valid = (np.min(eala_w[blk], axis=1) > 0.0) & ~np.isnan(kl)
+        kl_col += [v if ok else None for v, ok in zip(kl.tolist(), valid)]
+        valid_col += valid.tolist()
+        match_col += _rank_comparison(tied[blk], exact.weights[blk], eala_w[blk])
 
     err = np.abs(np.asarray(res_approx.entropies) - np.asarray(exact.entropies))
     scored = [m for m in match_col if m is not None]

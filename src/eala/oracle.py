@@ -5,6 +5,11 @@ speed for being independently checkable: row entropies come straight from
 the definition, the KL decomposition is evaluated term by term, and the
 temperature solver is a plain bisection with no closed-form shortcuts.
 Everything downstream is validated against this module.
+
+The family entropy, the bisection solver and the KL divergence also take a
+2-D stack of rows.  The stacked form runs the per-row checks and
+arithmetic of the 1-D form on every row at once, so each row gets the same
+bits; a row the 1-D form rejects with ValueError gives nan.
 """
 
 from __future__ import annotations
@@ -172,22 +177,64 @@ def exact_attention_entropy(q_vec, k_mat) -> float:
     return entropy_from_scores(k @ q)
 
 
-def kl_divergence(q, p) -> float:
+def _prob_rows_ok(p: np.ndarray) -> np.ndarray:
+    """Per row, whether _check_prob_vector would accept it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.sum(p, axis=1)
+    return (np.all(np.isfinite(p), axis=1) & (np.min(p, axis=1) >= 0.0)
+            & (np.abs(total - 1.0) <= SIMPLEX_TOL))
+
+
+def _kl_unchecked(q: np.ndarray, p: np.ndarray) -> float:
+    mask = q > 0.0
+    return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
+
+
+def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """kl_divergence of each row pair; nan where the 1-D form raises."""
+    mass = q > 0.0
+    ok = (_prob_rows_ok(q) & _prob_rows_ok(p)
+          & ~np.any(mass & (p == 0.0), axis=1))
+    full = np.all(mass, axis=1)
+    out = np.full(q.shape[0], np.nan)
+    # rows with no zero in q sum every term, as the 1-D mask keeps them all
+    dense = np.flatnonzero(ok & full)
+    if dense.size:
+        qd = q[dense]
+        terms = qd / p[dense]
+        np.log(terms, out=terms)
+        terms *= qd
+        out[dense] = np.sum(terms, axis=1)
+    for i in np.flatnonzero(ok & ~full):
+        out[i] = _kl_unchecked(q[i], p[i])
+    return np.where(out < 0.0, 0.0, out)
+
+
+def kl_divergence(q, p) -> float | np.ndarray:
     """KL(q || p) in nats.
 
     Requires p_i > 0 wherever q_i > 0.  The true value is nonnegative for
     exact simplex inputs; rounding in inputs that only sum to 1 within
     tolerance can push the sum a hair below zero, and that noise is clamped.
+
+    2-D `q` and `p` of one shape are stacks of m distributions, and the
+    result is the (m,) array of row divergences: each row gets the bits of
+    the 1-D call on it, or nan where the 1-D form raises ValueError.
     """
-    q = _check_prob_vector(q, "q")
-    p = _check_prob_vector(p, "p")
+    q_arr = np.asarray(q, dtype=np.float64)
+    p_arr = np.asarray(p, dtype=np.float64)
+    if q_arr.ndim == 2 and p_arr.ndim == 2:
+        if q_arr.shape != p_arr.shape or q_arr.size == 0:
+            raise ValueError("q and p must be nonempty 2-D stacks of the same shape")
+        return _kl_rows(q_arr, p_arr)
+    q = _check_prob_vector(q_arr, "q")
+    p = _check_prob_vector(p_arr, "p")
     if q.shape != p.shape:
         raise ValueError("q and p must have the same length")
     mask = q > 0.0
     if np.any(p[mask] == 0.0):
         raise ValueError("kl_divergence undefined: q puts mass where p has none")
-    val = float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
-    return max(val, 0.0)
+    return max(_kl_unchecked(q, p), 0.0)
 
 
 def kl_decomposition(q, p) -> KlDecomposition:
@@ -241,31 +288,154 @@ def strict_concavity_check(p, q, lam: float) -> float:
     return margin
 
 
-def linear_family_entropy(a, theta: float) -> tuple[float, bool]:
+# Why a score row is rejected, by code: the checks of linear_family_entropy
+# (1-3), then those bisection_theta adds (4-6), whose messages depend on the
+# call and are built there.
+(_NON_FINITE, _NOT_CENTERED, _BAD_THETA,
+ _ZERO_ROW, _OUT_OF_RANGE, _BELOW_RANGE) = range(1, 7)
+_REJECTIONS = {
+    _NON_FINITE: "a must be finite",
+    _NOT_CENTERED: "a must sum to zero (centered scores)",
+    _BAD_THETA: "theta must be a positive finite number",
+    _ZERO_ROW: "a is identically zero; every theta gives uniform weights",
+}
+
+
+def _family_rejects(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Per row of `a`, 0 or the code of the first check of
+    linear_family_entropy that the row fails at this theta."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.sum(a, axis=1)
+        amax = np.maximum(np.max(a, axis=1), -np.min(a, axis=1))
+        code = np.zeros(a.shape[0], dtype=np.intp)
+        code[~(np.isfinite(theta) & (theta > 0.0))] = _BAD_THETA
+        code[np.abs(total) > 1e-9 * np.maximum(1.0, amax)] = _NOT_CENTERED
+    # a finite sum needs finite entries; only rows whose sum is not finite
+    # (a non-finite entry, or overflow) are scanned entry by entry
+    unsure = np.flatnonzero(~np.isfinite(total))
+    code[unsure[~np.all(np.isfinite(a[unsure]), axis=1)]] = _NON_FINITE
+    return code
+
+
+def _family_entropy(a: np.ndarray, theta: np.ndarray,
+                    usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and validity of the family per row; nan where not valid.
+
+    Rows outside `usable` are computed with the rest and then masked, so
+    their values never reach the caller.
+    """
+    n = a.shape[1]
+    with np.errstate(all="ignore"):
+        w = a / theta[:, None]
+        w += 1.0
+        w /= n
+        valid = usable & (np.min(w, axis=1) > 0.0)
+        terms = np.log(w)
+        terms *= w
+        h = -np.sum(terms, axis=1)
+    h[~valid] = np.nan
+    return h, valid
+
+
+def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarray]:
     """Entropy of the affine weight family w_j = (1 + a_j / theta) / n.
 
     `a` must be centered (sum zero within 1e-9) so the weights sum to one.
     Returns (entropy, True) when every weight is strictly positive, which
     needs theta > max_j |a_j|; otherwise (nan, False).
+
+    A 2-D `a` is a stack of m such score rows with one theta per row, and
+    the result is then a pair of (m,) arrays.  Each row runs
+    the same checks and gets the same bits as the 1-D call on it, except
+    that a row the 1-D form rejects with ValueError gives (nan, False).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim == 2:
+        if arr.size == 0:
+            raise ValueError("a must be a nonempty 2-D stack of rows")
+        th = np.asarray(theta, dtype=np.float64)
+        if th.shape != arr.shape[:1]:
+            raise ValueError("theta must hold one entry per row of a")
+        return _family_entropy(arr, th, _family_rejects(arr, th) == 0)
+    if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a must be a nonempty 1-D array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("a must be finite")
-    if abs(float(np.sum(a))) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("a must sum to zero (centered scores)")
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise ValueError("theta must be a positive finite number")
-    n = a.size
-    w = (1.0 + a / theta) / n
-    if not np.all(w > 0.0):
-        return float("nan"), False
-    return float(-np.sum(w * np.log(w))), True
+    rows = arr[None, :]
+    th = np.full(1, theta, dtype=np.float64)
+    code = _family_rejects(rows, th)[0]
+    if code:
+        raise ValueError(_REJECTIONS[code])
+    h, valid = _family_entropy(rows, th, np.ones(1, dtype=bool))
+    return float(h[0]), bool(valid[0])
 
 
-def bisection_theta(a, target_entropy: float, tol: float = 1e-10,
-                    max_iter: int = 200) -> float:
+def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
+                 max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bisection of bisection_theta, run on every row of `a` at once.
+
+    Returns (theta, code, h_lo) per row: code is 0 or the rejection the 1-D
+    form raises for that row, theta is nan where code is not 0, and h_lo
+    is the family entropy at the bracket's lower edge.  Every row keeps
+    its own bracket and takes the same steps as a lone row would; a row
+    leaves the active set once it converges.
+    """
+    m, n = a.shape
+    log_n = float(np.log(n))
+    theta = np.full(m, np.nan)
+    h_lo = np.full(m, np.nan)
+    amax = np.max(np.abs(a), axis=1)
+    code = np.zeros(m, dtype=np.intp)
+    code[~((targets > 0.0) & (targets < log_n))] = _OUT_OF_RANGE
+    code[amax == 0.0] = _ZERO_ROW
+    code[~np.all(np.isfinite(a), axis=1)] = _NON_FINITE
+    with np.errstate(over="ignore"):
+        lo = amax * (1.0 + 1e-9)
+        hi = 1e9 * amax
+    # the bracket's first entropy call runs the family's checks
+    live = np.flatnonzero(code == 0)
+    if live.size:
+        code[live] = _family_rejects(a[live], lo[live])
+        live = live[code[live] == 0]
+    if live.size:
+        h_lo[live], valid = linear_family_entropy(a[live], lo[live])
+        edge = live[~valid]
+        if edge.size:
+            # only reachable through rounding at the bracket edge
+            with np.errstate(over="ignore"):
+                lo[edge] = amax[edge] * (1.0 + 1e-6)
+            code[edge[~np.isfinite(lo[edge])]] = _BAD_THETA
+            edge = edge[code[edge] == 0]
+            if edge.size:
+                h_lo[edge], _ = linear_family_entropy(a[edge], lo[edge])
+        code[live[(code[live] == 0) & (targets[live] < h_lo[live])]] = _BELOW_RANGE
+
+    act = np.flatnonzero(code == 0)
+    rows = a[act]
+    lo, hi, target = lo[act], hi[act], targets[act]
+    for _ in range(max_iter):
+        if act.size == 0:
+            break
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        h, _ = linear_family_entropy(rows, mid)
+        done = np.abs(h - target) <= tol
+        below = h < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        theta[act[done]] = mid[done]
+        # a midpoint that overflowed is one the 1-D form rejects
+        overflow = ~np.isfinite(mid)
+        code[act[overflow]] = _BAD_THETA
+        stay = ~(done | overflow)
+        if not stay.all():
+            act, rows, target = act[stay], rows[stay], target[stay]
+            lo, hi = lo[stay], hi[stay]
+    if act.size:
+        raise RuntimeError("bisection did not converge; bracket or tolerance is off")
+    return theta, code, h_lo
+
+
+def bisection_theta(a, target_entropy, tol: float = 1e-10,
+                    max_iter: int = 200) -> float | np.ndarray:
     """Solve H(w(theta)) = target_entropy for the affine family by bisection.
 
     The family entropy increases strictly with theta on the all-positive
@@ -273,40 +443,36 @@ def bisection_theta(a, target_entropy: float, tol: float = 1e-10,
     a bracket [max|a| (1 + 1e-9), 1e9 max|a|] pins the root when one
     exists.  Raises when `a` is all zero (family is uniform regardless of
     theta) or the target lies outside the attainable range.
+
+    A 2-D `a` is a stack of m score rows with one target per row, and the
+    result is an (m,) array.  All rows are bisected together, one batched
+    linear_family_entropy call per step, and each row gets the bits of the
+    1-D call on it, except that a row the 1-D form rejects with ValueError
+    gives nan.  A row that does not converge raises RuntimeError in both
+    forms.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size < 2:
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim == 2:
+        targets = np.asarray(target_entropy, dtype=np.float64)
+        if targets.shape != arr.shape[:1]:
+            raise ValueError("target_entropy must hold one entry per row of a")
+        if arr.shape[1] < 2:
+            return np.full(arr.shape[0], np.nan)
+        return _bisect_rows(arr, targets, tol, max_iter)[0]
+    if arr.ndim != 1 or arr.size < 2:
         raise ValueError("a must be a 1-D array with at least two entries")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("a must be finite")
-    n = a.size
-    amax = float(np.max(np.abs(a)))
-    if amax == 0.0:
-        raise ValueError("a is identically zero; every theta gives uniform weights")
-    log_n = float(np.log(n))
-    if not (0.0 < target_entropy < log_n):
+    theta, code, h_lo = _bisect_rows(
+        arr[None, :], np.full(1, target_entropy, dtype=np.float64), tol, max_iter)
+    log_n = float(np.log(arr.size))
+    if code[0] == _OUT_OF_RANGE:
         raise ValueError(
             f"target entropy {target_entropy!r} outside (0, log n) = (0, {log_n!r})"
         )
-    lo = amax * (1.0 + 1e-9)
-    hi = 1e9 * amax
-    h_lo, ok = linear_family_entropy(a, lo)
-    if not ok:
-        # only reachable through rounding at the bracket edge
-        lo = amax * (1.0 + 1e-6)
-        h_lo, ok = linear_family_entropy(a, lo)
-    if target_entropy < h_lo:
+    if code[0] == _BELOW_RANGE:
         raise ValueError(
             f"target entropy {target_entropy!r} below the attainable range "
-            f"[{h_lo!r}, {log_n!r}) of this score vector"
+            f"[{float(h_lo[0])!r}, {log_n!r}) of this score vector"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        h, _valid = linear_family_entropy(a, mid)
-        if abs(h - target_entropy) <= tol:
-            return mid
-        if h < target_entropy:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("bisection did not converge; bracket or tolerance is off")
+    if code[0]:
+        raise ValueError(_REJECTIONS[code[0]])
+    return float(theta[0])

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from eala.core import EalaConfig
+from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
 from eala.fidelity import (BISECTION_N_LIMIT, TIE_TOL, FidelityReport,
-                           _rank_comparison, compare)
+                           _rank_comparison, _tied_rows, compare)
 from eala.numerics import gaussian_matrix
-from eala.workload import WorkloadSpec
+from eala.oracle import bisection_theta, exact_attention, kl_divergence
+from eala.workload import WorkloadSpec, gen_workload
 
 SPEC = WorkloadSpec(n=16, c=8, score_scale=0.1, seed=5)
 
@@ -110,17 +112,17 @@ class TestRankComparison:
     def test_tied_scores_are_excluded(self):
         scores = np.array([[1.0, 1.0 + TIE_TOL / 2, 3.0], [1.0, 2.0, 3.0]])
         w = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
-        got = _rank_comparison(scores, w, w)
+        got = _rank_comparison(_tied_rows(scores), w, w)
         assert got == [None, True]
 
     def test_disagreement_detected(self):
         scores = np.array([[1.0, 2.0, 3.0]])
         exact_w = np.array([[0.1, 0.3, 0.6]])
         flipped = np.array([[0.6, 0.3, 0.1]])
-        assert _rank_comparison(scores, exact_w, flipped) == [False]
+        assert _rank_comparison(_tied_rows(scores), exact_w, flipped) == [False]
 
     def test_single_column_never_ties(self):
-        got = _rank_comparison(np.array([[2.5]]), np.array([[1.0]]),
+        got = _rank_comparison(_tied_rows(np.array([[2.5]])), np.array([[1.0]]),
                                np.array([[1.0]]))
         assert got == [True]
 
@@ -179,3 +181,80 @@ class TestGolden:
     def test_csv_matches_checked_in_bytes(self, report, datadir):
         golden = (datadir / "golden_compare.csv").read_text()
         assert report.to_csv() == golden
+
+
+def reference_report(spec, cfg):
+    """The report built one query at a time from the 1-D oracle calls."""
+    q, k, v = gen_workload(spec)
+    exact = exact_attention(q, k, v, keep_weights=True, scale_scores=cfg.scale_scores)
+    res = {src: eala_attention(q, k, v, dataclasses.replace(cfg, entropy_source=src))
+           for src in ("approx", "exact")}
+    selected = res[cfg.entropy_source]
+    khat, _ = center_keys(k)
+    if cfg.scale_scores:
+        khat = khat / np.sqrt(spec.c)
+    eala_w = eala_weights(q, khat, selected.thetas)
+    scores = q @ k.T
+    kl, valid, bis, match = [], [], [], []
+    for i in range(spec.n):
+        row = eala_w[i]
+        try:
+            kl.append(kl_divergence(exact.weights[i], row) if np.all(row > 0.0) else None)
+        except ValueError:
+            kl.append(None)
+        valid.append(kl[-1] is not None)
+        try:
+            bis.append(bisection_theta(khat @ q[i], selected.entropies[i])
+                       if spec.n <= BISECTION_N_LIMIT else None)
+        except ValueError:
+            bis.append(None)
+        srt = np.sort(scores[i])
+        if srt.size > 1 and float(np.min(np.diff(srt))) <= TIE_TOL:
+            match.append(None)
+        else:
+            match.append(bool(np.array_equal(np.argsort(exact.weights[i], kind="stable"),
+                                             np.argsort(row, kind="stable"))))
+    err = np.abs(res["approx"].entropies - exact.entropies)
+    scored = [m for m in match if m is not None]
+    kls = [x for x in kl if x is not None]
+    diff = np.max(np.abs(selected.output - exact.output), axis=1)
+    denom = np.max(np.abs(exact.output), axis=1) + 1e-15
+    return FidelityReport(
+        n=spec.n, c=spec.c, score_scale=spec.score_scale, seed=spec.seed,
+        heads=spec.heads, entropy_source=cfg.entropy_source,
+        entropy_exact=exact.entropies.tolist(),
+        entropy_approx=res["approx"].entropies.tolist(),
+        theta_closed=selected.thetas.tolist(),
+        theta_bisection=bis, kl=kl, weights_valid=valid, argsort_match=match,
+        mean_abs_entropy_err=float(np.mean(err)),
+        max_abs_entropy_err=float(np.max(err)),
+        mean_kl=sum(kls) / len(kls) if kls else None,
+        argsort_match_rate=sum(scored) / len(scored) if scored else 1.0,
+        output_max_rel_error=float(np.max(diff / denom)),
+    )
+
+
+MIXED_SPECS = [WorkloadSpec(200, 8, 3.0, 9), WorkloadSpec(300, 4, 30.0, 2),
+               WorkloadSpec(n=8, c=4, score_scale=0.0, seed=1),
+               WorkloadSpec(150, 16, 0.1, 4)]
+
+
+class TestBlockedColumnsMatchPerQueryCalls:
+    @pytest.mark.parametrize("source", ["approx", "exact"])
+    @pytest.mark.parametrize("spec", MIXED_SPECS,
+                             ids=lambda s: f"n{s.n}-c{s.c}-s{s.score_scale}")
+    def test_report_bytes(self, spec, source):
+        cfg = EalaConfig(entropy_source=source)
+        got, want = compare(spec, cfg), reference_report(spec, cfg)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+
+    def test_specs_cover_mixed_and_rejected_blocks(self):
+        # scale 3: valid and invalid rows, solved and rejected, in one block
+        r = compare(MIXED_SPECS[0])
+        assert 0 < sum(r.weights_valid) < r.n
+        assert 0 < sum(t is None for t in r.theta_bisection) < r.n
+        # scale 30: every row of every block is rejected
+        r = compare(MIXED_SPECS[1])
+        assert not any(r.weights_valid)
+        assert all(t is None for t in r.theta_bisection)
