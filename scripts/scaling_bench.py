@@ -1,7 +1,7 @@
 """Wall-time scaling comparison of the attention implementations.
 
-Runs each requested mode over its own size list, prints per-size medians
-with the modeled peak allocation, and fits a log-log slope per mode.  The
+Runs each requested mode over its own size list, prints per-size fastest
+times with the modeled peak allocation, and fits a log-log slope per mode.  The
 headline contrast: exact attention fits near slope 2 while the linear path
 stays near slope 1, and its modeled memory carries no n^2 class at all.
 

@@ -22,6 +22,10 @@ from .oracle import AttnResult, score_row_entropies
 _ENTROPY_SOURCES = ("approx", "exact")
 _PATHS = ("auto", "quadratic", "linear")
 
+# The linear path handles queries in row blocks of this size through one
+# (block, C) scratch buffer, so its temporaries are O(block C), not O(N C).
+_QUERY_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class EalaConfig:
@@ -120,8 +124,17 @@ def score_moments(q_vec, m: KeyMoments) -> ScoreMoments:
 
 
 def _batch_score_moments(q_mat: np.ndarray, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
+    rows = q_mat.shape[0]
     s1 = q_mat @ m.key_sum_centered
-    s2 = np.sum((q_mat @ m.gram) * q_mat, axis=1)
+    s2 = np.empty(rows)
+    scratch = np.empty((min(rows, _QUERY_BLOCK), m.gram.shape[1]))
+    for lo in range(0, rows, _QUERY_BLOCK):
+        hi = min(lo + _QUERY_BLOCK, rows)
+        qb = q_mat[lo:hi]
+        t = scratch[: hi - lo]
+        np.matmul(qb, m.gram, out=t)
+        t *= qb
+        t.sum(axis=1, out=s2[lo:hi])
     np.maximum(s2, 0.0, out=s2)
     return s1, s2
 
@@ -234,13 +247,28 @@ def eala_forward_linear(q_mat, khat, v_mat, theta) -> np.ndarray:
     Algebraically identical to the quadratic branch:
 
         o_i = (sum_j v_j + (q_i / theta_i) KV) / n,   KV = khat^T V.
+
+    KV and the value sum are formed once; the queries then go through in
+    row blocks, each scaled by 1/theta into one reused (block, C) buffer and
+    multiplied straight into its rows of the output.  Beyond the output,
+    the only allocations are that buffer and the C x D matrix KV.
     """
     q, kh, v, th = _check_forward_args(q_mat, khat, v_mat, theta)
     n = kh.shape[0]
+    rows = q.shape[0]
     v_sum = np.sum(v, axis=0)
     kv = kh.T @ v
-    scaled_q = q / th[:, None]
-    return (v_sum[None, :] + scaled_q @ kv) / n
+    out = np.empty((rows, v.shape[1]))
+    scratch = np.empty((min(rows, _QUERY_BLOCK), q.shape[1]))
+    for lo in range(0, rows, _QUERY_BLOCK):
+        hi = min(lo + _QUERY_BLOCK, rows)
+        t = scratch[: hi - lo]
+        np.divide(q[lo:hi], th[lo:hi, None], out=t)
+        ob = out[lo:hi]
+        np.matmul(t, kv, out=ob)
+        ob += v_sum
+        ob /= n
+    return out
 
 
 def eala_weights(q_mat, khat, theta) -> np.ndarray:
@@ -292,7 +320,7 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
     khat, mean = center_keys(k)
     if cfg.scale_scores:
-        khat = khat / np.sqrt(q.shape[1])
+        khat /= np.sqrt(q.shape[1])
     n = khat.shape[0]
     moments = key_moments(khat, mean)
     s1, s2 = _batch_score_moments(q, moments)

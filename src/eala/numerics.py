@@ -19,16 +19,6 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything non-finite."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def matmul(a, b) -> np.ndarray:
     """Product of two 2-D float64 arrays with an explicit inner-dim check."""
     a = np.asarray(a, dtype=np.float64)

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import pytest
 
+from eala import bench
 from eala.bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchRecord,
                         BenchResourceError, allocation_model, bench_sweep,
                         fit_loglog_slope, records_to_csv)
+from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
+from eala.workload import gen_workload_raw
 
 
 class TestAllocationModel:
@@ -47,6 +52,30 @@ class TestAllocationModel:
             allocation_model("exact", 0, 4)
         with pytest.raises(ValueError):
             allocation_model("exact", 4, 0)
+
+
+class TestLinearPathPeak:
+    N, C = 16384, 64
+
+    @pytest.fixture(scope="class")
+    def traced_peak(self):
+        q, k, v = gen_workload_raw(self.N, self.C, 0)
+        tracemalloc.start()
+        try:
+            eala_attention(q, k, v, EalaConfig(path="linear"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_nc_temporary_beyond_khat_and_output(self, traced_peak):
+        n, c = self.N, self.C
+        bound = 8 * (2 * n * c + _QUERY_BLOCK * c + 8 * n + 4 * c * c)
+        assert traced_peak <= bound
+
+    def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
+        measured = 3 * 8 * self.N * self.C + traced_peak
+        model = sum(allocation_model("eala-linear", self.N, self.C).values())
+        assert abs(model - measured) <= 0.05 * measured
 
 
 class TestBenchSweep:
@@ -97,6 +126,20 @@ class TestBenchSweep:
         recs = bench_sweep("eala-linear", [n], c=4, mem_limit_bytes=limit,
                            repeats=1)
         assert recs[0].analytic_peak_bytes <= limit
+
+    def test_repeats_visit_sizes_round_robin(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(bench, "_forward_fn",
+                            lambda mode: lambda q, k, v: seen.append(q.shape[0]))
+        bench_sweep("exact", [4, 8, 16], c=2, repeats=2)
+        assert seen == [4, 4, 8, 8, 16, 16] * 2  # warm-up, then the timed call
+
+    def test_budget_counts_inputs_held_for_other_sizes(self):
+        limit = sum(allocation_model("eala-linear", 1024, 4).values())
+        with pytest.raises(BenchResourceError, match="n=1024"):
+            bench_sweep("eala-linear", [512, 1024], c=4, mem_limit_bytes=limit)
+        assert len(bench_sweep("eala-linear", [1024], c=4, mem_limit_bytes=limit,
+                               repeats=1)) == 1
 
     def test_default_budget_is_4gib(self):
         assert DEFAULT_MEM_LIMIT_BYTES == 4 << 30

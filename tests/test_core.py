@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eala.core import (EalaConfig, ScoreMoments, approx_entropy, center_keys,
-                       eala_attention, eala_forward_linear,
+from eala.core import (_QUERY_BLOCK, EalaConfig, ScoreMoments,
+                       _approx_entropy_arr, _theta_star_arr, approx_entropy,
+                       center_keys, eala_attention, eala_forward_linear,
                        eala_forward_quadratic, eala_weights, key_moments,
                        score_moments, select_path, theta_star)
 from eala.numerics import gaussian_matrix, uniform_stream
@@ -256,6 +257,18 @@ class TestForwardPaths:
         denom = max(float(np.max(np.abs(oq))), 1e-300)
         assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
 
+    @pytest.mark.parametrize("m", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
+                                   2 * _QUERY_BLOCK + 3])
+    def test_branch_equivalence_across_query_blocks(self, m):
+        q = gaussian_matrix(m, 4, 1150)
+        kh, _ = center_keys(gaussian_matrix(8, 4, 1151))
+        v = gaussian_matrix(8, 3, 1152)
+        theta = 0.5 + 2.0 * uniform_stream(1153, m)
+        oq = eala_forward_quadratic(q, kh, v, theta)
+        ol = eala_forward_linear(q, kh, v, theta)
+        denom = max(float(np.max(np.abs(oq))), 1e-300)
+        assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
+
     def test_weight_rows_sum_to_one_for_any_theta(self):
         q, k, _ = random_instance(20, 6, 1100)
         kh, _ = center_keys(k)
@@ -263,6 +276,64 @@ class TestForwardPaths:
             theta = np.full(20, theta_scale)
             w = eala_weights(q, kh, theta)
             assert float(np.max(np.abs(w.sum(axis=1) - 1.0))) <= 1e-9
+
+
+def whole_matrix_linear_path(q, k, v, cfg):
+    """The linear path with every query-side product over all rows at once:
+    the reference for the row-blocked score moments and forward."""
+    khat = k - np.mean(k, axis=0)
+    n = khat.shape[0]
+    s1 = q @ np.sum(khat, axis=0)
+    s2 = np.sum((q @ (khat.T @ khat)) * q, axis=1)
+    np.maximum(s2, 0.0, out=s2)
+    ent = _approx_entropy_arr(s1, s2, n, cfg.clamp_entropy)
+    theta = _theta_star_arr(s2, ent, n, cfg)
+    out = (np.sum(v, axis=0)[None, :] + (q / theta[:, None]) @ (khat.T @ v)) / n
+    return out, ent, theta
+
+
+class TestQueryBlocks:
+    LINEAR = EalaConfig(path="linear")
+
+    def check(self, q, k, v, bitwise):
+        res = eala_attention(q, k, v, self.LINEAR)
+        got = (res.output, res.entropies, res.thetas)
+        for a, b in zip(got, whole_matrix_linear_path(q, k, v, self.LINEAR)):
+            assert a.shape == b.shape
+            if bitwise:
+                assert np.array_equal(a, b)
+            else:
+                finite = np.isfinite(b)
+                assert np.array_equal(np.isinf(a), np.isinf(b))
+                denom = max(float(np.max(np.abs(b[finite]), initial=0.0)), 1e-300)
+                assert float(np.max(np.abs(a - b)[finite], initial=0.0)) / denom <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 7, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
+                                   2 * _QUERY_BLOCK, 2 * _QUERY_BLOCK + 3, 3 * _QUERY_BLOCK])
+    @pytest.mark.parametrize("n,c,d", [(8, 4, 3), (300, 16, 8)])
+    def test_matches_whole_matrix_expressions(self, m, n, c, d):
+        q = gaussian_matrix(m, c, m + n, 0.05)
+        k = gaussian_matrix(n, c, m + n + 1, 0.05)
+        v = gaussian_matrix(n, d, m + n + 2)
+        # a tail block of odd size (one row takes gemv) may round differently
+        self.check(q, k, v, bitwise=m <= _QUERY_BLOCK or m % _QUERY_BLOCK == 0)
+
+    def test_no_queries(self):
+        self.check(np.zeros((0, 5)), gaussian_matrix(6, 5, 1), gaussian_matrix(6, 2, 2),
+                   bitwise=True)
+
+    def test_no_features(self):
+        self.check(np.zeros((_QUERY_BLOCK + 5, 0)), np.zeros((6, 0)),
+                   gaussian_matrix(6, 2, 3), bitwise=True)
+
+    def test_single_key(self):
+        q = gaussian_matrix(_QUERY_BLOCK + 5, 3, 4)
+        self.check(q, gaussian_matrix(1, 3, 5), gaussian_matrix(1, 2, 6), bitwise=True)
+
+    def test_no_keys_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            eala_attention(gaussian_matrix(4, 3, 7), np.zeros((0, 3)), np.zeros((0, 2)),
+                           self.LINEAR)
 
 
 class TestSelectPath:
