@@ -4,9 +4,9 @@ Memory is modeled, not measured: each mode has a closed-form byte count
 per allocation class (n^2, n*c, c^2, n, c), mirroring the buffers its
 implementation actually creates.  That keeps the O(n c + c^2) versus
 O(n^2) claim testable without OS-specific probes; the tests hold the
-eala-linear model to a tracemalloc measurement.  A time is the fastest of
-repeated runs, each after a discarded warm-up, taken round-robin across
-sizes.
+eala-linear and exact models to a tracemalloc measurement.  A time is the
+fastest of repeated runs, each after a discarded warm-up, taken
+round-robin across sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _QUERY_BLOCK, EalaConfig, eala_attention
-from .oracle import exact_attention
+from .oracle import _SOFTMAX_BLOCK, exact_attention
 from .workload import gen_workload_raw
 
 MODES = ("exact", "eala-linear", "eala-quadratic")
@@ -44,7 +44,11 @@ class BenchRecord:
 def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     """Peak live bytes per allocation class for one forward pass.
 
-    exact............ Q,K,V,out (4nc) + one n*n score/weight buffer + row stats
+    exact............ Q,K,V (3nc) + one n*n score/weight buffer + row
+                      entropies (n) + the larger of the output (nc) and the
+                      softmax kernel's two (min(n, block), n) row-block
+                      temporaries, counted under nc: they are freed before
+                      the output is made
     eala-quadratic... Q,K,V,khat,out (5nc) + one n*n weight buffer + gram
                       + per-query stats
     eala-linear...... Q,K,V,khat,out (5nc) + the query-block scratch
@@ -59,7 +63,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     if mode == "exact":
         return {
             "n2": _F8 * n * n,
-            "nc": _F8 * 4 * n * c,
+            "nc": _F8 * (3 * n * c + max(n * c, 2 * min(n, _SOFTMAX_BLOCK) * n)),
             "c2": 0,
             "n": _F8 * n,
             "c": 0,

@@ -1,507 +1,225 @@
-"""Self-contained invariant suite behind the `check` subcommand.
+"""Acceptance criteria 01-08, behind `eala check` and the acceptance tests.
 
-Each check is a pure function returning (passed, detail).  The suite
-covers the load-bearing identities end to end in a few seconds: PRNG
-reference vectors, the entropy/KL algebra, the Gram and branch-equivalence
-identities, solver agreement, report determinism, file round-trips, and
-the allocation model.  The pytest suite runs the same families at larger
-sizes; this runner exists so a built artifact can vouch for itself.
+Each criterion checks one identity or fidelity claim of the method at
+fixed sizes, seeds and tolerances, and returns (ok, detail): whether it
+holds, and one line of the measurements it rests on.  The tolerances are
+fixed here and do not adapt to the measurements.  `tests/test_acceptance.py`
+runs the same functions, so the built artifact and the test gate check one
+definition of each claim.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 
-from . import bench, tensorio
-from .core import (EalaConfig, approx_entropy, center_keys, eala_attention,
-                   eala_forward_linear, eala_forward_quadratic, eala_weights,
-                   key_moments, score_moments, select_path, theta_star)
+from .core import (EalaConfig, center_keys, eala_attention, key_moments,
+                   score_moments, theta_star)
 from .fidelity import compare
-from .mha import mha_forward, mha_init
-from .numerics import (gaussian_matrix, logsumexp, matmul, prng_next,
-                       prng_stream, softmax_row, uniform_stream)
-from .oracle import (bisection_theta, exact_attention, exact_attention_entropy,
-                     entropy_from_scores, kl_decomposition, kl_divergence,
-                     linear_family_entropy, shannon_entropy,
-                     strict_concavity_check)
-from .workload import WorkloadSpec, gen_workload, max_abs_score
-
-# First three outputs of the seed-0 stream, from the generator's published
-# reference implementation.
-_SPLITMIX_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+from .numerics import gaussian_matrix, uniform_stream
+from .oracle import (bisection_theta, entropy_from_scores, exact_attention,
+                     kl_decomposition, strict_concavity_check)
+from .workload import WorkloadSpec, gen_workload
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+def _simplex(seed, n):
+    u = uniform_stream(seed, n)
+    e = -np.log1p(-u) + 1e-6
+    return e / e.sum()
 
 
-class _Fail(Exception):
-    pass
+def kl_identity_and_bound():
+    worst_residual = 0.0
+    bound_violations = 0
+    for idx in range(1000):
+        n = 2 + (idx * 7) % 63
+        p = _simplex(10_000 + 2 * idx, n)
+        q = _simplex(10_001 + 2 * idx, n)
+        d = kl_decomposition(p, q)
+        recon = d.entropy_gap + d.cross_term
+        worst_residual = max(worst_residual, abs(d.kl - recon))
+        if d.kl > abs(d.entropy_gap) + abs(d.cross_term) + 1e-10:
+            bound_violations += 1
+    ok = worst_residual <= 1e-10 and bound_violations == 0
+    detail = (f"1000 pairs, max identity residual {worst_residual:.3e} "
+              f"(tol 1e-10), bound violations {bound_violations}")
+    return ok, detail
 
 
-def _need(cond: bool, msg: str):
-    if not cond:
-        raise _Fail(msg)
-
-
-def _rand_simplex(seed: int, n: int) -> np.ndarray:
-    v = uniform_stream(seed, n) + 1e-6
-    return v / np.sum(v)
-
-
-def _check_prng_reference():
-    v0, s = prng_next(0)
-    v1, s = prng_next(s)
-    v2, s = prng_next(s)
-    _need((v0, v1, v2) == _SPLITMIX_SEED0, f"seed-0 outputs {v0:#x},{v1:#x},{v2:#x}")
-    _need(tuple(int(x) for x in prng_stream(0, 3)) == _SPLITMIX_SEED0,
-          "vectorized stream disagrees with stepwise outputs")
-    a1, _ = prng_next(1)
-    a2, _ = prng_next(2)
-    _need(a1 != a2 and a1 != v0, "nearby seeds must diverge in the first output")
-    g1 = gaussian_matrix(4, 3, 9)
-    g2 = gaussian_matrix(4, 3, 9)
-    _need(np.array_equal(g1, g2), "same seed must give bit-identical matrices")
-    _need(np.all(gaussian_matrix(3, 3, 9, scale=0.0) == 0.0), "scale 0 must zero the matrix")
-    z = gaussian_matrix(100, 100, 11)
-    _need(abs(float(np.mean(z))) < 0.05, f"sample mean {np.mean(z):.4f}")
-    _need(0.9 <= float(np.var(z)) <= 1.1, f"sample variance {np.var(z):.4f}")
-    return "reference vector, determinism, and moments all hold"
-
-
-def _check_dense_kernels():
-    a = gaussian_matrix(5, 7, 1)
-    b = gaussian_matrix(7, 3, 2)
-    ab = matmul(a, b)
-    loop = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            acc = 0.0
-            for t in range(7):
-                acc += a[i, t] * b[t, j]
-            loop[i, j] = acc
-    _need(float(np.max(np.abs(ab - loop))) <= 1e-12, "matmul disagrees with triple loop")
-    try:
-        matmul(a, a)
-        raise _Fail("inner-dimension mismatch not rejected")
-    except ValueError:
-        pass
-    x = gaussian_matrix(8, 8, 3)
-    y = gaussian_matrix(8, 8, 4)
-    zc = gaussian_matrix(8, 8, 5)
-    lhs = matmul(matmul(x, y), zc)
-    rhs = matmul(x, matmul(y, zc))
-    bound = 1e-9 * float(np.abs(x).max() * np.abs(y).max() * np.abs(zc).max())
-    _need(float(np.max(np.abs(lhs - rhs))) <= max(bound, 1e-12), "associativity drift")
-    p = softmax_row(np.array([0.1, -0.1]))
-    _need(abs(p[0] - 0.5498339973) <= 1e-9 and abs(p[1] - 0.4501660027) <= 1e-9,
-          f"softmax(0.1,-0.1) = {p}")
-    _need(np.allclose(softmax_row(np.zeros(4)), 0.25), "uniform case")
-    big = softmax_row(np.array([1000.0, -1000.0, 999.0]))
-    _need(np.all(np.isfinite(big)) and abs(float(np.sum(big)) - 1.0) <= 1e-12,
-          "softmax unstable at magnitude 1e3")
-    _need(abs(logsumexp(np.array([0.1, -0.1])) - 0.6981388694) <= 1e-9, "lse constant")
-    _need(abs(logsumexp(np.array([1000.0, 1000.0])) - (1000.0 + np.log(2.0))) <= 1e-9,
-          "lse overflow guard")
-    for s in range(5):
-        x1 = 20.0 * (uniform_stream(100 + s, 9) - 0.5)
-        lse = logsumexp(x1)
-        _need(float(np.max(x1)) <= lse <= float(np.max(x1)) + np.log(9.0) + 1e-12,
-              "lse outside its bounds")
-    return "matmul, softmax, and logsumexp match their oracles"
-
-
-def _check_entropy_kl():
-    _need(abs(shannon_entropy(np.full(4, 0.25)) - np.log(4.0)) <= 1e-12, "uniform H")
-    _need(shannon_entropy(np.array([1.0, 0.0, 0.0])) == 0.0, "one-hot H")
-    _need(abs(shannon_entropy(np.array([0.75, 0.25])) - 0.5623351446) <= 1e-9,
-          "H(3/4,1/4) constant")
-    _need(entropy_from_scores(np.array([50.0, 0.0])) < 1e-15, "one-hot limit entropy")
-    _need(abs(entropy_from_scores(np.array([0.1, -0.1])) - 0.6881720699) <= 1e-9,
-          "worked entropy constant")
-    for s in range(20):
-        x = 40.0 * (uniform_stream(200 + s, 12) - 0.5)
-        h1 = entropy_from_scores(x)
-        h2 = shannon_entropy(softmax_row(x))
-        _need(abs(h1 - h2) <= 1e-10, f"score-entropy mismatch {abs(h1 - h2):.2e}")
-        _need(-1e-15 <= h1 <= np.log(12.0) + 1e-12, "entropy out of range")
-    _need(kl_divergence(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0, "KL self")
-    _need(abs(kl_divergence(np.array([0.75, 0.25]), np.array([0.5, 0.5]))
-              - 0.1308120359) <= 1e-9, "KL constant")
-    _need(abs(kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-              - np.log(2.0)) <= 1e-12, "one-hot vs uniform")
-    try:
-        kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        raise _Fail("undefined KL (q>0, p=0) not rejected")
-    except ValueError:
-        pass
-    worst = 0.0
-    for s in range(200):
-        n = 2 + int(prng_stream(300 + s, 1)[0] % 63)
-        qv = _rand_simplex(2 * s + 1, n)
-        pv = _rand_simplex(2 * s + 2, n)
-        d = kl_decomposition(qv, pv)
-        worst = max(worst, abs(d.kl - (d.entropy_gap + d.cross_term)))
-        _need(d.kl <= d.bound + 1e-10, "bound violated")
-        _need(d.kl >= 0.0, "negative KL")
-    _need(worst <= 1e-10, f"identity residual {worst:.2e}")
-    qv = np.array([0.75, 0.25])
-    d = kl_decomposition(qv, np.array([0.5, 0.5]))
-    _need(abs(d.cross_term) <= 1e-12, "uniform p must zero the cross term")
-    _need(abs(d.kl - (np.log(2.0) - shannon_entropy(qv))) <= 1e-12, "closed form for uniform p")
-    _need(strict_concavity_check(qv, qv, 0.3) == 0.0, "p=q margin")
-    _need(abs(strict_concavity_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
-              - np.log(2.0)) <= 1e-12, "vertex midpoint margin")
-    for s in range(200):
-        n = 2 + int(prng_stream(500 + s, 1)[0] % 15)
-        pv = _rand_simplex(3 * s + 1, n)
-        qv2 = _rand_simplex(3 * s + 2, n)
-        if float(np.max(np.abs(pv - qv2))) <= 1e-3:
+def strict_concavity():
+    count = 0
+    attempt = 0
+    min_margin = np.inf
+    while count < 1000 and attempt < 5000:
+        n = 2 + (attempt * 7) % 63
+        p = _simplex(30_000 + 3 * attempt, n)
+        q = _simplex(30_001 + 3 * attempt, n)
+        lam = 0.05 + 0.9 * float(uniform_stream(30_002 + 3 * attempt, 1)[0])
+        attempt += 1
+        if float(np.max(np.abs(p - q))) <= 1e-3:
             continue
-        lam = 0.01 + 0.98 * float(uniform_stream(3 * s + 3, 1)[0])
-        _need(strict_concavity_check(pv, qv2, lam) > 0.0, "nonpositive concavity margin")
-    return f"identity residual max {worst:.2e}; bounds, Gibbs, concavity hold"
+        min_margin = min(min_margin, strict_concavity_check(p, q, lam))
+        count += 1
+    ok = count == 1000 and min_margin > 0.0
+    detail = (f"{count} mixtures, min concavity margin {min_margin:.3e} "
+              f"(must be > 0)")
+    return ok, detail
 
 
-def _check_family_solver():
-    h, ok = linear_family_entropy(np.zeros(8), 3.0)
-    _need(ok and abs(h - np.log(8.0)) <= 1e-12, "zero scores must give log n")
-    h, ok = linear_family_entropy(np.array([0.1, -0.1]), 1.003332)
-    _need(ok and abs(h - 0.688172) <= 1e-6, f"family entropy at worked theta = {h:.6f}")
-    _, ok = linear_family_entropy(np.array([2.0, -2.0]), 1.0)
-    _need(not ok, "negative-weight family must flag invalid")
-    try:
-        linear_family_entropy(np.array([0.1, -0.1]), 0.0)
-        raise _Fail("theta <= 0 not rejected")
-    except ValueError:
-        pass
-    th = bisection_theta(np.array([0.1, -0.1]), 0.6881720699)
-    _need(abs(th - 1.0033311) <= 1e-6, f"worked bisection theta = {th:.7f}")
+def gram_identity():
+    worst = 0.0
+    for i in range(100):
+        u = uniform_stream(50_000 + i, 2)
+        n = 2 + int(float(u[0]) * 510)
+        c = 1 + int(float(u[1]) * 63)
+        khat, _ = center_keys(gaussian_matrix(n, c, 51_000 + i))
+        q = gaussian_matrix(1, c, 52_000 + i)[0]
+        s2 = score_moments(q, key_moments(khat)).s2
+        brute = 0.0
+        for j in range(n):
+            brute += float(np.dot(q, khat[j])) ** 2
+        worst = max(worst, abs(s2 - brute) / max(brute, 1e-30))
+    ok = worst <= 1e-10
+    detail = f"100 instances N<=512 C<=64, max rel error {worst:.3e} (tol 1e-10)"
+    return ok, detail
+
+
+def branch_equivalence():
+    fixed = [(4, 64), (8, 32), (256, 2), (200, 64), (16, 16),
+             (4, 2), (64, 64), (5, 63), (250, 3), (32, 48)]
+    worst = 0.0
+    wide = narrow = 0
+    for i in range(50):
+        if i < len(fixed):
+            n, c = fixed[i]
+        else:
+            u = uniform_stream(60_000 + i, 2)
+            n = 4 + int(float(u[0]) * 252)
+            c = 2 + int(float(u[1]) * 62)
+        wide += c > n
+        narrow += c < n
+        q = gaussian_matrix(n, c, 61_000 + i)
+        k = gaussian_matrix(n, c, 62_000 + i)
+        v = gaussian_matrix(n, c, 63_000 + i)
+        out_q = eala_attention(q, k, v, EalaConfig(path="quadratic")).output
+        out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
+        denom = max(float(np.max(np.abs(out_q))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(out_q - out_l))) / denom)
+    ok = worst <= 1e-9 and wide >= 1 and narrow >= 1
+    detail = (f"50 instances ({wide} with C>N, {narrow} with C<N), "
+              f"max rel gap {worst:.3e} (tol 1e-9)")
+    return ok, detail
+
+
+def entropy_approximation():
+    # T_H frozen ahead of time from an exact-entropy oracle sweep; the
+    # worst observed mean at these sizes was 8.73e-4
+    t_h = 2e-3
+    worst_mean = 0.0
+    worst_at = None
+    for n in (8, 64, 512):
+        for seed in (0, 1, 2):
+            spec = WorkloadSpec(n=n, c=16, score_scale=0.1, seed=seed)
+            q, k, v = gen_workload(spec)
+            h_exact = np.asarray(exact_attention(q, k, v).entropies)
+            h_hat = np.asarray(eala_attention(q, k, v).entropies)
+            mean_err = float(np.mean(np.abs(h_hat - h_exact)))
+            if mean_err > worst_mean:
+                worst_mean, worst_at = mean_err, (n, seed)
+    ok = worst_mean <= t_h
+    detail = (f"s=0.1, N in (8,64,512), seeds 0-2: worst mean |H_hat - H| "
+              f"{worst_mean:.3e} at (n,seed)={worst_at} (tol {t_h:g})")
+    return ok, detail
+
+
+def theta_star_fidelity():
+    cfg = EalaConfig(entropy_source="exact")
+    # worked two-key case: scores (0.1, -0.1), exact entropy target
     a = np.array([0.1, -0.1])
-    th = bisection_theta(a, np.log(2.0) - 1e-12)
-    _need(th > 1e6 * 0.1, f"uniform-limit theta {th:.3e} not divergent")
-    prev = -1.0
-    for theta in np.linspace(0.11, 2.0, 40):
-        h, ok = linear_family_entropy(a, float(theta))
-        _need(ok and h > prev, "family entropy not increasing in theta")
-        prev = h
-    for s in range(10):
-        vec = gaussian_matrix(1, 16, 700 + s)[0]
-        vec = vec - np.mean(vec)
-        vec *= 0.1 / float(np.max(np.abs(vec)))
-        target = entropy_from_scores(vec)
-        th = bisection_theta(vec, target)
-        h, ok = linear_family_entropy(vec, th)
-        _need(ok and abs(h - target) <= 1e-10, "self-consistency drift")
-    return "worked constants, monotonicity, and self-consistency hold"
-
-
-def _check_moment_pipeline():
-    kh, mean = center_keys(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    _need(np.array_equal(mean, np.zeros(2)) and np.array_equal(kh, [[1, 0], [-1, 0]]),
-          "already-centered pair")
-    kh, mean = center_keys(np.array([[2.0, 3.0]] * 5))
-    _need(np.all(kh == 0.0) and np.array_equal(mean, [2.0, 3.0]), "equal rows")
-    k = gaussian_matrix(32, 8, 41)
-    kh1, _ = center_keys(k)
-    kh2, _ = center_keys(k + np.array([5.0, -3.0, 1.0, 0.0, 2.0, 2.0, -7.0, 4.0]))
-    _need(float(np.max(np.abs(kh1 - kh2))) <= 1e-12, "centering not shift invariant")
-    _need(float(np.max(np.abs(np.mean(kh1, axis=0)))) <= 1e-10, "column mean after centering")
-    m = key_moments(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    _need(np.array_equal(m.gram, [[2.0, 0.0], [0.0, 0.0]]), "gram of symmetric pair")
-    _need(np.all(key_moments(np.zeros((4, 3))).gram == 0.0), "gram of zeros")
-    m = key_moments(kh1)
-    _need(float(np.max(np.abs(m.key_sum_centered)))
-          <= 1e-9 * 32 * float(np.max(np.abs(k))), "centered key sum too large")
-    _need(float(np.max(np.abs(m.gram - m.gram.T))) <= 1e-12, "gram asymmetric")
-    worst = 0.0
-    for s in range(20):
-        n = 4 + int(prng_stream(800 + s, 1)[0] % 253)
-        kk = gaussian_matrix(n, 8, 900 + s)
-        khx, _ = center_keys(kk)
-        mx = key_moments(khx)
-        qv = gaussian_matrix(1, 8, 950 + s)[0]
-        sm = score_moments(qv, mx)
-        brute = float(np.sum((khx @ qv) ** 2))
-        worst = max(worst, abs(sm.s2 - brute) / max(brute, 1e-300))
-        _need(abs(sm.s1) <= 1e-9 * max(1.0, n * float(np.max(np.abs(kk)))), "s1 not near zero")
-        _need(sm.s2 >= sm.s1 ** 2 / n - 1e-9, "moment inequality violated")
-    _need(worst <= 1e-10, f"gram identity rel err {worst:.2e}")
-    sm = score_moments(np.zeros(8), m)
-    _need(sm.s1 == 0.0 and sm.s2 == 0.0, "zero query moments")
-    from .core import ScoreMoments
-    _need(approx_entropy(ScoreMoments(0.0, 0.0), 7) == np.log(7.0), "S1=S2=0 entropy")
-    h = approx_entropy(ScoreMoments(0.0, 0.02), 2)
-    _need(abs(h - 0.6831471806) <= 1e-9, f"worked estimate {h:.8f}")
-    _need(approx_entropy(ScoreMoments(0.0, 10 * 64 * np.log(64.0)), 64) == 0.0,
-          "clamp floor")
-    try:
-        approx_entropy(ScoreMoments(-3.0, 0.0), 2)
-        raise _Fail("n + S1 <= 0 not rejected")
-    except ValueError:
-        pass
-    return f"centering, gram identity (rel {worst:.2e}), and estimates hold"
-
-
-def _check_theta_and_forwards():
-    cfg = EalaConfig()
-    th = theta_star(0.02, 0.6881720699, 2, cfg)
-    _need(abs(th - 1.0024983) <= 1e-6, f"closed-form worked case {th:.7f}")
-    th = theta_star(0.02, float(np.log(2.0) - 0.01), 2, cfg)
-    _need(abs(th - (np.sqrt(0.5) + cfg.epsilon)) <= 1e-9, f"estimate-fed case {th:.7f}")
-    _need(theta_star(0.02, np.log(2.0), 2, cfg) == np.inf, "uniform target sentinel")
-    _need(theta_star(0.0, 0.1, 2, cfg) == np.inf, "zero-S2 sentinel")
-    try:
-        theta_star(0.02, 1.5, 2, replace(cfg, clamp_entropy=False))
-        raise _Fail("out-of-range entropy accepted with clamp off")
-    except ValueError:
-        pass
-    _need(theta_star(0.02, 1.5, 2, cfg) == np.inf,
-          "entropy above log n must clip to the uniform sentinel")
-    th_low = theta_star(0.02, -0.5, 2, cfg)
-    _need(abs(th_low - (np.sqrt(0.02 / (4.0 * np.log(2.0))) + cfg.epsilon)) <= 1e-12,
-          "entropy below 0 must clip to the one-hot edge")
-
-    q = gaussian_matrix(16, 4, 60)
-    k = gaussian_matrix(16, 4, 61)
-    v = gaussian_matrix(16, 4, 62)
-    kh, _ = center_keys(k)
-    theta = 1.0 + uniform_stream(63, 16)
-    out = eala_forward_quadratic(q, kh, v, theta)
-    loop = np.zeros_like(out)
-    for i in range(16):
-        for j in range(16):
-            w = (1.0 + float(np.dot(q[i], kh[j])) / theta[i]) / 16.0
-            loop[i] += w * v[j]
-    _need(float(np.max(np.abs(out - loop))) <= 1e-12, "quadratic path vs triple loop")
-    wmat = eala_weights(q, kh, theta)
-    _need(float(np.max(np.abs(wmat.sum(axis=1) - 1.0))) <= 1e-9, "weight rows must sum to 1")
-    vc = np.tile(np.array([[2.0, -1.0, 0.5, 3.0]]), (16, 1))
-    outc = eala_forward_quadratic(q, kh, vc, theta)
-    _need(float(np.max(np.abs(outc - vc[0]))) <= 1e-9, "constant V must pass through")
-    out0 = eala_forward_quadratic(q, np.zeros_like(kh), v, theta)
-    _need(float(np.max(np.abs(out0 - np.mean(v, axis=0)))) <= 1e-12, "zero keys must average")
-    _need(np.all(eala_forward_linear(q, kh, np.zeros_like(v), theta) == 0.0), "V=0")
-    out1 = eala_forward_linear(q[:1], np.zeros((1, 4)), v[:1], np.array([2.0]))
-    _need(float(np.max(np.abs(out1 - v[0]))) <= 1e-12, "n=1 must return the value row")
+    h2 = entropy_from_scores(a)
+    th_closed = theta_star(0.02, h2, 2, cfg)
+    th_bis = bisection_theta(a, h2)
+    worked_ok = (f"{th_closed:.6g}" == "1.0025"
+                 and f"{th_bis:.6g}" == f"{1.003332:.6g}" == "1.00333")
+    # the commonly quoted 1.00251 figure is what the closed form gives
+    # when fed inputs already rounded to six decimals; both readings
+    # must reproduce
+    th_rounded = math.sqrt(0.02 / (4.0 * (0.693147 - 0.688172)))
+    worked_ok = worked_ok and f"{th_rounded:.6g}" == "1.00251"
 
     worst = 0.0
-    for s, (n, c) in enumerate([(4, 2), (4, 64), (16, 32), (64, 8), (256, 64),
-                                (8, 16), (32, 2), (128, 64), (5, 7), (100, 100)]):
-        qq = gaussian_matrix(n, c, 3000 + s)
-        kk = gaussian_matrix(n, c, 3100 + s)
-        vv = gaussian_matrix(n, c, 3200 + s)
-        khx, _ = center_keys(kk)
-        tt = 0.5 + 2.0 * uniform_stream(3300 + s, n)
-        oq = eala_forward_quadratic(qq, khx, vv, tt)
-        ol = eala_forward_linear(qq, khx, vv, tt)
-        rel = float(np.max(np.abs(oq - ol))) / max(float(np.max(np.abs(oq))), 1e-300)
-        worst = max(worst, rel)
-    _need(worst <= 1e-9, f"branch equivalence rel err {worst:.2e}")
-
-    kconst = np.tile(np.array([[1.0, 2.0, 3.0]]), (10, 1))
-    qx = gaussian_matrix(10, 3, 70)
-    vx = gaussian_matrix(10, 3, 71)
-    res = eala_attention(qx, kconst, vx)
-    _need(np.all(np.isinf(res.thetas)), "identical keys must hit the sentinel")
-    _need(float(np.max(np.abs(res.output - np.mean(vx, axis=0)))) <= 1e-12,
-          "identical keys must average V")
-    r_quad = eala_attention(qx, gaussian_matrix(10, 3, 72), vx, EalaConfig(path="quadratic"))
-    r_lin = eala_attention(qx, gaussian_matrix(10, 3, 72), vx, EalaConfig(path="linear"))
-    _need(float(np.max(np.abs(r_quad.output - r_lin.output)))
-          <= 1e-9 * max(1.0, float(np.max(np.abs(r_quad.output)))), "forced paths disagree")
-    shift = np.array([4.0, -2.0, 9.0])
-    k0 = gaussian_matrix(10, 3, 73)
-    r0 = eala_attention(qx, k0, vx)
-    r1 = eala_attention(qx, k0 + shift, vx)
-    _need(float(np.max(np.abs(r0.output - r1.output))) <= 1e-9, "key shift changed output")
-    _need(select_path("auto", n=8, c=16) == "quadratic"
-          and select_path("auto", n=16, c=8) == "linear"
-          and select_path("auto", n=8, c=8) == "linear", "auto path rule")
-    return f"worked thetas, path oracles, branch equivalence (rel {worst:.2e}) hold"
+    checked = 0
+    for n in (8, 64, 256, 1024):
+        for seed in (0, 1):
+            spec = WorkloadSpec(n=n, c=16, score_scale=0.1, seed=seed)
+            rep = compare(spec, cfg)
+            for i, (tc, tb) in enumerate(zip(rep.theta_closed, rep.theta_bisection)):
+                if tb is None:
+                    return False, f"no bisection theta for query {i} at n={n} seed={seed}"
+                worst = max(worst, abs(tc - tb) / tb)
+                checked += 1
+    ok = worked_ok and worst <= 0.05
+    detail = (f"worked case {th_closed:.6g}/{th_bis:.6g} ok={worked_ok}; "
+              f"{checked} queries N<=1024, max rel theta gap {worst:.4f} "
+              f"(tol 0.05)")
+    return ok, detail
 
 
-def _check_fidelity_report():
-    spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=3)
-    q, k, _ = gen_workload(spec)
-    kh, _ = center_keys(k)
-    measured = max_abs_score(q, kh)
-    _need(0.095 <= measured <= 0.105, f"calibrated max score {measured:.4f}")
-    rep = compare(spec, EalaConfig(entropy_source="exact"))
-    _need(rep.argsort_match_rate == 1.0, f"argsort rate {rep.argsort_match_rate}")
-    _need(all(rep.weights_valid), "negative weights at scale 0.1")
-    _need(rep.mean_kl is not None and rep.mean_kl <= 0.01, f"mean KL {rep.mean_kl}")
-    _need(rep.mean_abs_entropy_err <= 0.01, f"entropy err {rep.mean_abs_entropy_err:.4f}")
-    gaps = [abs(tc - tb) / tb for tc, tb in zip(rep.theta_closed, rep.theta_bisection)
-            if tb is not None]
-    _need(len(gaps) == 64 and max(gaps) <= 0.05, f"theta gap max {max(gaps):.4f}")
-    rep_a = compare(spec)
-    _need(rep_a.entropy_source == "approx" and rep_a.argsort_match_rate == 1.0,
-          "estimate-fed run must preserve ranking too")
-    r1 = compare(WorkloadSpec(n=16, c=8, score_scale=0.1, seed=5))
-    r2 = compare(WorkloadSpec(n=16, c=8, score_scale=0.1, seed=5))
-    _need(r1.to_json() == r2.to_json(), "JSON not byte-stable across runs")
-    _need(r1.to_csv() == r2.to_csv(), "CSV not byte-stable across runs")
-    return (f"calibration {measured:.4f}, rate 1.0, mean KL {rep.mean_kl:.2e}, "
-            f"deterministic serialization")
+def ranking_preservation():
+    scored = ties = mismatches = 0
+    for source in ("approx", "exact"):
+        for seed in range(5):
+            spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
+            rep = compare(spec, EalaConfig(entropy_source=source))
+            for m in rep.argsort_match:
+                if m is None:
+                    ties += 1
+                else:
+                    scored += 1
+                    mismatches += not m
+            if rep.argsort_match_rate != 1.0 and not mismatches:
+                return False, (f"{source} seed {seed}: argsort_match_rate "
+                               f"{rep.argsort_match_rate} with no mismatching query")
+    ok = scored > 0 and mismatches == 0
+    detail = (f"{scored} queries scored over 10 sweeps ({ties} tie-excluded), "
+              f"{mismatches} argsort mismatches (must be 0)")
+    return ok, detail
 
 
-def _check_mha_layer():
-    p1 = mha_init(8, 2, 7)
-    p2 = mha_init(8, 2, 7)
-    _need(np.array_equal(p1.w_query, p2.w_query)
-          and np.array_equal(p1.w_output, p2.w_output), "init not deterministic")
-    try:
-        mha_init(8, 3, 1)
-        raise _Fail("indivisible head count accepted")
-    except ValueError:
-        pass
-    big = mha_init(64, 4, 1)
-    std = float(np.std(big.w_query))
-    _need(0.8 / 8 <= std <= 1.2 / 8, f"projection std {std:.4f}")
-    x = gaussian_matrix(12, 6, 80)
-    ident = mha_init(6, 1, 0)
-    eye = np.eye(6)
-    for name in ("w_query", "w_key", "w_value", "w_output"):
-        setattr(ident, name, eye)
-    _need(float(np.max(np.abs(mha_forward(ident, x, "exact")
-                               - exact_attention(x, x, x).output))) <= 1e-12,
-          "identity-projection exact reduction")
-    _need(float(np.max(np.abs(mha_forward(ident, x, "eala")
-                               - eala_attention(x, x, x).output))) <= 1e-12,
-          "identity-projection linear reduction")
-    params = mha_init(16, 4, 21)
-    y1 = mha_forward(params, gaussian_matrix(10, 16, 81), "exact")
-    y2 = mha_forward(params, gaussian_matrix(10, 16, 81), "exact")
-    _need(np.array_equal(y1, y2), "forward not bit-stable")
-    _need(y1.shape == (10, 16), "output shape must equal input shape")
-    perm = [2, 0, 3, 1]
-    hd = 4
-    def permute_cols(m):
-        return np.concatenate([m[:, h * hd:(h + 1) * hd] for h in perm], axis=1)
-    swapped = mha_init(16, 4, 21)
-    swapped.w_query = permute_cols(params.w_query)
-    swapped.w_key = permute_cols(params.w_key)
-    swapped.w_value = permute_cols(params.w_value)
-    swapped.w_output = np.concatenate(
-        [params.w_output[h * hd:(h + 1) * hd, :] for h in perm], axis=0)
-    y3 = mha_forward(swapped, gaussian_matrix(10, 16, 81), "exact")
-    _need(float(np.max(np.abs(y1 - y3))) <= 1e-10, "head permutation changed output")
-    try:
-        mha_forward(params, gaussian_matrix(4, 5, 1), "exact")
-        raise _Fail("wrong input width accepted")
-    except ValueError:
-        pass
-    return "reductions, determinism, and head permutation hold"
+def distribution_fidelity():
+    cfg = EalaConfig(entropy_source="exact")
+    worst_mean_kl = 0.0
+    invalid = 0
+    for seed in (0, 1, 2):
+        spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
+        rep = compare(spec, cfg)
+        invalid += sum(1 for v in rep.weights_valid if not v)
+        if rep.mean_kl is None:
+            return False, f"seed {seed}: no query has a defined KL"
+        worst_mean_kl = max(worst_mean_kl, rep.mean_kl)
+    ok = worst_mean_kl <= 0.01 and invalid == 0
+    detail = (f"s=0.1 N=64 C=16 seeds 0-2: worst mean KL {worst_mean_kl:.3e} "
+              f"(tol 0.01), {invalid} nonpositive-weight queries")
+    return ok, detail
 
 
-def _check_tensor_io():
-    m = gaussian_matrix(7, 5, 90)
-    with tempfile.TemporaryDirectory() as tmp:
-        p64 = os.path.join(tmp, "a.ealt")
-        tensorio.write_tensor(p64, m, "f64")
-        _need(np.array_equal(tensorio.read_tensor(p64), m), "f64 round trip not exact")
-        p32 = os.path.join(tmp, "b.ealt")
-        tensorio.write_tensor(p32, m, "f32")
-        back = tensorio.read_tensor(p32)
-        _need(float(np.max(np.abs(back - m))) <= 1e-6 * float(np.max(np.abs(m))),
-              "f32 round trip too lossy")
-        p22 = os.path.join(tmp, "c.ealt")
-        tensorio.write_tensor(p22, np.array([[1.0, 2.0], [3.0, 4.0]]), "f64")
-        _need(os.path.getsize(p22) == 56, f"2x2 file is {os.path.getsize(p22)} bytes")
-        bad = os.path.join(tmp, "bad.ealt")
-        with open(p22, "rb") as fh:
-            raw = fh.read()
-        with open(bad, "wb") as fh:
-            fh.write(b"XXXX" + raw[4:])
-        _expect_error(tensorio.TensorMagicError, bad)
-        with open(bad, "wb") as fh:
-            fh.write(raw[:4] + b"\x09" + raw[5:])
-        _expect_error(tensorio.TensorVersionError, bad)
-        with open(bad, "wb") as fh:
-            fh.write(raw[:-8])
-        _expect_error(tensorio.TensorTruncationError, bad)
-        with open(bad, "wb") as fh:
-            fh.write(raw + b"\x00")
-        _expect_error(tensorio.TensorFileError, bad)
-        try:
-            tensorio.write_tensor(bad, np.array([[np.nan]]), "f64")
-            raise _Fail("non-finite payload accepted")
-        except ValueError:
-            pass
-    return "round trips, layout size, and error taxonomy hold"
-
-
-def _expect_error(err_type, path):
-    try:
-        tensorio.read_tensor(path)
-    except err_type:
-        return
-    raise _Fail(f"expected {err_type.__name__} for {path}")
-
-
-def _check_bench_model():
-    lin = bench.allocation_model("eala-linear", 4096, 64)
-    _need(lin["n2"] == 0, "linear mode must have no n^2 class")
-    for mode in ("exact", "eala-quadratic"):
-        mdl = bench.allocation_model(mode, 512, 8)
-        _need(mdl["n2"] == 8 * 512 * 512, f"{mode} n^2 class wrong")
-    fake = [bench.BenchRecord("exact", n, 8, float(n) * 1e-6, 0) for n in (1, 2, 4)]
-    _need(abs(bench.fit_loglog_slope(fake) - 1.0) <= 1e-9, "slope of linear times")
-    fake = [bench.BenchRecord("exact", n, 8, float(n * n) * 1e-6, 0) for n in (1, 2, 4)]
-    _need(abs(bench.fit_loglog_slope(fake) - 2.0) <= 1e-9, "slope of quadratic times")
-    noisy = []
-    for i, n in enumerate((64, 128, 256, 512)):
-        jitter = 1.0 + 0.05 * (2.0 * float(uniform_stream(40 + i, 1)[0]) - 1.0)
-        noisy.append(bench.BenchRecord("exact", n, 8, (n ** 1.5) * 1e-7 * jitter, 0))
-    sl = bench.fit_loglog_slope(noisy)
-    _need(1.4 <= sl <= 1.6, f"noisy slope {sl:.3f}")
-    try:
-        bench.fit_loglog_slope(fake[:2])
-        raise _Fail("two-point fit accepted")
-    except ValueError:
-        pass
-    try:
-        bench.bench_sweep("exact", [4096], 64, repeats=1, mem_limit_bytes=1024)
-        raise _Fail("memory budget not enforced")
-    except bench.BenchResourceError as e:
-        _need("4096" in str(e), "resource error must name the offending size")
-    recs = bench.bench_sweep("eala-linear", [16, 32, 64], 8, repeats=2)
-    _need(len(recs) == 3 and all(r.wall_time > 0.0 for r in recs), "sweep records malformed")
-    csv_text = bench.records_to_csv(recs)
-    _need(csv_text.startswith("mode,n,c,wall_time,analytic_peak_bytes\n"), "CSV header")
-    return "allocation classes, slope fits, and budget errors hold"
-
-
-CHECKS = [
-    ("prng-reference", _check_prng_reference),
-    ("dense-kernels", _check_dense_kernels),
-    ("entropy-kl", _check_entropy_kl),
-    ("family-solver", _check_family_solver),
-    ("moment-pipeline", _check_moment_pipeline),
-    ("theta-and-forwards", _check_theta_and_forwards),
-    ("fidelity-report", _check_fidelity_report),
-    ("mha-layer", _check_mha_layer),
-    ("tensor-io", _check_tensor_io),
-    ("bench-model", _check_bench_model),
+# Criterion k is CRITERIA[k - 1]: (name, function).
+CRITERIA = [
+    ("kl-identity-and-bound", kl_identity_and_bound),
+    ("strict-concavity", strict_concavity),
+    ("gram-identity", gram_identity),
+    ("branch-equivalence", branch_equivalence),
+    ("entropy-approximation", entropy_approximation),
+    ("theta-star-fidelity", theta_star_fidelity),
+    ("ranking-preservation", ranking_preservation),
+    ("distribution-fidelity", distribution_fidelity),
 ]
 
 
-def run_checks() -> list[CheckResult]:
-    results = []
-    for name, fn in CHECKS:
-        try:
-            detail = fn()
-            results.append(CheckResult(name, True, detail))
-        except _Fail as e:
-            results.append(CheckResult(name, False, str(e)))
-        except Exception as e:  # a crash is a failure, not a crash of the runner
-            results.append(CheckResult(name, False, f"{type(e).__name__}: {e}"))
-    return results
+def run_criterion(fn) -> tuple[bool, str]:
+    """Call one criterion; an exception fails it with the exception as detail."""
+    try:
+        return fn()
+    except Exception as e:  # a crash is a failed criterion, not a crashed runner
+        return False, f"raised {e!r}"

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    check    run the invariant suite; exit 0 only if every check passes
+    check    run acceptance criteria 01-08; exit 0 only if all of them hold
     compare  fidelity report (exact vs linear) on a calibrated workload
     bench    wall-time scaling sweep for one mode over a list of sizes
     attend   file-driven forward pass over tensors in the EALT format
@@ -22,9 +22,9 @@ import numpy as np
 
 from .bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchResourceError,
                     bench_sweep, fit_loglog_slope, records_to_csv)
-from .checks import run_checks
+from .checks import CRITERIA, run_criterion
 from .core import EalaConfig, eala_attention
-from .fidelity import _jsonable, compare
+from .fidelity import compare, jsonable
 from .oracle import exact_attention
 from .tensorio import TensorFileError, read_tensor, write_tensor
 from .workload import WorkloadSpec
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check", help="run the invariant suite")
+    sub.add_parser("check", help="run acceptance criteria 01-08")
 
     cmp_p = sub.add_parser("compare", help="fidelity report against exact attention")
     cmp_p.add_argument("--n", type=int, default=64)
@@ -90,12 +90,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _run_check(_args) -> int:
-    results = run_checks()
-    for r in results:
-        mark = "ok " if r.passed else "FAIL"
-        print(f"{mark} {r.name}: {r.detail}")
-    failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    failed = 0
+    for num, (name, fn) in enumerate(CRITERIA, start=1):
+        ok, detail = run_criterion(fn)
+        failed += not ok
+        mark = "ok  " if ok else "FAIL"
+        print(f"{mark} criterion {num:02d} {name}: {detail}")
+    print(f"{len(CRITERIA) - failed}/{len(CRITERIA)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -127,7 +128,7 @@ def _run_bench(args) -> int:
             ],
             "loglog_slope": slope,
         }
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        text = json.dumps(jsonable(payload), indent=2) + "\n"
     _emit(text, args.out)
     return 0
 

@@ -225,6 +225,15 @@ def _check_forward_args(q_mat, khat, v_mat, theta):
     return q, kh, v, th
 
 
+def _affine_weights(q: np.ndarray, kh: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """(m, n) matrix of w_ij = (1 + (q_i . khat_j) / theta_i) / n, built in place."""
+    w = q @ kh.T
+    w /= th[:, None]
+    w += 1.0
+    w /= kh.shape[0]
+    return w
+
+
 def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     """Materialized-weights branch, O(N^2 C) time and one n^2 buffer.
 
@@ -233,12 +242,7 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     go negative at small theta; they are used as-is.
     """
     q, kh, v, th = _check_forward_args(q_mat, khat, v_mat, theta)
-    n = kh.shape[0]
-    w = q @ kh.T
-    w /= th[:, None]
-    w += 1.0
-    w /= n
-    return w @ v
+    return _affine_weights(q, kh, th) @ v
 
 
 def eala_forward_linear(q_mat, khat, v_mat, theta) -> np.ndarray:
@@ -284,12 +288,7 @@ def eala_weights(q_mat, khat, theta) -> np.ndarray:
         raise ValueError("incompatible query/key shapes")
     if th.ndim != 1 or th.size != q.shape[0]:
         raise ValueError("theta must be 1-D with one entry per query")
-    n = kh.shape[0]
-    w = q @ kh.T
-    w /= th[:, None]
-    w += 1.0
-    w /= n
-    return w
+    return _affine_weights(q, kh, th)
 
 
 def select_path(path: str, n: int, c: int) -> str:

@@ -86,7 +86,7 @@ class FidelityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.to_dict()), indent=2) + "\n"
+        return json.dumps(jsonable(self.to_dict()), indent=2) + "\n"
 
     def to_csv(self) -> str:
         header = ("query,entropy_exact,entropy_approx,theta_closed,"
@@ -113,12 +113,12 @@ class FidelityReport:
         return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
+def jsonable(value):
     """JSON-safe copy: non-finite floats become the strings inf/-inf/nan."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EalaConfig, eala_attention
-from .numerics import gaussian_matrix, prng_next
+from .numerics import gaussian_matrix, prng_stream
 from .oracle import exact_attention
 
 _MODES = ("exact", "eala")
@@ -42,11 +42,8 @@ def mha_init(model_dim: int, heads: int, seed: int) -> MhaParams:
     if model_dim % heads != 0:
         raise ValueError(f"model_dim {model_dim} not divisible by heads {heads}")
     scale = 1.0 / np.sqrt(model_dim)
-    state = seed
-    mats = []
-    for _ in range(4):
-        sub_seed, state = prng_next(state)
-        mats.append(gaussian_matrix(model_dim, model_dim, sub_seed, scale))
+    mats = [gaussian_matrix(model_dim, model_dim, sub_seed, scale)
+            for sub_seed in prng_stream(seed, 4).tolist()]
     return MhaParams(
         heads=heads,
         model_dim=model_dim,

@@ -96,21 +96,23 @@ def entropy_from_scores(scores) -> float:
     return max(h, 0.0)
 
 
-def _row_softmax_entropy_inplace(scores: np.ndarray) -> np.ndarray:
-    """Turn a score matrix into its row softmax in place; return row entropies.
+def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool) -> np.ndarray:
+    """Row softmax entropies of a score matrix, one row block at a time.
 
-    Processes row blocks so the scratch stays O(block * n); `scores` is the
-    single n^2-sized buffer this routine touches.
+    With `to_weights` each row of `scores` is overwritten by its softmax,
+    so `scores` stays the only n^2-sized buffer; otherwise `scores` is left
+    as it is.  Scratch is O(block * n) either way.
     """
-    m = scores.shape[0]
-    ent = np.empty(m, dtype=np.float64)
-    for lo in range(0, m, _SOFTMAX_BLOCK):
+    ent = np.empty(scores.shape[0], dtype=np.float64)
+    for lo in range(0, scores.shape[0], _SOFTMAX_BLOCK):
         blk = scores[lo : lo + _SOFTMAX_BLOCK]
-        blk -= np.max(blk, axis=1, keepdims=True)
-        e = np.exp(blk)
-        z = np.sum(e, axis=1)
-        ent[lo : lo + _SOFTMAX_BLOCK] = np.log(z) - np.sum(e * blk, axis=1) / z
-        blk[:] = e / z[:, None]
+        z = np.subtract(blk, np.max(blk, axis=1, keepdims=True),
+                        out=blk if to_weights else None)
+        e = np.exp(z)
+        total = np.sum(e, axis=1)
+        ent[lo : lo + _SOFTMAX_BLOCK] = np.log(total) - np.sum(e * z, axis=1) / total
+        if to_weights:
+            blk[:] = e / total[:, None]
     np.maximum(ent, 0.0, out=ent)
     return ent
 
@@ -123,18 +125,7 @@ def score_row_entropies(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.size == 0:
         raise ValueError("score_row_entropies expects a nonempty 2-D array")
-    m = s.shape[0]
-    ent = np.empty(m, dtype=np.float64)
-    for lo in range(0, m, _SOFTMAX_BLOCK):
-        blk = s[lo : lo + _SOFTMAX_BLOCK]
-        z = blk - np.max(blk, axis=1, keepdims=True)
-        e = np.exp(z)
-        total = np.sum(e, axis=1)
-        ent[lo : lo + _SOFTMAX_BLOCK] = (
-            np.log(total) - np.sum(e * z, axis=1) / total
-        )
-    np.maximum(ent, 0.0, out=ent)
-    return ent
+    return _softmax_entropy_rows(s, to_weights=False)
 
 
 def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False,
@@ -157,7 +148,7 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False,
     scores = q @ k.T
     if scale_scores:
         scores /= np.sqrt(q.shape[1])
-    ent = _row_softmax_entropy_inplace(scores)
+    ent = _softmax_entropy_rows(scores, to_weights=True)
     out = scores @ v
     return AttnResult(
         output=out,

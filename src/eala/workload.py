@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import center_keys
-from .numerics import gaussian_matrix, prng_next
+from .numerics import gaussian_matrix, prng_stream
 
 # Row-block width for the max-|score| scan; keeps the scan O(block * n).
 _SCAN_BLOCK = 512
@@ -36,15 +36,6 @@ class WorkloadSpec:
             raise ValueError("heads must be at least 1")
 
 
-def _sub_seeds(seed: int, count: int) -> list[int]:
-    state = seed
-    out = []
-    for _ in range(count):
-        value, state = prng_next(state)
-        out.append(value)
-    return out
-
-
 def max_abs_score(q_mat: np.ndarray, khat: np.ndarray) -> float:
     """Largest |q_i . khat_j| over all pairs, scanned in row blocks."""
     m = 0.0
@@ -56,7 +47,7 @@ def max_abs_score(q_mat: np.ndarray, khat: np.ndarray) -> float:
 
 def gen_workload_raw(n: int, c: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncalibrated unit-variance Gaussian (Q, K, V); cost O(n c)."""
-    qs, ks, vs = _sub_seeds(seed, 3)
+    qs, ks, vs = prng_stream(seed, 3).tolist()
     return (
         gaussian_matrix(n, c, qs),
         gaussian_matrix(n, c, ks),

@@ -1,25 +1,15 @@
 """Acceptance gate: ten pinned criteria, one pass/fail line each.
 
-Every criterion computes its own measurements, records one summary line
-into the terminal report, then asserts.  Tolerances are fixed here and do
-not adapt to the measurements.
+Criteria 01-08 are defined in `eala.checks`, which `eala check` also runs;
+09 (a wall-clock slope) and 10 (the command line end to end) are defined
+here.  Every criterion records one summary line into the terminal report,
+then asserts.
 """
-
-import math
-
-import numpy as np
 
 import acceptance_log
 from eala.bench import allocation_model, bench_sweep, fit_loglog_slope
+from eala.checks import CRITERIA, run_criterion
 from eala.cli import cli_main
-from eala.core import (EalaConfig, center_keys, eala_attention, key_moments,
-                       score_moments, theta_star)
-from eala.fidelity import compare
-from eala.numerics import gaussian_matrix, uniform_stream
-from eala.oracle import (bisection_theta, entropy_from_scores,
-                         exact_attention, kl_decomposition,
-                         strict_concavity_check)
-from eala.workload import WorkloadSpec, gen_workload
 
 
 def _finish(num, name, ok, detail):
@@ -28,209 +18,45 @@ def _finish(num, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _simplex(seed, n):
-    u = uniform_stream(seed, n)
-    e = -np.log1p(-u) + 1e-6
-    return e / e.sum()
+def _shared(num):
+    name, fn = CRITERIA[num - 1]
+    _finish(num, name, *run_criterion(fn))
 
 
 def test_criterion_01_kl_identity_and_bound():
-    try:
-        worst_residual = 0.0
-        bound_violations = 0
-        for idx in range(1000):
-            n = 2 + (idx * 7) % 63
-            p = _simplex(10_000 + 2 * idx, n)
-            q = _simplex(10_001 + 2 * idx, n)
-            d = kl_decomposition(p, q)
-            recon = d.entropy_gap + d.cross_term
-            worst_residual = max(worst_residual, abs(d.kl - recon))
-            if d.kl > abs(d.entropy_gap) + abs(d.cross_term) + 1e-10:
-                bound_violations += 1
-        ok = worst_residual <= 1e-10 and bound_violations == 0
-        detail = (f"1000 pairs, max identity residual {worst_residual:.3e} "
-                  f"(tol 1e-10), bound violations {bound_violations}")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(1, "kl-identity-and-bound", ok, detail)
+    _shared(1)
 
 
 def test_criterion_02_strict_concavity():
-    try:
-        count = 0
-        attempt = 0
-        min_margin = np.inf
-        while count < 1000 and attempt < 5000:
-            n = 2 + (attempt * 7) % 63
-            p = _simplex(30_000 + 3 * attempt, n)
-            q = _simplex(30_001 + 3 * attempt, n)
-            lam = 0.05 + 0.9 * float(uniform_stream(30_002 + 3 * attempt, 1)[0])
-            attempt += 1
-            if float(np.max(np.abs(p - q))) <= 1e-3:
-                continue
-            min_margin = min(min_margin, strict_concavity_check(p, q, lam))
-            count += 1
-        ok = count == 1000 and min_margin > 0.0
-        detail = (f"{count} mixtures, min concavity margin {min_margin:.3e} "
-                  f"(must be > 0)")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(2, "strict-concavity", ok, detail)
+    _shared(2)
 
 
 def test_criterion_03_gram_identity():
-    try:
-        worst = 0.0
-        for i in range(100):
-            u = uniform_stream(50_000 + i, 2)
-            n = 2 + int(float(u[0]) * 510)
-            c = 1 + int(float(u[1]) * 63)
-            khat, _ = center_keys(gaussian_matrix(n, c, 51_000 + i))
-            q = gaussian_matrix(1, c, 52_000 + i)[0]
-            s2 = score_moments(q, key_moments(khat)).s2
-            brute = 0.0
-            for j in range(n):
-                brute += float(np.dot(q, khat[j])) ** 2
-            worst = max(worst, abs(s2 - brute) / max(brute, 1e-30))
-        ok = worst <= 1e-10
-        detail = f"100 instances N<=512 C<=64, max rel error {worst:.3e} (tol 1e-10)"
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(3, "gram-identity", ok, detail)
+    _shared(3)
 
 
 def test_criterion_04_branch_equivalence():
-    try:
-        fixed = [(4, 64), (8, 32), (256, 2), (200, 64), (16, 16),
-                 (4, 2), (64, 64), (5, 63), (250, 3), (32, 48)]
-        worst = 0.0
-        wide = narrow = 0
-        for i in range(50):
-            if i < len(fixed):
-                n, c = fixed[i]
-            else:
-                u = uniform_stream(60_000 + i, 2)
-                n = 4 + int(float(u[0]) * 252)
-                c = 2 + int(float(u[1]) * 62)
-            wide += c > n
-            narrow += c < n
-            q = gaussian_matrix(n, c, 61_000 + i)
-            k = gaussian_matrix(n, c, 62_000 + i)
-            v = gaussian_matrix(n, c, 63_000 + i)
-            out_q = eala_attention(q, k, v, EalaConfig(path="quadratic")).output
-            out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
-            denom = max(float(np.max(np.abs(out_q))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(out_q - out_l))) / denom)
-        ok = worst <= 1e-9 and wide >= 1 and narrow >= 1
-        detail = (f"50 instances ({wide} with C>N, {narrow} with C<N), "
-                  f"max rel gap {worst:.3e} (tol 1e-9)")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(4, "branch-equivalence", ok, detail)
+    _shared(4)
 
 
 def test_criterion_05_entropy_approximation():
-    # T_H frozen ahead of time from an exact-entropy oracle sweep; the
-    # worst observed mean at these sizes was 8.73e-4
-    t_h = 2e-3
-    try:
-        worst_mean = 0.0
-        worst_at = None
-        for n in (8, 64, 512):
-            for seed in (0, 1, 2):
-                spec = WorkloadSpec(n=n, c=16, score_scale=0.1, seed=seed)
-                q, k, v = gen_workload(spec)
-                h_exact = np.asarray(exact_attention(q, k, v).entropies)
-                h_hat = np.asarray(eala_attention(q, k, v).entropies)
-                mean_err = float(np.mean(np.abs(h_hat - h_exact)))
-                if mean_err > worst_mean:
-                    worst_mean, worst_at = mean_err, (n, seed)
-        ok = worst_mean <= t_h
-        detail = (f"s=0.1, N in (8,64,512), seeds 0-2: worst mean |H_hat - H| "
-                  f"{worst_mean:.3e} at (n,seed)={worst_at} (tol {t_h:g})")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(5, "entropy-approximation", ok, detail)
+    _shared(5)
 
 
 def test_criterion_06_theta_star_fidelity():
-    try:
-        cfg = EalaConfig(entropy_source="exact")
-        # worked two-key case: scores (0.1, -0.1), exact entropy target
-        a = np.array([0.1, -0.1])
-        h2 = entropy_from_scores(a)
-        th_closed = theta_star(0.02, h2, 2, cfg)
-        th_bis = bisection_theta(a, h2)
-        worked_ok = (f"{th_closed:.6g}" == "1.0025"
-                     and f"{th_bis:.6g}" == f"{1.003332:.6g}" == "1.00333")
-        # the commonly quoted 1.00251 figure is what the closed form gives
-        # when fed inputs already rounded to six decimals; both readings
-        # must reproduce
-        th_rounded = math.sqrt(0.02 / (4.0 * (0.693147 - 0.688172)))
-        worked_ok = worked_ok and f"{th_rounded:.6g}" == "1.00251"
-
-        worst = 0.0
-        checked = 0
-        for n in (8, 64, 256, 1024):
-            for seed in (0, 1):
-                spec = WorkloadSpec(n=n, c=16, score_scale=0.1, seed=seed)
-                rep = compare(spec, cfg)
-                for tc, tb in zip(rep.theta_closed, rep.theta_bisection):
-                    assert tb is not None
-                    worst = max(worst, abs(tc - tb) / tb)
-                    checked += 1
-        ok = worked_ok and worst <= 0.05
-        detail = (f"worked case {th_closed:.6g}/{th_bis:.6g} ok={worked_ok}; "
-                  f"{checked} queries N<=1024, max rel theta gap {worst:.4f} "
-                  f"(tol 0.05)")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(6, "theta-star-fidelity", ok, detail)
+    _shared(6)
 
 
 def test_criterion_07_ranking_preservation():
-    try:
-        scored = ties = mismatches = 0
-        for source in ("approx", "exact"):
-            for seed in range(5):
-                spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
-                rep = compare(spec, EalaConfig(entropy_source=source))
-                for m in rep.argsort_match:
-                    if m is None:
-                        ties += 1
-                    else:
-                        scored += 1
-                        mismatches += not m
-                assert rep.argsort_match_rate == 1.0 or mismatches
-        ok = scored > 0 and mismatches == 0
-        detail = (f"{scored} queries scored over 10 sweeps ({ties} tie-excluded), "
-                  f"{mismatches} argsort mismatches (must be 0)")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(7, "ranking-preservation", ok, detail)
+    _shared(7)
 
 
 def test_criterion_08_distribution_fidelity():
-    try:
-        cfg = EalaConfig(entropy_source="exact")
-        worst_mean_kl = 0.0
-        invalid = 0
-        for seed in (0, 1, 2):
-            spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
-            rep = compare(spec, cfg)
-            invalid += sum(1 for v in rep.weights_valid if not v)
-            assert rep.mean_kl is not None
-            worst_mean_kl = max(worst_mean_kl, rep.mean_kl)
-        ok = worst_mean_kl <= 0.01 and invalid == 0
-        detail = (f"s=0.1 N=64 C=16 seeds 0-2: worst mean KL {worst_mean_kl:.3e} "
-                  f"(tol 0.01), {invalid} nonpositive-weight queries")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(8, "distribution-fidelity", ok, detail)
+    _shared(8)
 
 
 def test_criterion_09_complexity_scaling():
-    try:
+    def measure():
         exact_recs = bench_sweep("exact", [1024, 2048, 4096], c=64,
                                  repeats=3, seed=0)
         exact_slope = fit_loglog_slope(exact_recs)
@@ -243,13 +69,14 @@ def test_criterion_09_complexity_scaling():
         detail = (f"exact slope {exact_slope:.3f} (need >= 1.7), eala-linear "
                   f"slope {lin_slope:.3f} (need <= 1.3), linear n^2 bytes "
                   f"absent {no_square}")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(9, "complexity-scaling", ok, detail)
+        return ok, detail
+
+    _finish(9, "complexity-scaling", *run_criterion(measure))
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path, capsys):
-    try:
+    def measure():
+        # `eala check` exits 0 only if criteria 01-08 all hold
         check_code = cli_main(["check"])
         capsys.readouterr()  # the check transcript is not part of the gate
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -261,6 +88,6 @@ def test_criterion_10_end_to_end_determinism(tmp_path, capsys):
         ok = check_code == 0 and code1 == code2 == 0 and identical
         detail = (f"cli check exit {check_code} (need 0); equal-seed compare "
                   f"runs byte-identical {identical}")
-    except Exception as e:
-        ok, detail = False, f"raised {e!r}"
-    _finish(10, "end-to-end-determinism", ok, detail)
+        return ok, detail
+
+    _finish(10, "end-to-end-determinism", *run_criterion(measure))

@@ -7,14 +7,19 @@ from eala.bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchRecord,
                         BenchResourceError, allocation_model, bench_sweep,
                         fit_loglog_slope, records_to_csv)
 from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
+from eala.numerics import uniform_stream
+from eala.oracle import _SOFTMAX_BLOCK, exact_attention
 from eala.workload import gen_workload_raw
 
 
 class TestAllocationModel:
     def test_exact_classes(self):
+        # the two (100, 100) softmax row blocks outweigh the 100x8 output
         m = allocation_model("exact", 100, 8)
-        assert m == {"n2": 8 * 100 * 100, "nc": 8 * 4 * 100 * 8, "c2": 0,
-                     "n": 8 * 100, "c": 0}
+        assert m == {"n2": 8 * 100 * 100, "nc": 8 * (3 * 100 * 8 + 2 * 100 * 100),
+                     "c2": 0, "n": 8 * 100, "c": 0}
+        # a 100x256 output outweighs them
+        assert allocation_model("exact", 100, 256)["nc"] == 8 * 4 * 100 * 256
 
     def test_quadratic_keeps_one_square_buffer(self):
         m = allocation_model("eala-quadratic", 64, 16)
@@ -75,6 +80,29 @@ class TestLinearPathPeak:
     def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
         measured = 3 * 8 * self.N * self.C + traced_peak
         model = sum(allocation_model("eala-linear", self.N, self.C).values())
+        assert abs(model - measured) <= 0.05 * measured
+
+
+class TestExactPathPeak:
+    N, C = 2048, 64
+
+    @pytest.fixture(scope="class")
+    def traced_peak(self):
+        q, k, v = gen_workload_raw(self.N, self.C, 0)
+        tracemalloc.start()
+        try:
+            exact_attention(q, k, v)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_n2_temporary_beyond_scores_and_softmax_blocks(self, traced_peak):
+        n = self.N
+        assert traced_peak <= 8 * (n * n + 2 * _SOFTMAX_BLOCK * n + 8 * n)
+
+    def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
+        measured = 3 * 8 * self.N * self.C + traced_peak
+        model = sum(allocation_model("exact", self.N, self.C).values())
         assert abs(model - measured) <= 0.05 * measured
 
 
@@ -154,6 +182,12 @@ class TestFitLoglogSlope:
         for expo in (1.0, 2.0, 3.0):
             slope = fit_loglog_slope(self.fake([64, 128, 256, 512], expo))
             assert abs(slope - expo) <= 1e-9
+
+    def test_recovers_power_law_under_jitter(self):
+        recs = self.fake([64, 128, 256, 512], 1.5, scale=1e-7)
+        for i, r in enumerate(recs):
+            r.wall_time *= 1.0 + 0.05 * (2.0 * float(uniform_stream(40 + i, 1)[0]) - 1.0)
+        assert 1.4 <= fit_loglog_slope(recs) <= 1.6
 
     def test_constant_times_give_zero_slope(self):
         slope = fit_loglog_slope(self.fake([64, 128, 256], 0.0))

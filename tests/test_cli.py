@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eala import cli
 from eala.cli import cli_main
 from eala.numerics import gaussian_matrix
 from eala.oracle import exact_attention
@@ -41,8 +42,24 @@ class TestCheck:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, "check")
         assert code == 0
-        assert "10/10 checks passed" in out
+        assert "8/8 checks passed" in out
         assert "FAIL" not in out
+
+    def test_failing_criterion_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CRITERIA", [("holds", lambda: (True, "fine")),
+                                              ("breaks", lambda: (False, "gap 0.5"))])
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert "FAIL criterion 02 breaks: gap 0.5" in out
+        assert "1/2 checks passed" in out
+
+    def test_raising_criterion_fails_not_crashes(self, capsys, monkeypatch):
+        def boom():
+            raise ZeroDivisionError("empty sweep")
+        monkeypatch.setattr(cli, "CRITERIA", [("crashes", boom)])
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert "FAIL criterion 01 crashes: raised ZeroDivisionError('empty sweep')" in out
 
 
 class TestCompare:

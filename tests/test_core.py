@@ -167,7 +167,9 @@ class TestThetaStar:
         with pytest.raises(ValueError):
             theta_star(0.02, -0.5, 2, strict)
         assert theta_star(0.02, 1.5, 2, CFG) == np.inf  # clips to uniform
-        assert np.isfinite(theta_star(0.02, -0.5, 2, CFG))
+        # clips to 0, the one-hot edge: sqrt(S2 / (2 n log n)) + epsilon
+        edge = np.sqrt(0.02 / (4.0 * np.log(2.0))) + CFG.epsilon
+        assert abs(theta_star(0.02, -0.5, 2, CFG) - edge) <= 1e-12
 
     def test_bad_s2(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eala.core import EalaConfig
+from eala.core import EalaConfig, eala_attention
 from eala.mha import MhaParams, mha_forward, mha_init
 from eala.numerics import gaussian_matrix
 from eala.oracle import exact_attention
@@ -48,15 +48,18 @@ class TestMhaForward:
         p = mha_init(16, 4, seed=1)
         x = gaussian_matrix(10, 16, 2)
         for mode in ("exact", "eala"):
-            assert mha_forward(p, x, mode=mode).shape == (10, 16)
+            y = mha_forward(p, x, mode=mode)
+            assert y.shape == (10, 16)
+            assert np.array_equal(y, mha_forward(p, x, mode=mode))  # bit-stable
 
     def test_single_head_reduces_to_plain_attention(self):
         p = mha_init(8, 1, seed=3)
         x = gaussian_matrix(12, 8, 4)
-        got = mha_forward(p, x, mode="exact")
         q, k, v = x @ p.w_query, x @ p.w_key, x @ p.w_value
-        want = exact_attention(q, k, v).output @ p.w_output
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        for mode, attend in (("exact", exact_attention), ("eala", eala_attention)):
+            got = mha_forward(p, x, mode=mode)
+            want = attend(q, k, v).output @ p.w_output
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_multi_head_matches_manual_slices(self):
         p = mha_init(12, 3, seed=5)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eala.numerics import (gaussian_matrix, logsumexp, matmul, prng_next,
@@ -20,6 +20,7 @@ class TestPrng:
             value, state = prng_next(state)
             outs.append(value)
         assert tuple(outs) == SEED0_OUTPUTS
+        assert tuple(int(x) for x in prng_stream(0, 3)) == SEED0_OUTPUTS
 
     def test_vectorized_stream_matches_stepwise(self):
         state = 12345
@@ -133,6 +134,7 @@ class TestSoftmaxRow:
             softmax_row(np.array([]))
 
     @given(score_vectors(magnitude=1000.0))
+    @example(np.array([1000.0, -1000.0, 999.0]))
     def test_is_a_probability_vector(self, x):
         p = softmax_row(x)
         assert np.all(p >= 0.0)

@@ -56,8 +56,9 @@ class TestEntropyFromScores:
     @settings(max_examples=100)
     @given(score_vectors(magnitude=20.0))
     def test_matches_softmax_entropy(self, x):
-        direct = shannon_entropy(softmax_row(x))
-        assert abs(entropy_from_scores(x) - direct) <= 1e-10
+        h = entropy_from_scores(x)
+        assert abs(h - shannon_entropy(softmax_row(x))) <= 1e-10
+        assert 0.0 <= h <= np.log(len(x)) + 1e-12
 
     def test_query_key_form(self):
         k = gaussian_matrix(12, 5, 3)
