@@ -74,12 +74,12 @@ def gram_identity():
         n = 2 + int(float(u[0]) * 510)
         c = 1 + int(float(u[1]) * 63)
         khat, _ = center_keys(gaussian_matrix(n, c, 51_000 + i))
-        q = gaussian_matrix(1, c, 52_000 + i)[0]
-        s2 = score_moments(q, key_moments(khat)).s2
+        q = gaussian_matrix(1, c, 52_000 + i)
+        _, s2 = score_moments(q, key_moments(khat))
         brute = 0.0
         for j in range(n):
-            brute += float(np.dot(q, khat[j])) ** 2
-        worst = max(worst, abs(s2 - brute) / max(brute, 1e-30))
+            brute += float(np.dot(q[0], khat[j])) ** 2
+        worst = max(worst, abs(float(s2[0]) - brute) / max(brute, 1e-30))
     ok = worst <= 1e-10
     detail = f"100 instances N<=512 C<=64, max rel error {worst:.3e} (tol 1e-10)"
     return ok, detail
@@ -138,7 +138,7 @@ def theta_star_fidelity():
     # worked two-key case: scores (0.1, -0.1), exact entropy target
     a = np.array([0.1, -0.1])
     h2 = entropy_from_scores(a)
-    th_closed = theta_star(0.02, h2, 2, cfg)
+    th_closed = float(theta_star(np.array([0.02]), np.array([h2]), 2)[0])
     th_bis = bisection_theta(a, h2)
     worked_ok = (f"{th_closed:.6g}" == "1.0025"
                  and f"{th_bis:.6g}" == f"{1.003332:.6g}" == "1.00333")

@@ -22,6 +22,12 @@ from .oracle import AttnResult, score_row_entropies
 _ENTROPY_SOURCES = ("approx", "exact")
 _PATHS = ("auto", "quadratic", "linear")
 
+# Additive floor on finite temperatures; keeps 1/theta bounded.
+EPSILON = 1e-8
+# Below this the entropy gap or S2 counts as zero, and the temperature is
+# the uniform sentinel.
+DENOM_FLOOR = 1e-12
+
 # The linear path handles queries in row blocks of this size through one
 # (block, C) scratch buffer, so its temporaries are O(block C), not O(N C).
 _QUERY_BLOCK = 2048
@@ -31,29 +37,15 @@ _QUERY_BLOCK = 2048
 class EalaConfig:
     """Knobs for the linearized attention pipeline.
 
-    epsilon        : additive floor on finite temperatures, keeps 1/theta bounded
     entropy_source : "approx" uses the moment-based estimate; "exact" pays
                      O(N^2 C) for true softmax entropies (diagnostic mode)
     path           : forward branch; "auto" picks quadratic only when C > N
-    denom_floor    : below this, the entropy gap or S2 is treated as zero and
-                     the temperature degenerates to the uniform sentinel
-    clamp_entropy  : clip entropy estimates into [0, log n] before use
-    scale_scores   : divide scores by sqrt(C) (off by default; the family is
-                     defined on raw dot products)
     """
 
-    epsilon: float = 1e-8
     entropy_source: str = "approx"
     path: str = "auto"
-    denom_floor: float = 1e-12
-    clamp_entropy: bool = True
-    scale_scores: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
-        if not (np.isfinite(self.denom_floor) and self.denom_floor > 0.0):
-            raise ValueError("denom_floor must be positive")
         if self.entropy_source not in _ENTROPY_SOURCES:
             raise ValueError(f"entropy_source must be one of {_ENTROPY_SOURCES}")
         if self.path not in _PATHS:
@@ -64,24 +56,14 @@ class EalaConfig:
 class KeyMoments:
     """Key-level summaries from one O(N C^2) pass over centered keys.
 
-    mean             : the key average subtracted during centering
     key_sum_centered : sum of centered keys, zero up to round-off
     gram             : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
     count            : number of keys n
     """
 
-    mean: np.ndarray
     key_sum_centered: np.ndarray
     gram: np.ndarray
     count: int
-
-
-@dataclass
-class ScoreMoments:
-    """Per-query score sums S1 = sum_j q.khat_j and S2 = sum_j (q.khat_j)^2."""
-
-    s1: float
-    s2: float
 
 
 def center_keys(k_mat) -> tuple[np.ndarray, np.ndarray]:
@@ -93,44 +75,36 @@ def center_keys(k_mat) -> tuple[np.ndarray, np.ndarray]:
     return k - mean, mean
 
 
-def key_moments(khat, mean: np.ndarray | None = None) -> KeyMoments:
-    """Summaries of a centered key matrix; `mean` is carried for reporting."""
+def key_moments(khat) -> KeyMoments:
+    """Summaries of a centered key matrix."""
     kh = np.asarray(khat, dtype=np.float64)
     if kh.ndim != 2 or kh.shape[0] == 0:
         raise ValueError("key_moments expects a nonempty 2-D matrix")
-    c = kh.shape[1]
-    if mean is None:
-        mean = np.zeros(c)
     return KeyMoments(
-        mean=np.asarray(mean, dtype=np.float64),
         key_sum_centered=np.sum(kh, axis=0),
         gram=kh.T @ kh,
         count=kh.shape[0],
     )
 
 
-def score_moments(q_vec, m: KeyMoments) -> ScoreMoments:
-    """S1 and S2 for one query in O(C^2), never touching individual keys.
+def score_moments(q_mat, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query S1 = sum_j q.khat_j and S2 = sum_j (q.khat_j)^2, in O(C^2)
+    each and never touching individual keys.  Returns (s1, s2).
 
-    S2 = q M q^T is clamped at zero: M is positive semidefinite, so any
-    negative value is rounding noise.
+    The queries go through in row blocks, one reused (block, C) buffer
+    holding each block's q M.  S2 = q M q^T is clamped at zero: M is
+    positive semidefinite, so any negative value is rounding noise.
     """
-    q = np.asarray(q_vec, dtype=np.float64)
-    if q.ndim != 1 or q.size != m.gram.shape[0]:
-        raise ValueError(f"query length {q.shape} does not match moments of dim {m.gram.shape[0]}")
-    s1 = float(q @ m.key_sum_centered)
-    s2 = float(q @ m.gram @ q)
-    return ScoreMoments(s1=s1, s2=max(s2, 0.0))
-
-
-def _batch_score_moments(q_mat: np.ndarray, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
-    rows = q_mat.shape[0]
-    s1 = q_mat @ m.key_sum_centered
+    q = np.asarray(q_mat, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
+        raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
+    rows = q.shape[0]
+    s1 = q @ m.key_sum_centered
     s2 = np.empty(rows)
     scratch = np.empty((min(rows, _QUERY_BLOCK), m.gram.shape[1]))
     for lo in range(0, rows, _QUERY_BLOCK):
         hi = min(lo + _QUERY_BLOCK, rows)
-        qb = q_mat[lo:hi]
+        qb = q[lo:hi]
         t = scratch[: hi - lo]
         np.matmul(qb, m.gram, out=t)
         t *= qb
@@ -139,72 +113,58 @@ def _batch_score_moments(q_mat: np.ndarray, m: KeyMoments) -> tuple[np.ndarray, 
     return s1, s2
 
 
-def _approx_entropy_arr(s1: np.ndarray, s2: np.ndarray, n: int,
-                        clamp: bool) -> np.ndarray:
-    base = n + s1
-    if np.any(base <= 0.0):
-        raise ValueError("n + S1 must be positive for the entropy expansion")
-    h = np.log(base) - (s1 + s2) / base
-    if clamp:
-        np.clip(h, 0.0, np.log(n), out=h)
-    return h
+def _per_query(a, b, names: str) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"{names} must be 1-D arrays of equal length")
+    return a, b
 
 
-def approx_entropy(sm: ScoreMoments, n: int, clamp: bool = True) -> float:
-    """Second-order entropy estimate from score moments alone.
+def approx_entropy(s1, s2, n: int) -> np.ndarray:
+    """Second-order entropy estimate per query from its score moments.
 
         Hhat = log(n + S1) - (S1 + S2) / (n + S1)
 
     With centered keys S1 vanishes and this is log n - S2/n.  The estimate
-    overshoots low for peaked rows, so with `clamp` it is clipped into the
-    feasible range [0, log n].
+    overshoots low for peaked rows, so it is clipped into the feasible
+    range [0, log n].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    h = _approx_entropy_arr(
-        np.asarray([sm.s1], dtype=np.float64),
-        np.asarray([sm.s2], dtype=np.float64),
-        n, clamp,
-    )
-    return float(h[0])
+    s1, s2 = _per_query(s1, s2, "s1 and s2")
+    base = n + s1
+    if np.any(base <= 0.0):
+        raise ValueError("n + S1 must be positive for the entropy expansion")
+    h = np.log(base) - (s1 + s2) / base
+    np.clip(h, 0.0, np.log(n), out=h)
+    return h
 
 
-def _theta_star_arr(s2: np.ndarray, entropy: np.ndarray, n: int,
-                    cfg: EalaConfig) -> np.ndarray:
-    log_n = np.log(float(n))
-    ent = np.asarray(entropy, dtype=np.float64)
-    if cfg.clamp_entropy:
-        ent = np.clip(ent, 0.0, log_n)
-    elif np.any(ent < 0.0) or np.any(ent > log_n):
-        raise ValueError("entropy outside [0, log n]; enable clamp_entropy or fix inputs")
-    gap = log_n - ent
-    degenerate = (s2 <= cfg.denom_floor) | (gap <= cfg.denom_floor)
-    # avoid 0/0 in the masked lanes; they are overwritten with the sentinel
-    safe_gap = np.where(degenerate, 1.0, gap)
-    theta = np.sqrt(s2 / (2.0 * n * safe_gap)) + cfg.epsilon
-    theta[degenerate] = np.inf
-    return theta
+def theta_star(s2, entropy, n: int) -> np.ndarray:
+    """Closed-form temperature per query matching the affine family's
+    entropy to `entropy`, clipped into [0, log n] first.
 
+        theta* = sqrt(S2 / (2 n (log n - entropy))) + EPSILON
 
-def theta_star(s2: float, entropy: float, n: int, cfg: EalaConfig) -> float:
-    """Closed-form temperature matching the affine family's entropy to `entropy`.
-
-        theta* = sqrt(S2 / (2 n (log n - entropy))) + epsilon
-
-    When S2 or the entropy gap falls below cfg.denom_floor the family target
-    is (indistinguishable from) uniform and the sentinel +inf is returned;
+    Where S2 or the entropy gap is at most DENOM_FLOOR the family target is
+    (indistinguishable from) uniform and the sentinel +inf is returned;
     downstream forwards treat 1/theta as 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (np.isfinite(s2) and s2 >= 0.0):
+    s2, ent = _per_query(s2, entropy, "s2 and entropy")
+    # a nan fails both comparisons
+    if s2.size and not (s2.min() >= 0.0 and s2.max() < np.inf):
         raise ValueError("s2 must be finite and nonnegative")
-    out = _theta_star_arr(
-        np.asarray([s2], dtype=np.float64),
-        np.asarray([entropy], dtype=np.float64),
-        n, cfg,
-    )
-    return float(out[0])
+    log_n = np.log(float(n))
+    gap = log_n - np.clip(ent, 0.0, log_n)
+    degenerate = (s2 <= DENOM_FLOOR) | (gap <= DENOM_FLOOR)
+    # avoid 0/0 in the masked lanes; they are overwritten with the sentinel
+    safe_gap = np.where(degenerate, 1.0, gap)
+    theta = np.sqrt(s2 / (2.0 * n * safe_gap)) + EPSILON
+    theta[degenerate] = np.inf
+    return theta
 
 
 def _check_forward_args(q_mat, khat, v_mat, theta):
@@ -317,17 +277,14 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    khat, mean = center_keys(k)
-    if cfg.scale_scores:
-        khat /= np.sqrt(q.shape[1])
+    khat, _ = center_keys(k)
     n = khat.shape[0]
-    moments = key_moments(khat, mean)
-    s1, s2 = _batch_score_moments(q, moments)
+    s1, s2 = score_moments(q, key_moments(khat))
     if cfg.entropy_source == "approx":
-        ent = _approx_entropy_arr(s1, s2, n, cfg.clamp_entropy)
+        ent = approx_entropy(s1, s2, n)
     else:
         ent = score_row_entropies(q @ khat.T)
-    theta = _theta_star_arr(s2, ent, n, cfg)
+    theta = theta_star(s2, ent, n)
     branch = select_path(cfg.path, n=n, c=q.shape[1])
     if branch == "quadratic":
         out = eala_forward_quadratic(q, khat, v, theta)

@@ -203,8 +203,6 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     selected = res_exact_src if cfg.entropy_source == "exact" else res_approx
 
     khat, _ = center_keys(k_mat)
-    if cfg.scale_scores:
-        khat = khat / np.sqrt(spec.c)
     thetas = selected.thetas
     n = spec.n
 
@@ -216,8 +214,7 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     else:
         bis_col = [None] * n
     tied = _tied_rows(q_mat @ k_mat.T)
-    exact = exact_attention(q_mat, k_mat, v_mat, keep_weights=True,
-                            scale_scores=cfg.scale_scores)
+    exact = exact_attention(q_mat, k_mat, v_mat, keep_weights=True)
     # one GEMM over all queries: a row block of it can round differently
     eala_w = eala_weights(q_mat, khat, thetas)
 

@@ -1,4 +1,4 @@
-"""Dense float64 kernels and a deterministic counter-based random stream.
+"""A reference softmax and a deterministic counter-based random stream.
 
 Everything in this module is pure: the same inputs produce bit-identical
 outputs on every call, on every platform that implements IEEE-754 doubles.
@@ -17,29 +17,6 @@ _MIX2 = 0x94D049BB133111EB
 
 # 2**-53, multiplied into the top 53 bits of a 64-bit word to get a double.
 _INV_2_53 = 1.0 / 9007199254740992.0
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of two 2-D float64 arrays with an explicit inner-dim check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def logsumexp(x) -> float:
-    """log(sum(exp(x))) of a nonempty 1-D array, shifted by the max so the
-    largest exponent seen is exp(0)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("logsumexp expects a nonempty 1-D array")
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
 
 
 def softmax_row(x) -> np.ndarray:

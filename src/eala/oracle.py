@@ -128,13 +128,12 @@ def score_row_entropies(scores) -> np.ndarray:
     return _softmax_entropy_rows(s, to_weights=False)
 
 
-def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False,
-                    scale_scores: bool = False) -> AttnResult:
+def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResult:
     """Dense softmax attention, the quadratic reference implementation.
 
-    q_mat (m, c), k_mat (n, c), v_mat (n, d).  With scale_scores the raw
-    scores are divided by sqrt(c) first.  Peak scratch is one m x n buffer,
-    which becomes the weight matrix.
+    q_mat (m, c), k_mat (n, c), v_mat (n, d).  The scores are the raw dot
+    products; pass q / sqrt(c) for scaled ones.  Peak scratch is one m x n
+    buffer, which becomes the weight matrix.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     k = np.asarray(k_mat, dtype=np.float64)
@@ -146,8 +145,6 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False,
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k and v row counts differ: {k.shape[0]} vs {v.shape[0]}")
     scores = q @ k.T
-    if scale_scores:
-        scores /= np.sqrt(q.shape[1])
     ent = _softmax_entropy_rows(scores, to_weights=True)
     out = scores @ v
     return AttnResult(
@@ -155,17 +152,6 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False,
         weights=scores if keep_weights else None,
         entropies=ent,
     )
-
-
-def exact_attention_entropy(q_vec, k_mat) -> float:
-    """Entropy of the softmax attention row for one query against a key set."""
-    q = np.asarray(q_vec, dtype=np.float64)
-    k = np.asarray(k_mat, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("q_vec must be 1-D")
-    if k.ndim != 2 or k.shape[1] != q.size:
-        raise ValueError(f"key matrix {k.shape} incompatible with query of size {q.size}")
-    return entropy_from_scores(k @ q)
 
 
 def _prob_rows_ok(p: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ Readers always hand back float64 matrices regardless of the stored width.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -80,7 +81,7 @@ def read_tensor(path) -> np.ndarray:
     if rank != 2:
         raise TensorFileError(f"{path}: expected rank 2, got {rank}")
     dt = _DTYPE_CODES[code]
-    count = int(np.prod(dims, dtype=np.uint64)) if rank else 0
+    count = math.prod(dims)  # exact: a uint64 product would wrap
     expected = dims_end + count * dt.itemsize
     if len(raw) < expected:
         raise TensorTruncationError(

@@ -39,10 +39,13 @@ class TestUsage:
 
 
 class TestCheck:
-    def test_all_checks_pass(self, capsys):
+    def test_all_checks_pass(self, capsys, monkeypatch):
+        # the real criteria run in tests/test_acceptance.py
+        monkeypatch.setattr(cli, "CRITERIA", [(f"holds-{i}", lambda: (True, "fine"))
+                                              for i in range(3)])
         code, out, _ = run(capsys, "check")
         assert code == 0
-        assert "8/8 checks passed" in out
+        assert "3/3 checks passed" in out
         assert "FAIL" not in out
 
     def test_failing_criterion_exits_one(self, capsys, monkeypatch):
@@ -193,6 +196,14 @@ class TestAttend:
                            "--k", paths["k"], "--v", paths["v"],
                            "--out", str(tmp_path / "o.bin"))
         assert code == 3 and "error" in err
+
+    def test_oversized_header_exits_three(self, capsys, tmp_path):
+        paths, _ = self.write_inputs(tmp_path)
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(b"EALT" + bytes([1, 2, 2, 0]) + (2**32).to_bytes(8, "little") * 2)
+        code, _, err = run(capsys, "attend", "--q", str(bad), "--k", paths["k"],
+                           "--v", paths["v"], "--out", str(tmp_path / "o.bin"))
+        assert code == 3 and "huge.bin" in err
 
     def test_corrupt_input_exits_three(self, capsys, tmp_path):
         paths, _ = self.write_inputs(tmp_path)

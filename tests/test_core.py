@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eala.core import (_QUERY_BLOCK, EalaConfig, ScoreMoments,
-                       _approx_entropy_arr, _theta_star_arr, approx_entropy,
-                       center_keys, eala_attention, eala_forward_linear,
-                       eala_forward_quadratic, eala_weights, key_moments,
-                       score_moments, select_path, theta_star)
+from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
+                       approx_entropy, center_keys, eala_attention,
+                       eala_forward_linear, eala_forward_quadratic,
+                       eala_weights, key_moments, score_moments, select_path,
+                       theta_star)
 from eala.numerics import gaussian_matrix, uniform_stream
 from eala.oracle import bisection_theta, entropy_from_scores, exact_attention
 
@@ -80,113 +80,122 @@ class TestKeyMoments:
 class TestScoreMoments:
     def test_zero_query(self):
         m = key_moments(gaussian_matrix(6, 4, 3))
-        sm = score_moments(np.zeros(4), m)
-        assert sm.s1 == 0.0 and sm.s2 == 0.0
+        s1, s2 = score_moments(np.zeros((3, 4)), m)
+        assert np.all(s1 == 0.0) and np.all(s2 == 0.0)
 
     def test_s1_vanishes_after_centering(self):
         k = gaussian_matrix(64, 8, 5)
         kh, _ = center_keys(k)
-        m = key_moments(kh)
-        for s in range(10):
-            q = gaussian_matrix(1, 8, 200 + s)[0]
-            sm = score_moments(q, m)
-            assert abs(sm.s1) <= 1e-9 * 64 * float(np.max(np.abs(k)))
+        s1, _ = score_moments(gaussian_matrix(10, 8, 200), key_moments(kh))
+        assert float(np.max(np.abs(s1))) <= 1e-9 * 64 * float(np.max(np.abs(k)))
 
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=256), st.integers(min_value=1, max_value=32),
-           st.integers(min_value=0, max_value=5000))
-    def test_s2_matches_brute_force(self, n, c, seed):
+           st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=5000))
+    def test_s2_matches_brute_force(self, n, c, m, seed):
         kh, _ = center_keys(gaussian_matrix(n, c, seed))
-        m = key_moments(kh)
-        q = gaussian_matrix(1, c, seed + 7)[0]
-        sm = score_moments(q, m)
-        brute = 0.0
-        for j in range(n):
-            brute += float(np.dot(q, kh[j])) ** 2
-        assert abs(sm.s2 - brute) <= 1e-10 * max(brute, 1e-12)
+        q = gaussian_matrix(m, c, seed + 7)
+        _, s2 = score_moments(q, key_moments(kh))
+        assert s2.shape == (m,)
+        for i in range(m):
+            brute = 0.0
+            for j in range(n):
+                brute += float(np.dot(q[i], kh[j])) ** 2
+            assert abs(s2[i] - brute) <= 1e-10 * max(brute, 1e-12)
 
     def test_cauchy_schwarz_inequality(self):
         kh, _ = center_keys(gaussian_matrix(32, 4, 9))
-        m = key_moments(kh)
-        for s in range(10):
-            q = gaussian_matrix(1, 4, 300 + s)[0]
-            sm = score_moments(q, m)
-            assert sm.s2 >= sm.s1 ** 2 / 32 - 1e-12
+        s1, s2 = score_moments(gaussian_matrix(10, 4, 300), key_moments(kh))
+        assert np.all(s2 >= s1 ** 2 / 32 - 1e-12)
+
+    def test_shape_validation(self):
+        m = key_moments(gaussian_matrix(6, 4, 3))
+        for bad in (np.zeros(4), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="do not match"):
+                score_moments(bad, m)
+
+
+def single(x):
+    return np.array([x], dtype=np.float64)
+
+
+def theta1(s2, entropy, n):
+    """theta_star on one query."""
+    return float(theta_star(single(s2), single(entropy), n)[0])
 
 
 class TestApproxEntropy:
     def test_zero_moments_give_log_n(self):
-        assert approx_entropy(ScoreMoments(0.0, 0.0), 7) == np.log(7.0)
+        assert approx_entropy(np.zeros(3), np.zeros(3), 7).tolist() == [np.log(7.0)] * 3
 
     def test_worked_value(self):
-        h = approx_entropy(ScoreMoments(0.0, 0.02), 2)
-        assert abs(h - 0.6831471806) <= 1e-9
+        h = approx_entropy(single(0.0), single(0.02), 2)
+        assert abs(h[0] - 0.6831471806) <= 1e-9
 
     def test_matches_exact_to_half_squared_scale(self):
         # scores (s, -s): error of the expansion is about s^2/2 for small s
-        for s in (0.05, 0.1, 0.2):
-            h_hat = approx_entropy(ScoreMoments(0.0, 2 * s * s), 2)
-            h_true = entropy_from_scores(np.array([s, -s]))
-            assert abs(h_hat - h_true) <= 0.75 * s * s
+        s = np.array([0.05, 0.1, 0.2])
+        h_hat = approx_entropy(np.zeros(3), 2 * s * s, 2)
+        for i in range(3):
+            h_true = entropy_from_scores(np.array([s[i], -s[i]]))
+            assert abs(h_hat[i] - h_true) <= 0.75 * s[i] * s[i]
 
     def test_clamp_floor_and_ceiling(self):
-        assert approx_entropy(ScoreMoments(0.0, 10 * 64 * np.log(64.0)), 64) == 0.0
-        h_raw = approx_entropy(ScoreMoments(0.0, 10 * 64 * np.log(64.0)), 64, clamp=False)
-        assert h_raw < 0.0
+        s2 = 10 * 64 * np.log(64.0)
+        assert np.log(64.0) - s2 / 64 < 0.0  # the unclipped estimate
+        assert approx_entropy(single(0.0), single(s2), 64)[0] == 0.0
+        # S1 < 0 lifts the unclipped estimate above log n
+        assert np.log(3.5) + 0.5 / 3.5 > np.log(4.0)
+        assert approx_entropy(single(-0.5), single(0.0), 4)[0] == np.log(4.0)
 
     def test_domain_violation(self):
-        with pytest.raises(ValueError):
-            approx_entropy(ScoreMoments(-5.0, 0.0), 4)
-        with pytest.raises(ValueError):
-            approx_entropy(ScoreMoments(0.0, 0.0), 0)
+        with pytest.raises(ValueError, match="n \\+ S1"):
+            approx_entropy(single(-5.0), single(0.0), 4)
+        with pytest.raises(ValueError, match="n must be"):
+            approx_entropy(single(0.0), single(0.0), 0)
+        with pytest.raises(ValueError, match="1-D"):
+            approx_entropy(np.zeros(2), np.zeros(3), 4)
 
 
 class TestThetaStar:
     def test_worked_exact_entropy_case(self):
-        th = theta_star(0.02, 0.6881720699, 2, CFG)
-        assert abs(th - 1.0024983) <= 1e-6
+        assert abs(theta1(0.02, 0.6881720699, 2) - 1.0024983) <= 1e-6
 
     def test_worked_estimate_case(self):
-        th = theta_star(0.02, float(np.log(2.0) - 0.01), 2, CFG)
-        assert abs(th - (np.sqrt(0.5) + CFG.epsilon)) <= 1e-12
+        th = theta1(0.02, float(np.log(2.0) - 0.01), 2)
+        assert abs(th - (np.sqrt(0.5) + EPSILON)) <= 1e-12
 
     def test_epsilon_floor_is_added(self):
-        base = EalaConfig(epsilon=0.125)
-        th = theta_star(0.02, 0.6881720699, 2, base)
-        assert abs(th - (1.0024983 - 1e-8 + 0.125)) <= 1e-6
+        assert EPSILON == 1e-8
+        gap = np.log(2.0) - 0.6881720699
+        assert theta1(0.02, 0.6881720699, 2) == np.sqrt(0.02 / (4.0 * gap)) + EPSILON
 
     def test_uniform_target_sentinel(self):
-        assert theta_star(0.02, np.log(2.0), 2, CFG) == np.inf
-        assert theta_star(0.0, 0.3, 2, CFG) == np.inf
-        assert theta_star(1e-13, 0.3, 2, CFG) == np.inf
+        assert DENOM_FLOOR == 1e-12
+        th = theta_star(np.array([0.02, 0.0, 1e-13, 0.02]),
+                        np.array([np.log(2.0), 0.3, 0.3, np.log(2.0) - 1e-13]), 2)
+        assert np.all(th == np.inf)
 
     def test_entropy_domain(self):
-        strict = dataclasses.replace(CFG, clamp_entropy=False)
-        with pytest.raises(ValueError):
-            theta_star(0.02, 1.5, 2, strict)
-        with pytest.raises(ValueError):
-            theta_star(0.02, -0.5, 2, strict)
-        assert theta_star(0.02, 1.5, 2, CFG) == np.inf  # clips to uniform
+        assert theta1(0.02, 1.5, 2) == np.inf  # clips to uniform
         # clips to 0, the one-hot edge: sqrt(S2 / (2 n log n)) + epsilon
-        edge = np.sqrt(0.02 / (4.0 * np.log(2.0))) + CFG.epsilon
-        assert abs(theta_star(0.02, -0.5, 2, CFG) - edge) <= 1e-12
+        edge = np.sqrt(0.02 / (4.0 * np.log(2.0))) + EPSILON
+        assert abs(theta1(0.02, -0.5, 2) - edge) <= 1e-12
 
     def test_bad_s2(self):
-        with pytest.raises(ValueError):
-            theta_star(-1.0, 0.5, 2, CFG)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                theta1(bad, 0.5, 2)
+        with pytest.raises(ValueError, match="n must be"):
+            theta1(0.02, 0.5, 0)
 
 
 class TestConfig:
     def test_defaults(self):
-        assert CFG.epsilon == 1e-8 and CFG.denom_floor == 1e-12
+        assert [f.name for f in dataclasses.fields(EalaConfig)] == ["entropy_source", "path"]
         assert CFG.entropy_source == "approx" and CFG.path == "auto"
-        assert CFG.clamp_entropy and not CFG.scale_scores
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EalaConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            EalaConfig(denom_floor=-1.0)
         with pytest.raises(ValueError):
             EalaConfig(entropy_source="sampled")
         with pytest.raises(ValueError):
@@ -280,7 +289,7 @@ class TestForwardPaths:
             assert float(np.max(np.abs(w.sum(axis=1) - 1.0))) <= 1e-9
 
 
-def whole_matrix_linear_path(q, k, v, cfg):
+def whole_matrix_linear_path(q, k, v):
     """The linear path with every query-side product over all rows at once:
     the reference for the row-blocked score moments and forward."""
     khat = k - np.mean(k, axis=0)
@@ -288,8 +297,8 @@ def whole_matrix_linear_path(q, k, v, cfg):
     s1 = q @ np.sum(khat, axis=0)
     s2 = np.sum((q @ (khat.T @ khat)) * q, axis=1)
     np.maximum(s2, 0.0, out=s2)
-    ent = _approx_entropy_arr(s1, s2, n, cfg.clamp_entropy)
-    theta = _theta_star_arr(s2, ent, n, cfg)
+    ent = approx_entropy(s1, s2, n)
+    theta = theta_star(s2, ent, n)
     out = (np.sum(v, axis=0)[None, :] + (q / theta[:, None]) @ (khat.T @ v)) / n
     return out, ent, theta
 
@@ -300,7 +309,7 @@ class TestQueryBlocks:
     def check(self, q, k, v, bitwise):
         res = eala_attention(q, k, v, self.LINEAR)
         got = (res.output, res.entropies, res.thetas)
-        for a, b in zip(got, whole_matrix_linear_path(q, k, v, self.LINEAR)):
+        for a, b in zip(got, whole_matrix_linear_path(q, k, v)):
             assert a.shape == b.shape
             if bitwise:
                 assert np.array_equal(a, b)
@@ -405,12 +414,6 @@ class TestEalaAttention:
         exact = exact_attention(q, k, v)
         diff = float(np.max(np.abs(res.output - exact.output)))
         assert diff <= 0.05 * float(np.max(np.abs(exact.output)))
-
-    def test_scale_scores_flag_matches_manual_scaling(self):
-        q, k, v = random_instance(12, 16, 1800)
-        res_flag = eala_attention(q, k, v, EalaConfig(scale_scores=True))
-        res_manual = eala_attention(q / 4.0, k, v)
-        np.testing.assert_allclose(res_flag.output, res_manual.output, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

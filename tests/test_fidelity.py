@@ -186,13 +186,11 @@ class TestGolden:
 def reference_report(spec, cfg):
     """The report built one query at a time from the 1-D oracle calls."""
     q, k, v = gen_workload(spec)
-    exact = exact_attention(q, k, v, keep_weights=True, scale_scores=cfg.scale_scores)
+    exact = exact_attention(q, k, v, keep_weights=True)
     res = {src: eala_attention(q, k, v, dataclasses.replace(cfg, entropy_source=src))
            for src in ("approx", "exact")}
     selected = res[cfg.entropy_source]
     khat, _ = center_keys(k)
-    if cfg.scale_scores:
-        khat = khat / np.sqrt(spec.c)
     eala_w = eala_weights(q, khat, selected.thetas)
     scores = q @ k.T
     kl, valid, bis, match = [], [], [], []

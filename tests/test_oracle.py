@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from eala.numerics import gaussian_matrix, softmax_row, uniform_stream
 from eala.oracle import (bisection_theta, entropy_from_scores, exact_attention,
-                         exact_attention_entropy, kl_decomposition,
-                         kl_divergence, linear_family_entropy, shannon_entropy,
-                         strict_concavity_check)
+                         kl_decomposition, kl_divergence, linear_family_entropy,
+                         shannon_entropy, strict_concavity_check)
 from strategies import score_vectors, simplex_pairs, simplex_vectors
 
 WORKED_SCORES = np.array([0.1, -0.1])
@@ -60,12 +59,6 @@ class TestEntropyFromScores:
         assert abs(h - shannon_entropy(softmax_row(x))) <= 1e-10
         assert 0.0 <= h <= np.log(len(x)) + 1e-12
 
-    def test_query_key_form(self):
-        k = gaussian_matrix(12, 5, 3)
-        q = gaussian_matrix(1, 5, 4)[0]
-        expected = entropy_from_scores(k @ q)
-        assert abs(exact_attention_entropy(q, k) - expected) <= 1e-15
-
 
 class TestExactAttention:
     def test_identical_keys_average_values(self):
@@ -104,14 +97,6 @@ class TestExactAttention:
         assert float(np.max(np.abs(sums - 1.0))) <= 1e-12
         assert np.all(res.weights >= 0.0)
         np.testing.assert_allclose(res.weights @ v, res.output, atol=1e-12)
-
-    def test_scaled_scores_flag(self):
-        q = gaussian_matrix(5, 16, 31)
-        k = gaussian_matrix(5, 16, 32)
-        v = gaussian_matrix(5, 16, 33)
-        scaled = exact_attention(q, k, v, scale_scores=True)
-        plain = exact_attention(q / 4.0, k, v)  # sqrt(16) folded into Q
-        np.testing.assert_allclose(scaled.output, plain.output, atol=1e-12)
 
     def test_dimension_mismatches_raise(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,13 @@ class TestReadValidation:
         with pytest.raises(TensorTruncationError):
             read_tensor(self.write_raw(tmp_path, raw[:-8]))
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**62, 8)])
+    def test_declared_size_beyond_uint64_is_truncation(self, tmp_path, dims):
+        # the element count wraps to zero in 64-bit arithmetic
+        header = MAGIC + struct.pack("<BBH", 1, 2, 2) + struct.pack("<2Q", *dims)
+        with pytest.raises(TensorTruncationError, match="bad.bin"):
+            read_tensor(self.write_raw(tmp_path, header))
+
     def test_trailing_bytes(self, tmp_path):
         raw = self.good_bytes(tmp_path)
         with pytest.raises(TensorFileError):
