@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eala.numerics import (gaussian_matrix, prng_next, prng_stream, softmax_row,
-                           uniform_stream)
+from eala.numerics import (_GAUSSIAN_BLOCK, _INV_2_53, gaussian_matrix, prng_next,
+                           prng_stream, softmax_row, uniform_stream)
 from strategies import score_vectors
 
 # First three outputs of the seed-0 stream, from the generator's published
@@ -47,7 +49,37 @@ class TestPrng:
         assert abs(float(np.mean(u)) - 0.5) < 0.02
 
 
+def reference_gaussian_matrix(rows, cols, seed, scale=1.0):
+    """The unblocked formula: the whole stream at once, then Box-Muller."""
+    n = rows * cols
+    bits = prng_stream(seed, 2 * n)
+    u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return (scale * z).reshape(rows, cols)
+
+
+B = _GAUSSIAN_BLOCK
+
+
 class TestGaussianMatrix:
+    @pytest.mark.parametrize("rows, cols, seed, scale", [
+        (1, 1, 0, 1.0),
+        (B - 1, 1, 2**63 + 5, 0.1),
+        (1, B, 17, 1.0),
+        (B + 1, 1, -3, 2.5),
+        (64, B // 64 + 1, 2**64 - 1, 1.0),
+        (3, 2 * B + 3, 12345678901234567890, 0.7),
+        (100003, 3, 2**63 + 5, 1.0),
+    ])
+    def test_blocks_match_the_unblocked_formula_bit_for_bit(self, rows, cols, seed, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint64 overflow warning either
+            got = gaussian_matrix(rows, cols, seed, scale)
+        want = reference_gaussian_matrix(rows, cols, seed, scale)
+        assert got.shape == (rows, cols)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_fixed_seed_bit_identical(self):
         assert np.array_equal(gaussian_matrix(17, 5, 99), gaussian_matrix(17, 5, 99))
 
