@@ -51,10 +51,11 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       the output is made
     eala-quadratic... Q,K,V,khat,out (5nc) + one n*n weight buffer + gram
                       + per-query stats
-    eala-linear...... Q,K,V,khat,out (5nc) + the query-block scratch
-                      (min(n, block) rows of c, counted under nc) + gram and
-                      KV (2c^2) + S1, S2, entropy, theta (4n) + key mean,
-                      key sum, value sum (3c); no n^2 class at all
+    eala-linear...... Q,K,V,out (4nc) + one block scratch (min(n, block)
+                      rows of c, counted under nc: the key pass's is freed
+                      before the forward's is made) + gram and KV (2c^2) +
+                      S1, S2, entropy, theta (4n) + key mean, key sum, value
+                      sum (3c); no khat and no n^2 class at all
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -78,7 +79,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
         }
     return {
         "n2": 0,
-        "nc": _F8 * (5 * n + min(n, _QUERY_BLOCK)) * c,
+        "nc": _F8 * (4 * n + min(n, _QUERY_BLOCK)) * c,
         "c2": _F8 * 2 * c * c,
         "n": _F8 * 4 * n,
         "c": _F8 * 3 * c,

@@ -73,9 +73,11 @@ def gram_identity():
         u = uniform_stream(50_000 + i, 2)
         n = 2 + int(float(u[0]) * 510)
         c = 1 + int(float(u[1]) * 63)
-        khat, _ = center_keys(gaussian_matrix(n, c, 51_000 + i))
+        k = gaussian_matrix(n, c, 51_000 + i)
+        m = key_moments(k, np.zeros((n, 0)))
+        khat, _ = center_keys(k, m.mean)
         q = gaussian_matrix(1, c, 52_000 + i)
-        _, s2 = score_moments(q, key_moments(khat))
+        _, s2 = score_moments(q, m)
         brute = 0.0
         for j in range(n):
             brute += float(np.dot(q[0], khat[j])) ** 2

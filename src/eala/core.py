@@ -6,13 +6,15 @@ The pipeline replaces each softmax attention row with the affine family
 
 where keys are centered so the weights sum to one for any theta, and theta
 is chosen per query so the family's entropy matches an estimate of the
-softmax row's entropy.  All per-query quantities come from two key-level
-summaries (the centered key sum and the C x C Gram matrix), so nothing on
-the linear path ever touches an n x n buffer.
+softmax row's entropy.  All per-query quantities come from key-level
+summaries (the centered key sum, the C x C Gram matrix and khat^T V) that
+one blocked pass over the keys and values collects, so nothing on the
+linear path ever touches an n x n buffer or keeps an n x C copy of K.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,9 @@ EPSILON = 1e-8
 # the uniform sentinel.
 DENOM_FLOOR = 1e-12
 
-# The linear path handles queries in row blocks of this size through one
-# (block, C) scratch buffer, so its temporaries are O(block C), not O(N C).
+# The linear path handles keys and queries in row blocks of this size, each
+# through one reused (block, C) scratch buffer, so its temporaries are
+# O(block C), not O(N C).
 _QUERY_BLOCK = 2048
 
 
@@ -54,37 +57,89 @@ class EalaConfig:
 
 @dataclass
 class KeyMoments:
-    """Key-level summaries from one O(N C^2) pass over centered keys.
+    """Key and value summaries from one O(N C^2) pass over (K, V).
 
+    mean             : column mean of the keys, the centre of every khat_j
     key_sum_centered : sum of centered keys, zero up to round-off
     gram             : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
+    kv               : C x D matrix khat^T V
+    value_sum        : sum of the value rows
     count            : number of keys n
     """
 
+    mean: np.ndarray
     key_sum_centered: np.ndarray
     gram: np.ndarray
+    kv: np.ndarray
+    value_sum: np.ndarray
     count: int
 
 
-def center_keys(k_mat) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the row mean: khat_j = k_j - mean.  Returns (khat, mean)."""
+def _name_nonfinite(checks) -> None:
+    """Raise ValueError naming the first input whose summary is not finite.
+
+    `checks` holds (name, input, summary, what) rows; each summary is a sum
+    over its input that the pipeline takes anyway.  NaN and inf always reach
+    such a sum, so only a failing input pays for an O(size) look at itself,
+    which tells NaN or inf in the input from a sum that overflowed.
+    """
+    for name, x, summary, what in checks:
+        if np.isfinite(summary).all():
+            continue
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} holds NaN or inf")
+        raise ValueError(f"{what} overflows float64 although {name} is finite")
+
+
+def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the key mean: khat_j = k_j - mean.  Returns (khat, mean).
+
+    `mean` defaults to the column mean of k_mat; the key pass gives the mean
+    of all keys to centre one row block at a time into its scratch `out`.
+    """
     k = np.asarray(k_mat, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] == 0:
         raise ValueError("center_keys expects a nonempty 2-D key matrix")
-    mean = np.mean(k, axis=0)
-    return k - mean, mean
+    if mean is None:
+        mean = np.mean(k, axis=0)
+    return np.subtract(k, mean, out=out), mean
 
 
-def key_moments(khat) -> KeyMoments:
-    """Summaries of a centered key matrix."""
-    kh = np.asarray(khat, dtype=np.float64)
-    if kh.ndim != 2 or kh.shape[0] == 0:
-        raise ValueError("key_moments expects a nonempty 2-D matrix")
-    return KeyMoments(
-        key_sum_centered=np.sum(kh, axis=0),
-        gram=kh.T @ kh,
-        count=kh.shape[0],
-    )
+def key_moments(k_mat, v_mat) -> KeyMoments:
+    """Summaries of the keys and values in one blocked pass.
+
+    The key mean is taken over all of K first, so every block is centred
+    against the final mean before its products are summed: the two-pass
+    scheme (Chan, Golub & LeVeque 1979), which keeps offset keys from
+    losing their spread to a K^T K - n mu mu^T cancellation.  Row blocks of
+    _QUERY_BLOCK keys are centred into one reused (block, C) scratch, and
+    their key sum, Gram khat^T khat and khat^T V are accumulated.  Nothing
+    n x C is kept.
+    """
+    k = np.asarray(k_mat, dtype=np.float64)
+    v = np.asarray(v_mat, dtype=np.float64)
+    if k.ndim != 2 or k.shape[0] == 0 or v.ndim != 2:
+        raise ValueError("key_moments expects a nonempty 2-D key matrix and a 2-D value matrix")
+    n = k.shape[0]
+    if v.shape[0] != n:
+        raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
+    mean = k.sum(axis=0) / n  # the bits of np.mean, without its wrapper
+    value_sum = v.sum(axis=0)
+    scratch = np.empty((min(n, _QUERY_BLOCK), k.shape[1]))
+    sums = None
+    for lo in range(0, n, _QUERY_BLOCK):
+        hi = min(lo + _QUERY_BLOCK, n)
+        kb, _ = center_keys(k[lo:hi], mean, out=scratch[: hi - lo])
+        # kb.T @ kb takes numpy's syrk path
+        part = (kb.sum(axis=0), kb.T @ kb, kb.T @ v[lo:hi])
+        if sums is None:
+            sums = part
+        else:
+            for acc, p in zip(sums, part):
+                acc += p
+    key_sum, gram, kv = sums
+    return KeyMoments(mean=mean, key_sum_centered=key_sum, gram=gram, kv=kv,
+                      value_sum=value_sum, count=n)
 
 
 def score_moments(q_mat, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
@@ -167,22 +222,26 @@ def theta_star(s2, entropy, n: int) -> np.ndarray:
     return theta
 
 
+def _check_theta(theta, rows: int) -> np.ndarray:
+    th = np.asarray(theta, dtype=np.float64)
+    if th.ndim != 1 or th.size != rows:
+        raise ValueError("theta must be 1-D with one entry per query")
+    if not (th > 0.0).all():  # a nan fails the comparison
+        raise ValueError("theta entries must be positive (or the +inf sentinel)")
+    return th
+
+
 def _check_forward_args(q_mat, khat, v_mat, theta):
     q = np.asarray(q_mat, dtype=np.float64)
     kh = np.asarray(khat, dtype=np.float64)
     v = np.asarray(v_mat, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
     if q.ndim != 2 or kh.ndim != 2 or v.ndim != 2:
         raise ValueError("Q, khat, V must be 2-D")
     if q.shape[1] != kh.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs khat {kh.shape}")
     if kh.shape[0] != v.shape[0]:
         raise ValueError(f"khat and V row counts differ: {kh.shape[0]} vs {v.shape[0]}")
-    if th.ndim != 1 or th.size != q.shape[0]:
-        raise ValueError("theta must be 1-D with one entry per query")
-    if np.any(np.isnan(th)) or np.any(th <= 0.0):
-        raise ValueError("theta entries must be positive (or the +inf sentinel)")
-    return q, kh, v, th
+    return q, kh, v, _check_theta(theta, q.shape[0])
 
 
 def _affine_weights(q: np.ndarray, kh: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -205,33 +264,33 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     return _affine_weights(q, kh, th) @ v
 
 
-def eala_forward_linear(q_mat, khat, v_mat, theta) -> np.ndarray:
+def eala_forward_linear(q_mat, m: KeyMoments, theta) -> np.ndarray:
     """Moment branch, O(N C^2) time, no n^2 allocation.
 
     Algebraically identical to the quadratic branch:
 
-        o_i = (sum_j v_j + (q_i / theta_i) KV) / n,   KV = khat^T V.
+        o_i = (sum_j v_j + (q_i / theta_i) KV) / n,   KV = khat^T V,
 
-    KV and the value sum are formed once; the queries then go through in
-    row blocks, each scaled by 1/theta into one reused (block, C) buffer and
-    multiplied straight into its rows of the output.  Beyond the output,
-    the only allocations are that buffer and the C x D matrix KV.
+    with KV and the value sum read from the key pass.  The queries go
+    through in row blocks, each scaled by 1/theta into one reused (block, C)
+    buffer and multiplied straight into its rows of the output.  Beyond the
+    output, that buffer is the only allocation.
     """
-    q, kh, v, th = _check_forward_args(q_mat, khat, v_mat, theta)
-    n = kh.shape[0]
+    q = np.asarray(q_mat, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
+        raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
     rows = q.shape[0]
-    v_sum = np.sum(v, axis=0)
-    kv = kh.T @ v
-    out = np.empty((rows, v.shape[1]))
+    th = _check_theta(theta, rows)
+    out = np.empty((rows, m.kv.shape[1]))
     scratch = np.empty((min(rows, _QUERY_BLOCK), q.shape[1]))
     for lo in range(0, rows, _QUERY_BLOCK):
         hi = min(lo + _QUERY_BLOCK, rows)
         t = scratch[: hi - lo]
         np.divide(q[lo:hi], th[lo:hi, None], out=t)
         ob = out[lo:hi]
-        np.matmul(t, kv, out=ob)
-        ob += v_sum
-        ob /= n
+        np.matmul(t, m.kv, out=ob)
+        ob += m.value_sum
+        ob /= m.count
     return out
 
 
@@ -261,10 +320,12 @@ def select_path(path: str, n: int, c: int) -> str:
 
 
 def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnResult:
-    """Full pipeline: center, summarize, estimate entropy, match, average.
+    """Full pipeline: summarize keys, estimate entropy, match, average.
 
     Returns the output matrix along with the per-query entropy estimates
-    that fed the temperature solve and the temperatures themselves.
+    that fed the temperature solve and the temperatures themselves.  Only
+    the quadratic branch and the exact entropy source build the centered
+    keys khat.  NaN or inf in Q, K or V raises ValueError naming the input.
     """
     if cfg is None:
         cfg = EalaConfig()
@@ -275,19 +336,29 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         raise ValueError("Q, K, V must be 2-D")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    khat, _ = center_keys(k)
-    n = khat.shape[0]
-    s1, s2 = score_moments(q, key_moments(khat))
+    # NaN or inf in K, V or Q reaches the key mean, the value sum or S2, so
+    # their sums of squares check all three inputs with no pass of their own.
+    # With q holding inf, S2 = q M q^T is +inf or NaN (M is PSD), so its
+    # clamp at zero hides nothing.
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = key_moments(k, v)
+        s1, s2 = score_moments(q, m)
+        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum + s2 @ s2)
+    if not finite:
+        _name_nonfinite([("K", k, m.mean, "the key mean"),
+                         ("V", v, m.value_sum, "the value sum"),
+                         ("Q", q, s2, "the score moment S2")])
+    n = m.count
+    branch = select_path(cfg.path, n=n, c=q.shape[1])
+    if cfg.entropy_source == "exact" or branch == "quadratic":
+        khat, _ = center_keys(k, m.mean)
     if cfg.entropy_source == "approx":
         ent = approx_entropy(s1, s2, n)
     else:
         ent = score_row_entropies(q @ khat.T)
     theta = theta_star(s2, ent, n)
-    branch = select_path(cfg.path, n=n, c=q.shape[1])
     if branch == "quadratic":
         out = eala_forward_quadratic(q, khat, v, theta)
     else:
-        out = eala_forward_linear(q, khat, v, theta)
+        out = eala_forward_linear(q, m, theta)
     return AttnResult(output=out, entropies=ent, thetas=theta)

@@ -77,6 +77,12 @@ class TestLinearPathPeak:
         bound = 8 * (2 * n * c + _QUERY_BLOCK * c + 8 * n + 4 * c * c)
         assert traced_peak <= bound
 
+    def test_no_nc_temporary_beyond_output(self, traced_peak):
+        # the key pass keeps one block of centred keys, not khat
+        n, c = self.N, self.C
+        bound = 8 * (n * c + _QUERY_BLOCK * c + 8 * n + 4 * c * c)
+        assert traced_peak <= bound
+
     def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
         measured = 3 * 8 * self.N * self.C + traced_peak
         model = sum(allocation_model("eala-linear", self.N, self.C).values())

@@ -23,6 +23,17 @@ def random_instance(n, c, seed, scale=1.0):
     return q, k, v
 
 
+def moments(k):
+    """key_moments of k with no value columns."""
+    return key_moments(k, np.zeros((len(k), 0)))
+
+
+def linear_forward(q, kh, v, theta):
+    """eala_forward_linear fed by the key pass over (kh, v), called as the
+    quadratic branch is."""
+    return eala_forward_linear(q, key_moments(kh, v), theta)
+
+
 class TestCenterKeys:
     def test_already_centered_pair(self):
         kh, mean = center_keys(np.array([[1.0, 0.0], [-1.0, 0.0]]))
@@ -53,17 +64,16 @@ class TestCenterKeys:
 
 class TestKeyMoments:
     def test_symmetric_pair_gram(self):
-        m = key_moments(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        m = moments(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         np.testing.assert_array_equal(m.gram, [[2.0, 0.0], [0.0, 0.0]])
         assert m.count == 2
 
     def test_zero_keys_zero_gram(self):
-        m = key_moments(np.zeros((5, 3)))
+        m = moments(np.zeros((5, 3)))
         assert np.all(m.gram == 0.0) and np.all(m.key_sum_centered == 0.0)
 
     def test_gram_is_symmetric_psd(self):
-        kh, _ = center_keys(gaussian_matrix(50, 6, 17))
-        m = key_moments(kh)
+        m = moments(gaussian_matrix(50, 6, 17))
         assert float(np.max(np.abs(m.gram - m.gram.T))) <= 1e-12
         for s in range(20):
             x = gaussian_matrix(1, 6, 100 + s)[0]
@@ -71,31 +81,74 @@ class TestKeyMoments:
 
     def test_key_sum_bound(self):
         k = gaussian_matrix(128, 8, 23)
-        kh, _ = center_keys(k)
-        m = key_moments(kh)
+        m = moments(k)
         assert (float(np.max(np.abs(m.key_sum_centered)))
                 <= 1e-9 * 128 * float(np.max(np.abs(k))))
 
 
+def whole_matrix_moments(k, v):
+    """The key pass's four sums, each over all rows at once."""
+    khat = k - np.mean(k, axis=0)
+    return np.sum(khat, axis=0), khat.T @ khat, khat.T @ v, np.sum(v, axis=0)
+
+
+def max_rel(got, want, scale=None):
+    if scale is None:
+        scale = float(np.max(np.abs(want)))
+    return float(np.max(np.abs(got - want))) / scale
+
+
+class TestKeyPass:
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, _QUERY_BLOCK])
+    def test_one_block_is_bitwise_the_whole_matrix(self, n):
+        k = gaussian_matrix(n, 16, 1800)
+        v = gaussian_matrix(n, 8, 1801)
+        m = key_moments(k, v)
+        got = (m.key_sum_centered, m.gram, m.kv, m.value_sum)
+        for a, b in zip(got, whole_matrix_moments(k, v)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(m.mean, np.mean(k, axis=0)) and m.count == n
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3])
+    def test_blocks_match_the_whole_matrix(self, n, offset):
+        k = gaussian_matrix(n, 16, 1810) + offset
+        v = gaussian_matrix(n, 8, 1811)
+        m = key_moments(k, v)
+        key_sum, gram, kv, value_sum = whole_matrix_moments(k, v)
+        # the key sum is zero up to round-off, so its scale is its summands'
+        summands = float(np.max(np.sum(np.abs(k - m.mean), axis=0)))
+        assert max_rel(m.key_sum_centered, key_sum, summands) <= 1e-11
+        assert max_rel(m.gram, gram) <= 1e-11
+        assert max_rel(m.kv, kv) <= 1e-11
+        assert np.array_equal(m.value_sum, value_sum)
+
+    def test_offset_keys_keep_their_gram(self):
+        # centring against the mean of all keys first loses no spread
+        k = gaussian_matrix(2 * _QUERY_BLOCK + 3, 16, 1820)
+        m = moments(k + 1e6)
+        assert max_rel(m.gram, moments(k).gram) <= 1e-11
+
+
 class TestScoreMoments:
     def test_zero_query(self):
-        m = key_moments(gaussian_matrix(6, 4, 3))
+        m = moments(gaussian_matrix(6, 4, 3))
         s1, s2 = score_moments(np.zeros((3, 4)), m)
         assert np.all(s1 == 0.0) and np.all(s2 == 0.0)
 
     def test_s1_vanishes_after_centering(self):
         k = gaussian_matrix(64, 8, 5)
-        kh, _ = center_keys(k)
-        s1, _ = score_moments(gaussian_matrix(10, 8, 200), key_moments(kh))
+        s1, _ = score_moments(gaussian_matrix(10, 8, 200), moments(k))
         assert float(np.max(np.abs(s1))) <= 1e-9 * 64 * float(np.max(np.abs(k)))
 
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=256), st.integers(min_value=1, max_value=32),
            st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=5000))
     def test_s2_matches_brute_force(self, n, c, m, seed):
-        kh, _ = center_keys(gaussian_matrix(n, c, seed))
+        k = gaussian_matrix(n, c, seed)
+        kh, _ = center_keys(k)
         q = gaussian_matrix(m, c, seed + 7)
-        _, s2 = score_moments(q, key_moments(kh))
+        _, s2 = score_moments(q, moments(k))
         assert s2.shape == (m,)
         for i in range(m):
             brute = 0.0
@@ -104,12 +157,11 @@ class TestScoreMoments:
             assert abs(s2[i] - brute) <= 1e-10 * max(brute, 1e-12)
 
     def test_cauchy_schwarz_inequality(self):
-        kh, _ = center_keys(gaussian_matrix(32, 4, 9))
-        s1, s2 = score_moments(gaussian_matrix(10, 4, 300), key_moments(kh))
+        s1, s2 = score_moments(gaussian_matrix(10, 4, 300), moments(gaussian_matrix(32, 4, 9)))
         assert np.all(s2 >= s1 ** 2 / 32 - 1e-12)
 
     def test_shape_validation(self):
-        m = key_moments(gaussian_matrix(6, 4, 3))
+        m = moments(gaussian_matrix(6, 4, 3))
         for bad in (np.zeros(4), np.zeros((2, 3))):
             with pytest.raises(ValueError, match="do not match"):
                 score_moments(bad, m)
@@ -220,7 +272,7 @@ class TestForwardPaths:
         kh, _ = center_keys(k)
         v = np.tile([[4.0, -1.0, 0.25]], (12, 1))
         theta = np.full(12, 0.9)
-        for fwd in (eala_forward_quadratic, eala_forward_linear):
+        for fwd in (eala_forward_quadratic, linear_forward):
             out = fwd(q, kh, v, theta)
             np.testing.assert_allclose(out, np.tile(v[0], (12, 1)), atol=1e-9)
 
@@ -232,18 +284,18 @@ class TestForwardPaths:
     def test_zero_values_give_zero(self):
         q, k, _ = random_instance(8, 3, 800)
         kh, _ = center_keys(k)
-        assert np.all(eala_forward_linear(q, kh, np.zeros((8, 3)), np.ones(8)) == 0.0)
+        assert np.all(linear_forward(q, kh, np.zeros((8, 3)), np.ones(8)) == 0.0)
 
     def test_single_key_returns_its_value(self):
-        out = eala_forward_linear(np.array([[1.0, 2.0]]), np.zeros((1, 2)),
-                                  np.array([[5.0, -3.0]]), np.array([7.7]))
+        out = linear_forward(np.array([[1.0, 2.0]]), np.zeros((1, 2)),
+                             np.array([[5.0, -3.0]]), np.array([7.7]))
         np.testing.assert_allclose(out, [[5.0, -3.0]], atol=1e-12)
 
     def test_sentinel_theta_averages(self):
         q, k, v = random_instance(9, 5, 900)
         kh, _ = center_keys(k)
         theta = np.full(9, np.inf)
-        for fwd in (eala_forward_quadratic, eala_forward_linear):
+        for fwd in (eala_forward_quadratic, linear_forward):
             np.testing.assert_allclose(fwd(q, kh, v, theta),
                                        np.tile(v.mean(axis=0), (9, 1)), atol=1e-12)
 
@@ -253,8 +305,9 @@ class TestForwardPaths:
         for bad in (np.array([1.0, 1.0, 1.0]),           # wrong length
                     np.array([1.0, -1.0, 1.0, 1.0]),     # negative
                     np.array([1.0, np.nan, 1.0, 1.0])):  # nan
-            with pytest.raises(ValueError):
-                eala_forward_quadratic(q, kh, v, bad)
+            for fwd in (eala_forward_quadratic, linear_forward):
+                with pytest.raises(ValueError):
+                    fwd(q, kh, v, bad)
 
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=96), st.integers(min_value=1, max_value=48),
@@ -264,7 +317,7 @@ class TestForwardPaths:
         kh, _ = center_keys(k)
         theta = 0.5 + 2.0 * uniform_stream(seed + 3, n)
         oq = eala_forward_quadratic(q, kh, v, theta)
-        ol = eala_forward_linear(q, kh, v, theta)
+        ol = linear_forward(q, kh, v, theta)
         denom = max(float(np.max(np.abs(oq))), 1e-300)
         assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
 
@@ -276,7 +329,19 @@ class TestForwardPaths:
         v = gaussian_matrix(8, 3, 1152)
         theta = 0.5 + 2.0 * uniform_stream(1153, m)
         oq = eala_forward_quadratic(q, kh, v, theta)
-        ol = eala_forward_linear(q, kh, v, theta)
+        ol = linear_forward(q, kh, v, theta)
+        denom = max(float(np.max(np.abs(oq))), 1e-300)
+        assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
+
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
+                                   2 * _QUERY_BLOCK + 3])
+    def test_branch_equivalence_across_key_blocks(self, n):
+        q = gaussian_matrix(16, 4, 1160)
+        kh, _ = center_keys(gaussian_matrix(n, 4, 1161))
+        v = gaussian_matrix(n, 3, 1162)
+        theta = 0.5 + 2.0 * uniform_stream(1163, 16)
+        oq = eala_forward_quadratic(q, kh, v, theta)
+        ol = linear_forward(q, kh, v, theta)
         denom = max(float(np.max(np.abs(oq))), 1e-300)
         assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
 
@@ -345,6 +410,52 @@ class TestQueryBlocks:
         with pytest.raises(ValueError, match="nonempty"):
             eala_attention(gaussian_matrix(4, 3, 7), np.zeros((0, 3)), np.zeros((0, 2)),
                            self.LINEAR)
+
+
+class TestNonFiniteInput:
+    """NaN and inf are found in sums the pipeline takes anyway (the key
+    mean, the value sum, S2) and named, with no RuntimeWarning on the way."""
+
+    CONFIGS = [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
+               EalaConfig(entropy_source="exact")]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["Q", "K", "V"])
+    def test_input_is_named(self, name, bad, cfg):
+        inputs = dict(zip("QKV", random_instance(12, 5, 1900)))
+        inputs[name][3, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf$"):
+            eala_attention(*inputs.values(), cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_in_one_key_column(self):
+        q, k, v = random_instance(12, 5, 1910)
+        k[2, 1], k[7, 1] = np.inf, -np.inf
+        with pytest.raises(ValueError, match="^K holds NaN or inf$"):
+            eala_attention(q, k, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_query_against_identical_keys(self):
+        # the Gram and key sum are zero, so inf meets only zeros
+        q, _, v = random_instance(12, 3, 1920)
+        q[0, 0] = np.inf
+        with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
+            eala_attention(q, np.ones((12, 3)), v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_values_pass(self):
+        # the value sum's square overflows, but the value sum does not
+        q, k, v = random_instance(12, 3, 1940)
+        out = eala_attention(q, k, v * 1e155).output
+        assert np.isfinite(out).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_overflow_is_told_apart(self):
+        q, _, v = random_instance(12, 3, 1930)
+        with pytest.raises(ValueError, match="key mean overflows float64 although K is finite"):
+            eala_attention(q, np.full((12, 3), 1e308), v)
 
 
 class TestSelectPath:
