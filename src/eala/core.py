@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import AttnResult, score_row_entropies
+from .oracle import AttnResult, _name_nonfinite, score_row_entropies
 
 _ENTROPY_SOURCES = ("approx", "exact")
 _PATHS = ("auto", "quadratic", "linear")
@@ -73,22 +73,6 @@ class KeyMoments:
     kv: np.ndarray
     value_sum: np.ndarray
     count: int
-
-
-def _name_nonfinite(checks) -> None:
-    """Raise ValueError naming the first input whose summary is not finite.
-
-    `checks` holds (name, input, summary, what) rows; each summary is a sum
-    over its input that the pipeline takes anyway.  NaN and inf always reach
-    such a sum, so only a failing input pays for an O(size) look at itself,
-    which tells NaN or inf in the input from a sum that overflowed.
-    """
-    for name, x, summary, what in checks:
-        if np.isfinite(summary).all():
-            continue
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} holds NaN or inf")
-        raise ValueError(f"{what} overflows float64 although {name} is finite")
 
 
 def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -345,9 +329,9 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         s1, s2 = score_moments(q, m)
         finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum + s2 @ s2)
     if not finite:
-        _name_nonfinite([("K", k, m.mean, "the key mean"),
-                         ("V", v, m.value_sum, "the value sum"),
-                         ("Q", q, s2, "the score moment S2")])
+        _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
+                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite"),
+                         ("Q", q, s2, "the score moment S2 overflows float64 although Q is finite")])
     n = m.count
     branch = select_path(cfg.path, n=n, c=q.shape[1])
     if cfg.entropy_source == "exact" or branch == "quadratic":

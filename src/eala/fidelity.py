@@ -160,9 +160,20 @@ def _tied_rows(scores: np.ndarray) -> np.ndarray:
 
 def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
                      eala_w: np.ndarray) -> list:
-    """Per-query argsort agreement of two weight rows; None where tied."""
-    same = np.all(np.argsort(exact_weights, axis=1, kind="stable")
-                  == np.argsort(eala_w, axis=1, kind="stable"), axis=1)
+    """Per-query argsort agreement of two weight rows; None where tied.
+
+    The stable argsort pi of a row y is the one permutation along which the
+    pairs (y[pi_i], pi_i) increase strictly.  So one sort of the exact row
+    decides whether both rows have the same stable argsort: the eala row,
+    gathered along it, must step up or stay level with rising indices.
+    This needs eala weights free of NaN, which the finite scores and
+    positive thetas of compare give.
+    """
+    order = np.argsort(exact_weights, axis=1, kind="stable")
+    y = np.take_along_axis(eala_w, order, axis=1)
+    step = np.less(y[:, :-1], y[:, 1:])
+    step |= (y[:, :-1] == y[:, 1:]) & (order[:, :-1] < order[:, 1:])
+    same = np.all(step, axis=1)
     return [None if t else bool(s) for t, s in zip(tied, same)]
 
 

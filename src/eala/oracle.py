@@ -9,11 +9,14 @@ Everything downstream is validated against this module.
 The family entropy, the bisection solver and the KL divergence also take a
 2-D stack of rows.  The stacked form runs the per-row checks and
 arithmetic of the 1-D form on every row at once, so each row gets the same
-bits; a row the 1-D form rejects with ValueError gives nan.
+bits; a row the 1-D form rejects with ValueError gives nan.  The solver
+runs the family's checks on a row only at its bracket; its steps then
+only evaluate the family, into two scratch buffers reused across steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +131,34 @@ def score_row_entropies(scores) -> np.ndarray:
     return _softmax_entropy_rows(s, to_weights=False)
 
 
+def _name_nonfinite(checks) -> None:
+    """Raise ValueError naming the first input that holds NaN or inf.
+
+    `checks` holds (name, input, summary, overflow) rows; each summary is a
+    reduction over its input that the caller takes anyway, and NaN or inf
+    in the input always reaches it.  Only an input whose summary is not
+    finite pays for an O(size) look at itself.  If none of those inputs
+    holds NaN or inf, a finite input overflowed, and the first such row's
+    `overflow` message is raised; if every summary is finite, nothing is.
+    """
+    overflow = None
+    for name, x, summary, message in checks:
+        if np.isfinite(summary).all():
+            continue
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} holds NaN or inf")
+        overflow = overflow or message
+    if overflow:
+        raise ValueError(overflow)
+
+
 def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResult:
     """Dense softmax attention, the quadratic reference implementation.
 
     q_mat (m, c), k_mat (n, c), v_mat (n, d).  The scores are the raw dot
     products; pass q / sqrt(c) for scaled ones.  Peak scratch is one m x n
-    buffer, which becomes the weight matrix.
+    buffer, which becomes the weight matrix.  NaN or inf in Q, K or V
+    raises ValueError naming the input; with no queries nothing reads them.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     k = np.asarray(k_mat, dtype=np.float64)
@@ -144,9 +169,18 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
         raise ValueError(f"feature dims differ: q {q.shape} vs k {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k and v row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    scores = q @ k.T
-    ent = _softmax_entropy_rows(scores, to_weights=True)
-    out = scores @ v
+    # NaN or inf in Q or K reaches a row entropy, and in V the output, so
+    # the inputs are scanned only when the summed squares are not finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = q @ k.T
+        ent = _softmax_entropy_rows(scores, to_weights=True)
+        out = scores @ v
+        flat = out.reshape(-1)
+        finite = math.isfinite(ent @ ent + flat @ flat)
+    if not finite:
+        bad_scores = "a score overflows float64 although Q and K are finite"
+        _name_nonfinite([("Q", q, ent, bad_scores), ("K", k, ent, bad_scores),
+                         ("V", v, out, "the output overflows float64 although V is finite")])
     return AttnResult(
         output=out,
         weights=scores if keep_weights else None,
@@ -294,20 +328,22 @@ def _family_rejects(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return code
 
 
-def _family_entropy(a: np.ndarray, theta: np.ndarray,
-                    usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _family_entropy(a: np.ndarray, theta: np.ndarray, usable: np.ndarray,
+                    w: np.ndarray | None = None,
+                    terms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entropy and validity of the family per row; nan where not valid.
 
     Rows outside `usable` are computed with the rest and then masked, so
-    their values never reach the caller.
+    their values never reach the caller.  `w` and `terms` are optional
+    scratch of the shape of `a` for the weights and the entropy terms.
     """
     n = a.shape[1]
     with np.errstate(all="ignore"):
-        w = a / theta[:, None]
+        w = np.divide(a, theta[:, None], out=w)
         w += 1.0
         w /= n
         valid = usable & (np.min(w, axis=1) > 0.0)
-        terms = np.log(w)
+        terms = np.log(w, out=terms)
         terms *= w
         h = -np.sum(terms, axis=1)
     h[~valid] = np.nan
@@ -385,15 +421,19 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
                 h_lo[edge], _ = linear_family_entropy(a[edge], lo[edge])
         code[live[(code[live] == 0) & (targets[live] < h_lo[live])]] = _BELOW_RANGE
 
+    # the bracket's midpoints are positive, so of the family's checks a step
+    # can fail only the theta check, and only by overflowing
     act = np.flatnonzero(code == 0)
     rows = a[act]
     lo, hi, target = lo[act], hi[act], targets[act]
+    w_buf, terms_buf = np.empty_like(rows), np.empty_like(rows)
     for _ in range(max_iter):
         if act.size == 0:
             break
         with np.errstate(over="ignore"):
             mid = 0.5 * (lo + hi)
-        h, _ = linear_family_entropy(rows, mid)
+        h, _ = _family_entropy(rows, mid, np.isfinite(mid),
+                               w_buf[: act.size], terms_buf[: act.size])
         done = np.abs(h - target) <= tol
         below = h < target
         lo = np.where(below, mid, lo)
@@ -422,11 +462,17 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
     theta) or the target lies outside the attainable range.
 
     A 2-D `a` is a stack of m score rows with one target per row, and the
-    result is an (m,) array.  All rows are bisected together, one batched
-    linear_family_entropy call per step, and each row gets the bits of the
-    1-D call on it, except that a row the 1-D form rejects with ValueError
-    gives nan.  A row that does not converge raises RuntimeError in both
-    forms.
+    result is an (m,) array.  All rows are bisected together, and each row
+    gets the bits of the 1-D call on it, except that a row the 1-D form
+    rejects with ValueError gives nan.  A row that does not converge raises
+    RuntimeError in both forms.
+
+    Either form runs the family's checks on each row only at the bracket,
+    through linear_family_entropy.  Only the theta check depends on theta,
+    and a midpoint fails it only by overflowing to inf, so each step
+    evaluates the family on the rows still active without checking them
+    again, writing the weights and the entropy terms into two scratch
+    buffers allocated once per call.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 2:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
 from eala.fidelity import (BISECTION_N_LIMIT, TIE_TOL, FidelityReport,
@@ -108,7 +110,35 @@ class TestDegenerateWorkload:
         assert len(r.theta_closed) == BISECTION_N_LIMIT + 1
 
 
+@st.composite
+def weight_stacks(draw, max_rows=6, max_n=12):
+    """(exact, eala): weight rows whose eala row is the exact one, a copy
+    with ties that only rounding made, reversed, or unrelated; some exact
+    rows hold exact ties themselves."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    row = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)
+    xs, ys = [], []
+    for _ in range(m):
+        x = np.asarray(draw(row))
+        if draw(st.booleans()):
+            x = np.round(3.0 * x) / 3.0
+        kind = draw(st.sampled_from(("same", "rounded", "reversed", "random")))
+        y = {"same": x, "rounded": 1.0 + 1e-15 * x, "reversed": -x,
+             "random": np.asarray(draw(row))}[kind]
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
 class TestRankComparison:
+    @given(weight_stacks())
+    def test_one_sort_matches_two_argsorts(self, stack):
+        exact_w, eala_w = stack
+        want = [bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
+                for x, y in zip(exact_w, eala_w)]
+        assert _rank_comparison(np.zeros(len(want), dtype=bool), exact_w, eala_w) == want
+
     def test_tied_scores_are_excluded(self):
         scores = np.array([[1.0, 1.0 + TIE_TOL / 2, 3.0], [1.0, 2.0, 3.0]])
         w = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])

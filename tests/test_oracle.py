@@ -106,6 +106,28 @@ class TestExactAttention:
             exact_attention(gaussian_matrix(2, 3, 1), gaussian_matrix(2, 3, 1),
                             gaussian_matrix(3, 3, 1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["Q", "K", "V"])
+    def test_nonfinite_input_is_named(self, name, bad):
+        inputs = {"Q": gaussian_matrix(7, 4, 31), "K": gaussian_matrix(9, 4, 32),
+                  "V": gaussian_matrix(9, 3, 33)}
+        inputs[name][2, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf$"):
+            exact_attention(*inputs.values())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_score_overflow_is_told_apart(self):
+        with pytest.raises(ValueError, match="^a score overflows float64 although Q and K are finite$"):
+            exact_attention(np.full((3, 2), 1e200), np.full((4, 2), 1e200), np.ones((4, 2)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_finite_values_pass(self):
+        v = np.array([[1e308], [-1e308]])
+        res = exact_attention(np.array([[50.0], [-50.0]]), np.array([[1.0], [-1.0]]), v)
+        assert np.isfinite(res.output).all()
+        assert res.output[0, 0] > 0.0 > res.output[1, 0]
+
 
 class TestKlDivergence:
     def test_self_divergence_zero(self):

@@ -272,6 +272,21 @@ class TestBisectionRows:
         got = bisection_theta(np.tile(a, (5, 1)), np.full(5, target))
         assert np.all(got == ref_bisection(a, target))
 
+    def test_overflowing_bracket(self):
+        # 1e9 * max|a| is inf for the scaled row, so its first midpoint is
+        # inf, which the 1-D form rejects; the other rows go on converging
+        a = centered([0.5, -0.1, 0.2, -0.6])
+        target = 0.5 * (ref_family_entropy(a, 0.6 * (1.0 + 1e-9))[0] + np.log(4.0))
+        rows = np.array([a, a * 1e300, 3.0 * a])
+        targets = np.array([target, target, 0.5 * (target + np.log(4.0))])
+        got = bisection_theta(rows, targets)
+        want, messages = per_row(bisection_theta, rows, targets)
+        ref, ref_messages = per_row(ref_bisection, rows, targets)
+        assert_same_bits(got, want)
+        assert_same_bits(want, ref)
+        assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+        assert messages == ref_messages == [None, "theta must be a positive finite number", None]
+
     def test_single_entry_rows_are_rejected(self):
         got = bisection_theta(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         assert np.isnan(got).all()
