@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _QUERY_BLOCK, EalaConfig, eala_attention
-from .oracle import _SOFTMAX_BLOCK, exact_attention
+from .oracle import _softmax_block_rows, exact_attention
 from .workload import gen_workload_raw
 
 MODES = ("exact", "eala-linear", "eala-quadratic")
@@ -46,9 +46,9 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
 
     exact............ Q,K,V (3nc) + one n*n score/weight buffer + row
                       entropies (n) + the larger of the output (nc) and the
-                      softmax kernel's two (min(n, block), n) row-block
-                      temporaries, counted under nc: they are freed before
-                      the output is made
+                      softmax kernel's one (min(n, block), n) scratch,
+                      counted under nc: it is freed before the output is
+                      made
     eala-quadratic... Q,K,V,khat,out (5nc) + one n*n weight buffer + gram
                       + per-query stats
     eala-linear...... Q,K,V,out (4nc) + one block scratch (min(n, block)
@@ -64,7 +64,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     if mode == "exact":
         return {
             "n2": _F8 * n * n,
-            "nc": _F8 * (3 * n * c + max(n * c, 2 * min(n, _SOFTMAX_BLOCK) * n)),
+            "nc": _F8 * (3 * n * c + max(n * c, min(n, _softmax_block_rows(n)) * n)),
             "c2": 0,
             "n": _F8 * n,
             "c": 0,

@@ -168,8 +168,18 @@ def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
     gathered along it, must step up or stay level with rising indices.
     This needs eala weights free of NaN, which the finite scores and
     positive thetas of compare give.
+
+    Where the exact row gathered along numpy's default argsort increases
+    strictly, that order is the only sorting permutation, so it is the
+    stable one; only rows with equal weights (exp underflowing to 0, say)
+    are sorted again with kind="stable".
     """
-    order = np.argsort(exact_weights, axis=1, kind="stable")
+    order = np.argsort(exact_weights, axis=1)
+    x = np.take_along_axis(exact_weights, order, axis=1)
+    redo = np.flatnonzero(~np.all(x[:, :-1] < x[:, 1:], axis=1))
+    del x  # so that no more than two (rows, n) arrays are alive at once
+    if redo.size:
+        order[redo] = np.argsort(exact_weights[redo], axis=1, kind="stable")
     y = np.take_along_axis(eala_w, order, axis=1)
     step = np.less(y[:, :-1], y[:, 1:])
     step |= (y[:, :-1] == y[:, 1:]) & (order[:, :-1] < order[:, 1:])

@@ -3,15 +3,18 @@
 The routines here are quadratic in sequence length on purpose.  They trade
 speed for being independently checkable: row entropies come straight from
 the definition, the KL decomposition is evaluated term by term, and the
-temperature solver is a plain bisection with no closed-form shortcuts.
-Everything downstream is validated against this module.
+temperature solver returns the bits of a plain bisection.  It skips only
+the family evaluations of steps whose outcome a probe of the family
+certifies, with a guard derived in bisection_theta; the closed form is
+not used.  Everything downstream is validated against this module.
 
 The family entropy, the bisection solver and the KL divergence also take a
 2-D stack of rows.  The stacked form runs the per-row checks and
 arithmetic of the 1-D form on every row at once, so each row gets the same
 bits; a row the 1-D form rejects with ValueError gives nan.  The solver
-runs the family's checks on a row only at its bracket; its steps then
-only evaluate the family, into two scratch buffers reused across steps.
+runs the family's checks on a row only at its bracket; its probes and
+steps then only evaluate the family, into two scratch buffers reused
+across them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row-block width for the in-place softmax pass.  Bounds scratch memory at
-# O(block * n) so the only n^2 buffer alive is the score matrix itself.
-_SOFTMAX_BLOCK = 256
+# Entries per row block of the in-place softmax pass: a block of float64
+# stays in L2, and the only n^2 buffer alive is the score matrix itself.
+_SOFTMAX_BLOCK_ENTRIES = 1 << 17
 
 # Probability vectors must sum to 1 within this before we trust them.
 SIMPLEX_TOL = 1e-12
@@ -99,23 +102,35 @@ def entropy_from_scores(scores) -> float:
     return max(h, 0.0)
 
 
+def _softmax_block_rows(n: int) -> int:
+    """Rows per block of the softmax pass over rows of n scores."""
+    return max(1, _SOFTMAX_BLOCK_ENTRIES // max(n, 1))
+
+
 def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool) -> np.ndarray:
     """Row softmax entropies of a score matrix, one row block at a time.
 
     With `to_weights` each row of `scores` is overwritten by its softmax,
-    so `scores` stays the only n^2-sized buffer; otherwise `scores` is left
-    as it is.  Scratch is O(block * n) either way.
+    so `scores` stays the only n^2-sized buffer, and one (block, n) scratch
+    holds the exponentials; otherwise `scores` is left as it is and a
+    second scratch holds the shifted scores.  Every step writes in place.
     """
-    ent = np.empty(scores.shape[0], dtype=np.float64)
-    for lo in range(0, scores.shape[0], _SOFTMAX_BLOCK):
-        blk = scores[lo : lo + _SOFTMAX_BLOCK]
+    m, n = scores.shape
+    rows = _softmax_block_rows(n)
+    ent = np.empty(m, dtype=np.float64)
+    e_buf = np.empty((min(m, rows), n))
+    z_buf = None if to_weights else np.empty_like(e_buf)
+    for lo in range(0, m, rows):
+        blk = scores[lo : lo + rows]
+        k = blk.shape[0]
         z = np.subtract(blk, np.max(blk, axis=1, keepdims=True),
-                        out=blk if to_weights else None)
-        e = np.exp(z)
+                        out=blk if to_weights else z_buf[:k])
+        e = np.exp(z, out=e_buf[:k])
         total = np.sum(e, axis=1)
-        ent[lo : lo + _SOFTMAX_BLOCK] = np.log(total) - np.sum(e * z, axis=1) / total
+        ez = np.multiply(e, z, out=z)
+        ent[lo : lo + k] = np.log(total) - np.sum(ez, axis=1) / total
         if to_weights:
-            blk[:] = e / total[:, None]
+            np.divide(e, total[:, None], out=blk)
     np.maximum(ent, 0.0, out=ent)
     return ent
 
@@ -158,7 +173,7 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
     q_mat (m, c), k_mat (n, c), v_mat (n, d).  The scores are the raw dot
     products; pass q / sqrt(c) for scaled ones.  Peak scratch is one m x n
     buffer, which becomes the weight matrix.  NaN or inf in Q, K or V
-    raises ValueError naming the input; with no queries nothing reads them.
+    raises ValueError naming the input, with no queries too.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     k = np.asarray(k_mat, dtype=np.float64)
@@ -169,6 +184,9 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
         raise ValueError(f"feature dims differ: q {q.shape} vs k {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k and v row counts differ: {k.shape[0]} vs {v.shape[0]}")
+    if q.shape[0] == 0:
+        # no entropy or output entry reads K or V, so they are scanned here
+        _name_nonfinite([("K", k, k, None), ("V", v, v, None)])
     # NaN or inf in Q or K reaches a row entropy, and in V the output, so
     # the inputs are scanned only when the summed squares are not finite
     with np.errstate(invalid="ignore", over="ignore"):
@@ -381,6 +399,52 @@ def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarr
     return float(h[0]), bool(valid[0])
 
 
+# Relative half-widths of the first two probe pairs that place the step
+# certificates; the last pair's is set per row from the guard.
+_PROBE_WIDTHS = (5e-2, 1e-3)
+
+# A certificate's entropy must clear the target by tol plus this margin,
+# which covers twice the rounding error of a computed family entropy.
+_GUARD = 2.0**-30
+
+
+def _certificates(rows: np.ndarray, target: np.ndarray, tol: float,
+                  w: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cert_lo, cert_hi) per row: thetas whose entropy certifiably brackets
+    the target, or -inf and inf where no probe gives one.
+
+    The probes start at the second-order root sqrt(sum a^2 / (2 n D)),
+    D = log n - target, and refine it by secant steps in 1/theta^2, in
+    which the entropy deficit log n - H is nearly linear, each from a pair
+    of probes at theta (1 -+ r).  Near the root H moves by about 2 D r
+    over a relative step r, so the last pair, at r = 4 G / D, lies about
+    8 G in entropy from the target: far enough to certify, near enough to
+    leave few steps uncertain.  cert_lo is the largest probe whose entropy
+    is below target - G, cert_hi the smallest whose entropy is above
+    target + G, with G = tol + _GUARD.  A probe whose weights are not all
+    positive gives nan and so certifies nothing.
+    """
+    n = rows.shape[1]
+    log_n = np.log(n)
+    guard = tol + _GUARD
+    below, above = target - guard, target + guard
+    cert_lo = np.full(rows.shape[0], -np.inf)
+    cert_hi = np.full(rows.shape[0], np.inf)
+    with np.errstate(all="ignore"):
+        theta = np.sqrt(np.einsum("ij,ij->i", rows, rows) / (2 * n * (log_n - target)))
+        for r in _PROBE_WIDTHS + (4.0 * guard / (log_n - target),):
+            probes = []
+            for t in (theta * (1.0 - r), theta * (1.0 + r)):
+                h, _ = _family_entropy(rows, t, np.isfinite(t) & (t > 0.0), w, terms)
+                np.maximum(cert_lo, t, out=cert_lo, where=h < below)
+                np.minimum(cert_hi, t, out=cert_hi, where=h > above)
+                probes.append((1.0 / (t * t), log_n - h))
+            (s0, d0), (s1, d1) = probes
+            step = 1.0 / np.sqrt(s0 + (log_n - target - d0) * (s1 - s0) / (d1 - d0))
+            theta = np.where(np.isfinite(step) & (step > 0.0), step, theta)
+    return cert_lo, cert_hi
+
+
 def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
                  max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bisection of bisection_theta, run on every row of `a` at once.
@@ -389,7 +453,10 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
     form raises for that row, theta is nan where code is not 0, and h_lo
     is the family entropy at the bracket's lower edge.  Every row keeps
     its own bracket and takes the same steps as a lone row would; a row
-    leaves the active set once it converges.
+    leaves the active set once it converges.  A step whose midpoint lies
+    at or beyond one of the row's certificates takes the outcome the
+    certificate guarantees without evaluating the family; only the rows
+    whose midpoint falls between them are gathered and evaluated.
     """
     m, n = a.shape
     log_n = float(np.log(n))
@@ -427,15 +494,24 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
     rows = a[act]
     lo, hi, target = lo[act], hi[act], targets[act]
     w_buf, terms_buf = np.empty_like(rows), np.empty_like(rows)
+    cert_lo, cert_hi = _certificates(rows, target, tol, w_buf, terms_buf)
+    pos = np.arange(act.size)  # each active row's place in `rows`
     for _ in range(max_iter):
         if act.size == 0:
             break
         with np.errstate(over="ignore"):
             mid = 0.5 * (lo + hi)
-        h, _ = _family_entropy(rows, mid, np.isfinite(mid),
-                               w_buf[: act.size], terms_buf[: act.size])
-        done = np.abs(h - target) <= tol
-        below = h < target
+        # a midpoint that overflowed lies beyond cert_hi, which gives it
+        # the evaluation's outcome too: not below, not done
+        below = mid <= cert_lo
+        done = np.zeros(act.size, dtype=bool)
+        need = np.flatnonzero(~below & (mid < cert_hi))
+        if need.size:
+            w = np.take(rows, pos[need], axis=0, out=w_buf[: need.size])
+            h, _ = _family_entropy(w, mid[need], np.isfinite(mid[need]),
+                                   w, terms_buf[: need.size])
+            done[need] = np.abs(h - target[need]) <= tol
+            below[need] = h < target[need]
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         theta[act[done]] = mid[done]
@@ -444,8 +520,8 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
         code[act[overflow]] = _BAD_THETA
         stay = ~(done | overflow)
         if not stay.all():
-            act, rows, target = act[stay], rows[stay], target[stay]
-            lo, hi = lo[stay], hi[stay]
+            act, pos, target = act[stay], pos[stay], target[stay]
+            lo, hi, cert_lo, cert_hi = lo[stay], hi[stay], cert_lo[stay], cert_hi[stay]
     if act.size:
         raise RuntimeError("bisection did not converge; bracket or tolerance is off")
     return theta, code, h_lo
@@ -473,6 +549,40 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
     evaluates the family on the rows still active without checking them
     again, writing the weights and the entropy terms into two scratch
     buffers allocated once per call.
+
+    Certified steps.  Before the steps the family is evaluated at six
+    probe thetas per row around the root.  With G = tol + 2**-30, cert_lo
+    is the largest probe whose computed entropy is below target - G and
+    cert_hi the smallest above target + G.  The entropy h increases
+    strictly with theta where the weights are positive.  So if every
+    computed entropy on the bracket lies within eps of the true one, a
+    midpoint mid <= cert_lo gives
+
+        fl(h(mid)) <= h(mid) + eps <= h(cert_lo) + eps
+                   <= fl(h(cert_lo)) + 2 eps < target - tol - 2**-30 + 2 eps,
+
+    up to the rounding of target - G, below u log n.  So the plain step
+    finds it below the target and not within tol: it sets lo = mid.
+    Symmetrically a midpoint >= cert_hi sets hi = mid; a midpoint that
+    overflowed lies there too, and the plain step also sets hi = mid from
+    its nan entropy before rejecting the row.  Such steps skip the
+    evaluation; the others run it as a plain step does.  A row no probe
+    certifies takes plain steps throughout.
+
+    The guard needs 2 eps < 2**-30.  Let u = 2**-53.  On the bracket,
+    theta >= max|a| (1 + 1e-9), so t_j = a_j / theta lies in (-1, 1),
+    w_j >= 1e-9 / n and |log w_j| <= log n + 21.  The computed weight
+    fl(fl(1 + fl(t_j)) / n) is within 2.01 u w_j + 1.01 u / n of w_j.
+    Through -w log w, whose slope is -(1 + log w), that moves the sum by
+    at most sum_j (2.01 u w_j + 1.01 u / n)(|log w_j| + 1), which is at
+    most u (3.02 log n + 25).  numpy's log is within 4 ulp and the product
+    rounds once: at most 9.1 u h <= 9.1 u log n more.  numpy sums a
+    contiguous row pairwise, in blocks of at most 128 terms over eight
+    accumulators, so each term passes through at most log2 n + 27
+    additions of nonnegative terms: at most (log2 n + 27) u log n more.
+    In all eps <= u (log2 n log n + 40 log n + 25), below 3e-13 for every
+    n <= 2**40, three orders of magnitude inside 2**-31.  A probe below the
+    bracket certifies no midpoint, as every midpoint lies above lo.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 2:

@@ -6,7 +6,13 @@ from hypothesis import settings
 import acceptance_log
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
-settings.load_profile("suite")
+# a longer search, chosen with --hypothesis-profile=deep
+settings.register_profile("deep", deadline=None, max_examples=1000)
+
+
+def pytest_configure(config):
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("suite")
 
 
 @pytest.fixture(scope="session")

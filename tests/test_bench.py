@@ -8,15 +8,15 @@ from eala.bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchRecord,
                         fit_loglog_slope, records_to_csv)
 from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
 from eala.numerics import uniform_stream
-from eala.oracle import _SOFTMAX_BLOCK, exact_attention
+from eala.oracle import _softmax_block_rows, exact_attention
 from eala.workload import gen_workload_raw
 
 
 class TestAllocationModel:
     def test_exact_classes(self):
-        # the two (100, 100) softmax row blocks outweigh the 100x8 output
+        # the (100, 100) softmax scratch outweighs the 100x8 output
         m = allocation_model("exact", 100, 8)
-        assert m == {"n2": 8 * 100 * 100, "nc": 8 * (3 * 100 * 8 + 2 * 100 * 100),
+        assert m == {"n2": 8 * 100 * 100, "nc": 8 * (3 * 100 * 8 + 100 * 100),
                      "c2": 0, "n": 8 * 100, "c": 0}
         # a 100x256 output outweighs them
         assert allocation_model("exact", 100, 256)["nc"] == 8 * 4 * 100 * 256
@@ -104,7 +104,7 @@ class TestExactPathPeak:
 
     def test_no_n2_temporary_beyond_scores_and_softmax_blocks(self, traced_peak):
         n = self.N
-        assert traced_peak <= 8 * (n * n + 2 * _SOFTMAX_BLOCK * n + 8 * n)
+        assert traced_peak <= 8 * (n * n + _softmax_block_rows(n) * n + 8 * n)
 
     def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
         measured = 3 * 8 * self.N * self.C + traced_peak

@@ -131,10 +131,41 @@ def weight_stacks(draw, max_rows=6, max_n=12):
     return np.array(xs), np.array(ys)
 
 
+@st.composite
+def underflow_stacks(draw, max_rows=6, max_n=12):
+    """(exact, eala): softmax rows of scores spread over more than 745, so
+    that exp underflows to 0 and the exact weights tie where the scores do
+    not; the eala row is affine in the scores, reversed, or the exact row."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    xs, ys = [], []
+    for _ in range(m):
+        near = draw(st.lists(st.floats(min_value=-700.0, max_value=0.0),
+                             min_size=n - 2, max_size=n - 2))
+        far = draw(st.lists(st.floats(min_value=-2000.0, max_value=-746.0),
+                            min_size=2, max_size=2))
+        s = np.asarray(near + [max(near) + f for f in far])[draw(st.permutations(range(n)))]
+        s -= np.max(s)
+        x = np.exp(s) / np.sum(np.exp(s))
+        kind = draw(st.sampled_from(("affine", "reversed", "same")))
+        y = {"affine": (1.0 + s / 4000.0) / n, "reversed": -s, "same": x}[kind]
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
 class TestRankComparison:
     @given(weight_stacks())
     def test_one_sort_matches_two_argsorts(self, stack):
         exact_w, eala_w = stack
+        want = [bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
+                for x, y in zip(exact_w, eala_w)]
+        assert _rank_comparison(np.zeros(len(want), dtype=bool), exact_w, eala_w) == want
+
+    @given(underflow_stacks())
+    def test_underflowed_weights_match_two_argsorts(self, stack):
+        exact_w, eala_w = stack
+        assert (np.sum(exact_w == 0.0, axis=1) >= 2).all()
         want = [bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
                 for x, y in zip(exact_w, eala_w)]
         assert _rank_comparison(np.zeros(len(want), dtype=bool), exact_w, eala_w) == want

@@ -117,6 +117,18 @@ class TestExactAttention:
             exact_attention(*inputs.values())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["K", "V"])
+    def test_nonfinite_input_is_named_without_queries(self, name, bad):
+        inputs = {"Q": np.zeros((0, 4)), "K": gaussian_matrix(9, 4, 32),
+                  "V": gaussian_matrix(9, 3, 33)}
+        res = exact_attention(*inputs.values())
+        assert res.output.shape == (0, 3) and res.entropies.shape == (0,)
+        inputs[name][2, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf$"):
+            exact_attention(*inputs.values())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_score_overflow_is_told_apart(self):
         with pytest.raises(ValueError, match="^a score overflows float64 although Q and K are finite$"):
             exact_attention(np.full((3, 2), 1e200), np.full((4, 2), 1e200), np.ones((4, 2)))

@@ -3,7 +3,9 @@
 Each 2-D call must give, row by row, the bits of the 1-D call on that row,
 with nan exactly where the 1-D call raises ValueError.  The 1-D forms are
 in turn held to the plain scalar loops below, kept as the reference for
-their checks and arithmetic, and for the bisection's error messages.
+their checks and arithmetic, and for the bisection's error messages.  The
+bisection's certified steps skip evaluations, so its reference is a plain
+bisection that evaluates every step.
 """
 
 import numpy as np
@@ -11,7 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eala.oracle import bisection_theta, kl_divergence, linear_family_entropy
+from eala import oracle
+from eala.core import center_keys, eala_attention
+from eala.oracle import (_GUARD, _PROBE_WIDTHS, bisection_theta, kl_divergence,
+                         linear_family_entropy)
+from eala.workload import WorkloadSpec, gen_workload
+
+# the step certificates' guard at bisection_theta's default tol
+G = 1e-10 + _GUARD
 
 
 def ref_family_entropy(a, theta):
@@ -136,6 +145,42 @@ def bisection_stacks(draw, max_rows=7, max_n=24):
 
 
 @st.composite
+def certified_stacks(draw, max_rows=5):
+    """(a, targets): rows whose targets sit where the step certificates are
+    tight, on rows of up to 4096 entries, some scaled by 1e6.
+
+    A probe pair at half-width r around the root lies about 2 D r in
+    entropy on either side of a target D below log n, so D = f G / (2 r)
+    with f in [0, 4] puts that pair's entropies within 0-4 G of the target.
+    Other rows take a target just above the bracket's lower edge, where
+    the roots lie next to the validity edge theta = max|a|.
+    """
+    n = draw(st.one_of(st.integers(min_value=2, max_value=24),
+                       st.sampled_from([257, 1024, 4096])))
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    log_n = float(np.log(n))
+    rows, targets = [], []
+    for _ in range(m):
+        if n <= 24:
+            a = np.asarray(draw(st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                                         min_size=n, max_size=n)))
+        else:
+            a = rng.standard_t(3.0, size=n)
+        a = centered(a * draw(st.sampled_from([1.0, 1e6, 1e-3])))
+        if draw(st.booleans()):
+            r = draw(st.sampled_from(_PROBE_WIDTHS))
+            target = log_n - draw(st.floats(min_value=0.0, max_value=4.0)) * G / (2.0 * r)
+        else:
+            amax = float(np.max(np.abs(a)))
+            h_lo = ref_family_entropy(a, amax * (1.0 + 1e-9))[0] if amax > 0.0 else 0.0
+            target = h_lo + draw(st.floats(min_value=0.0, max_value=1e-3)) * (log_n - h_lo)
+        rows.append(a)
+        targets.append(target)
+    return np.array(rows), np.array(targets)
+
+
+@st.composite
 def family_stacks(draw, max_rows=7, max_n=24):
     """(a, thetas): score rows of mixed kinds with one theta per row."""
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -219,20 +264,25 @@ class TestFamilyEntropyRows:
             linear_family_entropy(np.zeros((3, 4)), 1.0)
 
 
+def assert_rows_match_the_reference(a, targets):
+    """The 2-D call matches the 1-D calls bit for bit, and they ref_bisection,
+    with nan and the same message where it raises."""
+    try:
+        want, messages = per_row(bisection_theta, a, targets)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            bisection_theta(a, targets)
+        return
+    ref, ref_messages = per_row(ref_bisection, a, targets)
+    assert_same_bits(bisection_theta(a, targets), want)
+    assert_same_bits(want, ref)
+    assert messages == ref_messages
+
+
 class TestBisectionRows:
     @given(bisection_stacks())
     def test_rows_match_the_1d_form(self, stack):
-        a, targets = stack
-        try:
-            want, messages = per_row(bisection_theta, a, targets)
-        except RuntimeError:
-            with pytest.raises(RuntimeError):
-                bisection_theta(a, targets)
-            return
-        ref, ref_messages = per_row(ref_bisection, a, targets)
-        assert_same_bits(bisection_theta(a, targets), want)
-        assert_same_bits(want, ref)
-        assert messages == ref_messages
+        assert_rows_match_the_reference(*stack)
 
     def test_each_kind_in_one_call(self):
         n = 6
@@ -302,6 +352,29 @@ class TestBisectionRows:
     def test_target_shape_must_match(self):
         with pytest.raises(ValueError):
             bisection_theta(np.zeros((2, 4)), np.zeros(3))
+
+
+class TestCertifiedSteps:
+    @given(certified_stacks())
+    def test_rows_match_the_reference(self, stack):
+        assert_rows_match_the_reference(*stack)
+
+    def test_family_evaluations_per_row(self, monkeypatch):
+        # the fidelity report's shape, at the golden report's scale and seed
+        q, k, v = gen_workload(WorkloadSpec(n=1024, c=32, score_scale=0.1, seed=5))
+        khat, _ = center_keys(k)
+        a = q @ khat.T
+        evaluated = []
+        family_entropy = oracle._family_entropy
+
+        def counted(rows, *args, **kwargs):
+            evaluated.append(rows.shape[0])
+            return family_entropy(rows, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_family_entropy", counted)
+        thetas = bisection_theta(a, eala_attention(q, k, v).entropies)
+        assert np.isfinite(thetas).all()
+        assert sum(evaluated) <= 16 * a.shape[0]
 
 
 class TestKlRows:
