@@ -21,7 +21,7 @@ from .oracle import (AttnResult, KlDecomposition, bisection_theta,
                      entropy_from_scores, exact_attention, kl_decomposition,
                      kl_divergence, linear_family_entropy, shannon_entropy,
                      strict_concavity_check)
-from .tensorio import (TensorFileError, TensorMagicError,
+from .tensorio import (TensorFileError, TensorMagicError, TensorRows,
                        TensorTruncationError, TensorVersionError, read_tensor,
                        write_tensor)
 from .workload import WorkloadSpec, gen_workload, gen_workload_raw
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttnResult", "BenchRecord", "BenchResourceError", "EalaConfig",
     "FidelityReport", "KeyMoments", "KlDecomposition", "MhaParams",
-    "TensorFileError", "TensorMagicError", "TensorTruncationError",
-    "TensorVersionError", "WorkloadSpec", "allocation_model",
+    "TensorFileError", "TensorMagicError", "TensorRows",
+    "TensorTruncationError", "TensorVersionError", "WorkloadSpec", "allocation_model",
     "approx_entropy", "bench_sweep", "bisection_theta", "center_keys",
     "compare", "eala_attention", "eala_forward_linear",
     "eala_forward_quadratic", "eala_weights", "entropy_from_scores",

@@ -18,15 +18,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchResourceError,
                     bench_sweep, fit_loglog_slope, records_to_csv)
 from .checks import CRITERIA, run_criterion
 from .core import EalaConfig, eala_attention
 from .fidelity import compare, jsonable
 from .oracle import exact_attention
-from .tensorio import TensorFileError, read_tensor, write_tensor
+from .tensorio import TensorFileError, TensorRows, read_tensor, write_tensor
 from .workload import WorkloadSpec
 
 _ATTEND_MODES = ("exact", "eala", "eala-linear", "eala-quadratic")
@@ -134,17 +132,16 @@ def _run_bench(args) -> int:
 
 
 def _run_attend(args) -> int:
-    q = read_tensor(args.q)
-    k = read_tensor(args.k)
-    v = read_tensor(args.v)
+    paths = (args.q, args.k, args.v)
     if args.mode == "exact":
-        out = exact_attention(q, k, v).output
+        out = exact_attention(*map(read_tensor, paths)).output
     else:
+        # row readers: the linear path streams the files in row blocks
         path = {"eala": "auto", "eala-linear": "linear",
                 "eala-quadratic": "quadratic"}[args.mode]
         cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
-        out = eala_attention(q, k, v, cfg).output
-    write_tensor(args.out, np.asarray(out), "f64")
+        out = eala_attention(*map(TensorRows, paths), cfg).output
+    write_tensor(args.out, out, "f64")
     return 0
 
 

@@ -8,8 +8,13 @@ where keys are centered so the weights sum to one for any theta, and theta
 is chosen per query so the family's entropy matches an estimate of the
 softmax row's entropy.  All per-query quantities come from key-level
 summaries (the centered key sum, the C x C Gram matrix and khat^T V) that
-one blocked pass over the keys and values collects, so nothing on the
+two blocked passes over the keys and values collect, so nothing on the
 linear path ever touches an n x n buffer or keeps an n x C copy of K.
+
+The linear path reads Q, K and V only in row blocks, through `x[lo:hi]`
+and `x.shape`, so besides matrices it takes row readers such as
+`tensorio.TensorRows`: then no input is ever held whole, and n is bounded
+by disk, not memory.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ EPSILON = 1e-8
 # the uniform sentinel.
 DENOM_FLOOR = 1e-12
 
-# The linear path handles keys and queries in row blocks of this size, each
-# through one reused (block, C) scratch buffer, so its temporaries are
-# O(block C), not O(N C).
+# The linear path handles keys and queries in row blocks of this size, so
+# its temporaries are O(block C), not O(N C).
 _QUERY_BLOCK = 2048
 
 
@@ -62,7 +66,8 @@ class KeyMoments:
     mean             : column mean of the keys, the centre of every khat_j
     key_sum_centered : sum of centered keys, zero up to round-off
     gram             : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
-    kv               : C x D matrix khat^T V
+    kv               : C x D matrix khat^T V (None on eala_attention's
+                       quadratic branch, which never reads it)
     value_sum        : sum of the value rows
     count            : number of keys n
     """
@@ -89,65 +94,126 @@ def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     return np.subtract(k, mean, out=out), mean
 
 
-def key_moments(k_mat, v_mat) -> KeyMoments:
-    """Summaries of the keys and values in one blocked pass.
+def _row_blocks(rows: int):
+    """(lo, hi) of each row block of `rows` rows, in order."""
+    starts = range(0, rows, _QUERY_BLOCK)
+    return zip(starts, [*starts[1:], rows])
 
-    The key mean is taken over all of K first, so every block is centred
-    against the final mean before its products are summed: the two-pass
-    scheme (Chan, Golub & LeVeque 1979), which keeps offset keys from
-    losing their spread to a K^T K - n mu mu^T cancellation.  Row blocks of
-    _QUERY_BLOCK keys are centred into one reused (block, C) scratch, and
-    their key sum, Gram khat^T khat and khat^T V are accumulated.  Nothing
-    n x C is kept.
+
+def _rows_source(x):
+    """A row reader as it is; anything else as a float64 array.
+
+    A row reader has a 2-D `shape` and [lo:hi] slicing that returns float64
+    arrays, and no `__array__`, as `tensorio.TensorRows`; array-likes that
+    have `__array__` (arrays, data frames, tensors) are converted whole.
     """
-    k = np.asarray(k_mat, dtype=np.float64)
-    v = np.asarray(v_mat, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] == 0 or v.ndim != 2:
+    if hasattr(x, "shape") and not hasattr(x, "__array__"):
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
+def _column_sum(x, scratch=None) -> np.ndarray:
+    """Column sums of the row source x, a block of rows at a time.
+
+    Each block after the first is summed below the running total, which
+    sits in the first row of `scratch` (block + 1 rows, made if not given),
+    so the additions run in the order of numpy's sequential axis-0 sum: on
+    a C-ordered matrix of two or more columns the bits are those of
+    x.sum(axis=0).  (numpy sums one column, or a column-major matrix,
+    pairwise instead.)
+    """
+    total = None
+    for lo, hi in _row_blocks(x.shape[0]):
+        block = x[lo:hi]
+        if total is None:
+            total = block.sum(axis=0)
+        else:
+            if scratch is None:
+                scratch = np.empty((_QUERY_BLOCK + 1, x.shape[1]))
+            seeded = scratch[: hi - lo + 1]
+            seeded[0] = total
+            seeded[1:] = block
+            total = seeded.sum(axis=0)
+    return total
+
+
+def _add(total, part):
+    """total += part, with None for a total that has no terms yet."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def _moment_sums(centred, n: int, v=None) -> tuple:
+    """Key sum, Gram khat^T khat and, with values v, khat^T V (else None),
+    summed over row blocks; `centred(lo, hi)` gives a block's centred keys."""
+    key_sum = gram = kv = None
+    for lo, hi in _row_blocks(n):
+        kb = centred(lo, hi)
+        key_sum = _add(key_sum, kb.sum(axis=0))
+        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
+        if v is not None:
+            kv = _add(kv, kb.T @ v[lo:hi])
+    return key_sum, gram, kv
+
+
+def key_moments(k_mat, v_mat) -> KeyMoments:
+    """Summaries of the keys and values in two blocked passes.
+
+    K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
+    rows; each is read twice.  The first pass sums the keys and the values.
+    The second centres every block of keys against the mean of all keys,
+    in one reused (block, C) scratch, and sums the centred keys, the Gram
+    khat^T khat and khat^T V.  This is the two-pass scheme (Chan, Golub &
+    LeVeque 1979): offset keys keep their spread, where K^T K - n mu mu^T
+    or a pairwise merge of per-block moments would cancel it away.
+    Nothing n x C is kept.
+    """
+    k = _rows_source(k_mat)
+    v = _rows_source(v_mat)
+    if len(k.shape) != 2 or k.shape[0] == 0 or len(v.shape) != 2:
         raise ValueError("key_moments expects a nonempty 2-D key matrix and a 2-D value matrix")
     n = k.shape[0]
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    mean = k.sum(axis=0) / n  # the bits of np.mean, without its wrapper
-    value_sum = v.sum(axis=0)
-    scratch = np.empty((min(n, _QUERY_BLOCK), k.shape[1]))
-    sums = None
-    for lo in range(0, n, _QUERY_BLOCK):
-        hi = min(lo + _QUERY_BLOCK, n)
-        kb, _ = center_keys(k[lo:hi], mean, out=scratch[: hi - lo])
-        # kb.T @ kb takes numpy's syrk path
-        part = (kb.sum(axis=0), kb.T @ kb, kb.T @ v[lo:hi])
-        if sums is None:
-            sums = part
-        else:
-            for acc, p in zip(sums, part):
-                acc += p
-    key_sum, gram, kv = sums
+    scratch = np.empty((min(n, _QUERY_BLOCK) + 1, k.shape[1]))
+    mean = _column_sum(k, scratch) / n  # the bits of np.mean, without its wrapper
+    value_sum = _column_sum(v)
+    key_sum, gram, kv = _moment_sums(
+        lambda lo, hi: center_keys(k[lo:hi], mean, out=scratch[: hi - lo])[0], n, v)
     return KeyMoments(mean=mean, key_sum_centered=key_sum, gram=gram, kv=kv,
                       value_sum=value_sum, count=n)
+
+
+def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.ndarray, KeyMoments]:
+    """(khat, moments) of whole key and value matrices: K is centred once,
+    and row blocks of khat give the sums key_moments takes; KV only
+    `with_kv`, as only the linear forward reads it."""
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
+    khat, mean = center_keys(k, k.sum(axis=0) / k.shape[0])
+    key_sum, gram, kv = _moment_sums(lambda lo, hi: khat[lo:hi], k.shape[0],
+                                     v if with_kv else None)
+    return khat, KeyMoments(mean=mean, key_sum_centered=key_sum, gram=gram, kv=kv,
+                            value_sum=v.sum(axis=0), count=k.shape[0])
 
 
 def score_moments(q_mat, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
     """Per-query S1 = sum_j q.khat_j and S2 = sum_j (q.khat_j)^2, in O(C^2)
     each and never touching individual keys.  Returns (s1, s2).
 
-    The queries go through in row blocks, one reused (block, C) buffer
-    holding each block's q M.  S2 = q M q^T is clamped at zero: M is
-    positive semidefinite, so any negative value is rounding noise.
+    S2 = q M q^T is clamped at zero: M is positive semidefinite, so any
+    negative value is rounding noise.  The product q M is one (rows, C)
+    temporary; `eala_attention` passes its queries a block at a time.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
-    rows = q.shape[0]
     s1 = q @ m.key_sum_centered
-    s2 = np.empty(rows)
-    scratch = np.empty((min(rows, _QUERY_BLOCK), m.gram.shape[1]))
-    for lo in range(0, rows, _QUERY_BLOCK):
-        hi = min(lo + _QUERY_BLOCK, rows)
-        qb = q[lo:hi]
-        t = scratch[: hi - lo]
-        np.matmul(qb, m.gram, out=t)
-        t *= qb
-        t.sum(axis=1, out=s2[lo:hi])
+    t = q @ m.gram
+    t *= q
+    s2 = t.sum(axis=1)
     np.maximum(s2, 0.0, out=s2)
     return s1, s2
 
@@ -248,33 +314,24 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     return _affine_weights(q, kh, th) @ v
 
 
-def eala_forward_linear(q_mat, m: KeyMoments, theta) -> np.ndarray:
+def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
     """Moment branch, O(N C^2) time, no n^2 allocation.
 
     Algebraically identical to the quadratic branch:
 
         o_i = (sum_j v_j + (q_i / theta_i) KV) / n,   KV = khat^T V,
 
-    with KV and the value sum read from the key pass.  The queries go
-    through in row blocks, each scaled by 1/theta into one reused (block, C)
-    buffer and multiplied straight into its rows of the output.  Beyond the
-    output, that buffer is the only allocation.
+    with KV and the value sum read from the key pass.  The queries scaled
+    by 1/theta are the one temporary; the product goes straight into
+    `out`, a (rows, D) array, when one is given.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
-    rows = q.shape[0]
-    th = _check_theta(theta, rows)
-    out = np.empty((rows, m.kv.shape[1]))
-    scratch = np.empty((min(rows, _QUERY_BLOCK), q.shape[1]))
-    for lo in range(0, rows, _QUERY_BLOCK):
-        hi = min(lo + _QUERY_BLOCK, rows)
-        t = scratch[: hi - lo]
-        np.divide(q[lo:hi], th[lo:hi, None], out=t)
-        ob = out[lo:hi]
-        np.matmul(t, m.kv, out=ob)
-        ob += m.value_sum
-        ob /= m.count
+    th = _check_theta(theta, q.shape[0])
+    out = np.matmul(q / th[:, None], m.kv, out=out)
+    out += m.value_sum
+    out /= m.count
     return out
 
 
@@ -307,42 +364,55 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
     Returns the output matrix along with the per-query entropy estimates
-    that fed the temperature solve and the temperatures themselves.  Only
-    the quadratic branch and the exact entropy source build the centered
-    keys khat.  NaN or inf in Q, K or V raises ValueError naming the input.
+    that fed the temperature solve and the temperatures themselves.  NaN or
+    inf in Q, K or V raises ValueError naming the input.
+
+    Q, K and V are matrices or row readers (see `key_moments`).  The linear
+    branch with approximate entropies streams them: two passes over the
+    keys and values, then one over row blocks of queries, each block going
+    through the score moments, the entropy estimate, the temperature and
+    the forward straight into its rows of the output.  The quadratic branch
+    and the exact entropy source need q khat^T, so they read each input
+    whole and centre K once into khat.
     """
     if cfg is None:
         cfg = EalaConfig()
-    q = np.asarray(q_mat, dtype=np.float64)
-    k = np.asarray(k_mat, dtype=np.float64)
-    v = np.asarray(v_mat, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+    q, k, v = (_rows_source(x) for x in (q_mat, k_mat, v_mat))
+    if len(q.shape) != 2 or len(k.shape) != 2 or len(v.shape) != 2:
         raise ValueError("Q, K, V must be 2-D")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
-    # NaN or inf in K, V or Q reaches the key mean, the value sum or S2, so
-    # their sums of squares check all three inputs with no pass of their own.
-    # With q holding inf, S2 = q M q^T is +inf or NaN (M is PSD), so its
-    # clamp at zero hides nothing.
+    branch = select_path(cfg.path, n=k.shape[0], c=q.shape[1])
+    approx = cfg.entropy_source == "approx"
+    # NaN or inf in K or V reaches the key mean or the value sum, and in Q
+    # its block's S2, so their sums of squares check all three inputs with
+    # no pass of their own.  With q holding inf, S2 = q M q^T is +inf or NaN
+    # (M is PSD), so its clamp at zero hides nothing.
     with np.errstate(invalid="ignore", over="ignore"):
-        m = key_moments(k, v)
-        s1, s2 = score_moments(q, m)
-        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum + s2 @ s2)
+        if approx and branch == "linear":
+            m = key_moments(k, v)
+        else:
+            q, k, v = q[0:q.shape[0]], k[0:k.shape[0]], v[0:v.shape[0]]
+            khat, m = _whole_key_moments(k, v, with_kv=branch == "linear")
+        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum)
     if not finite:
         _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
-                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite"),
-                         ("Q", q, s2, "the score moment S2 overflows float64 although Q is finite")])
-    n = m.count
-    branch = select_path(cfg.path, n=n, c=q.shape[1])
-    if cfg.entropy_source == "exact" or branch == "quadratic":
-        khat, _ = center_keys(k, m.mean)
-    if cfg.entropy_source == "approx":
-        ent = approx_entropy(s1, s2, n)
-    else:
-        ent = score_row_entropies(q @ khat.T)
-    theta = theta_star(s2, ent, n)
-    if branch == "quadratic":
+                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
+    rows, n = q.shape[0], m.count
+    out = np.empty((rows, v.shape[1])) if branch == "linear" else None
+    ent = np.empty(rows)
+    theta = np.empty(rows)
+    for lo, hi in _row_blocks(rows):
+        qb = q[lo:hi]
+        with np.errstate(invalid="ignore", over="ignore"):
+            s1, s2 = score_moments(qb, m)
+            finite = math.isfinite(s2 @ s2)
+        if not finite:
+            _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
+        ent[lo:hi] = approx_entropy(s1, s2, n) if approx else score_row_entropies(qb @ khat.T)
+        theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
+        if out is not None:
+            eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
+    if out is None:
         out = eala_forward_quadratic(q, khat, v, theta)
-    else:
-        out = eala_forward_linear(q, m, theta)
     return AttnResult(output=out, entropies=ent, thetas=theta)

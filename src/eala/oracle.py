@@ -152,15 +152,18 @@ def _name_nonfinite(checks) -> None:
     `checks` holds (name, input, summary, overflow) rows; each summary is a
     reduction over its input that the caller takes anyway, and NaN or inf
     in the input always reaches it.  Only an input whose summary is not
-    finite pays for an O(size) look at itself.  If none of those inputs
-    holds NaN or inf, a finite input overflowed, and the first such row's
-    `overflow` message is raised; if every summary is finite, nothing is.
+    finite pays for an O(size) look at itself, in row blocks through
+    `x[lo:hi]`, so a 2-D input may also be a row reader.  If none of those
+    inputs holds NaN or inf, a finite input overflowed, and the first such
+    row's `overflow` message is raised; if every summary is finite, nothing
+    is.
     """
     overflow = None
     for name, x, summary, message in checks:
         if np.isfinite(summary).all():
             continue
-        if not np.isfinite(x).all():
+        step = _softmax_block_rows(x.shape[1])
+        if not all(np.isfinite(x[lo:lo + step]).all() for lo in range(0, x.shape[0], step)):
             raise ValueError(f"{name} holds NaN or inf")
         overflow = overflow or message
     if overflow:

@@ -112,6 +112,25 @@ class TestExactPathPeak:
         assert abs(model - measured) <= 0.05 * measured
 
 
+class TestQuadraticPathPeak:
+    N, C = 32, 64
+
+    @pytest.fixture(scope="class")
+    def traced_peak(self):
+        q, k, v = gen_workload_raw(self.N, self.C, 0)
+        tracemalloc.start()
+        try:
+            eala_attention(q, k, v, EalaConfig(path="quadratic"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_model_matches_inputs_plus_measured_peak(self, traced_peak):
+        measured = 3 * 8 * self.N * self.C + traced_peak
+        model = sum(allocation_model("eala-quadratic", self.N, self.C).values())
+        assert abs(model - measured) <= 0.05 * measured
+
+
 class TestBenchSweep:
     def test_smoke_run_fields(self):
         recs = bench_sweep("eala-linear", [32, 64, 128], c=8, repeats=2, seed=1)

@@ -1,10 +1,13 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eala import cli
 from eala.cli import cli_main
+from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
 from eala.numerics import gaussian_matrix
 from eala.oracle import exact_attention
 from eala.tensorio import read_tensor, write_tensor
@@ -220,6 +223,59 @@ class TestAttend:
         code, _, _ = run(capsys, "attend", "--q", paths["q"], "--k", str(small),
                          "--v", paths["v"], "--out", str(tmp_path / "o.bin"))
         assert code == 1
+
+
+class TestStreamedAttend:
+    """The eala modes stream their inputs through row readers: the output
+    is the in-memory pipeline's, bit for bit, and no input is held whole."""
+
+    def write_inputs(self, tmp_path, n, c=16, dtype="f64"):
+        paths = {}
+        for i, name in enumerate("qkv"):
+            p = tmp_path / f"{name}.bin"
+            write_tensor(p, gaussian_matrix(n, c, 60 + i, 0.05 if name == "q" else 1.0), dtype)
+            paths[name] = str(p)
+        return paths
+
+    def attend(self, paths, out, *extra):
+        return cli_main(["attend", "--q", paths["q"], "--k", paths["k"], "--v", paths["v"],
+                         "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("mode, path", [("eala", "auto"), ("eala-linear", "linear")])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 5000])
+    def test_output_is_the_in_memory_bits(self, tmp_path, n, dtype, mode, path):
+        paths = self.write_inputs(tmp_path, n, dtype=dtype)
+        out = tmp_path / "out.bin"
+        assert self.attend(paths, out, "--mode", mode) == 0
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), EalaConfig(path=path))
+        assert np.array_equal(read_tensor(out), want.output)
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    def test_nan_in_the_last_row_exits_three_before_any_output(self, capsys, tmp_path, name):
+        n, c = 5000, 16
+        paths = self.write_inputs(tmp_path, n, c)
+        bad = tmp_path / f"{name}.bin"
+        raw = bytearray(bad.read_bytes())
+        raw[-8:] = struct.pack("<d", np.nan)
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "out.bin"
+        assert self.attend(paths, out) == 3
+        assert f"error: {bad}: payload contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_holds_the_output_and_a_few_blocks(self, tmp_path):
+        n, c, d = 16384, 64, 64
+        paths = self.write_inputs(tmp_path, n, c)
+        out = tmp_path / "out.bin"
+        self.attend(paths, out)  # warm-up
+        tracemalloc.start()
+        try:
+            assert self.attend(paths, out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * d + 4 * _QUERY_BLOCK * c + 8 * n)
 
 
 class TestModuleEntryPoint:

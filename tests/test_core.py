@@ -123,6 +123,16 @@ class TestKeyPass:
         assert max_rel(m.kv, kv) <= 1e-11
         assert np.array_equal(m.value_sum, value_sum)
 
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3])
+    def test_blocked_sums_are_numpys_axis0_sums(self, n):
+        # the running total is summed above each block, in numpy's order;
+        # strided head slices of a wider matrix sum the same way
+        wide = gaussian_matrix(n, 48, 1830) + 1e6
+        for k, v in ((wide[:, :16], wide[:, 16:24]), (wide[:, 24:40].copy(), wide[:, 40:])):
+            m = key_moments(k, v)
+            assert np.array_equal(m.mean, np.mean(k, axis=0))
+            assert np.array_equal(m.value_sum, np.sum(v, axis=0))
+
     def test_offset_keys_keep_their_gram(self):
         # centring against the mean of all keys first loses no spread
         k = gaussian_matrix(2 * _QUERY_BLOCK + 3, 16, 1820)
@@ -410,6 +420,61 @@ class TestQueryBlocks:
         with pytest.raises(ValueError, match="nonempty"):
             eala_attention(gaussian_matrix(4, 3, 7), np.zeros((0, 3)), np.zeros((0, 2)),
                            self.LINEAR)
+
+
+class RecordedRows:
+    """A row reader over a matrix that records every row range read."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.shape = mat.shape
+        self.reads = []
+
+    def __getitem__(self, rows):
+        lo, hi, _ = rows.indices(self.shape[0])
+        self.reads.append((lo, hi))
+        return self.mat[lo:hi].copy()
+
+
+class TestRowReaders:
+    N = 2 * _QUERY_BLOCK + 3
+
+    def readers(self, n=N, c=8):
+        return [RecordedRows(m) for m in random_instance(n, c, 2000, 0.05)]
+
+    @pytest.mark.parametrize("path", ["auto", "linear"])
+    def test_linear_path_reads_row_blocks_only(self, path):
+        q, k, v = self.readers()
+        res = eala_attention(q, k, v, EalaConfig(path=path))
+        want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
+        for a, b in zip((res.output, res.entropies, res.thetas),
+                        (want.output, want.entropies, want.thetas)):
+            assert np.array_equal(a, b)
+        blocks = [(lo, min(lo + _QUERY_BLOCK, self.N)) for lo in range(0, self.N, _QUERY_BLOCK)]
+        assert q.reads == blocks
+        assert k.reads == v.reads == blocks + blocks  # two passes over K and V
+
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    def test_branches_needing_khat_read_each_input_once_whole(self, cfg):
+        q, k, v = self.readers(n=40)
+        res = eala_attention(q, k, v, cfg)
+        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        assert np.array_equal(res.output, want.output)
+        assert q.reads == k.reads == v.reads == [(0, 40)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_overflow_in_a_reader_is_told_apart(self):
+        q, _, v = self.readers()
+        k = RecordedRows(np.full((self.N, 8), 1e308))
+        with pytest.raises(ValueError, match="key mean overflows float64 although K is finite"):
+            eala_attention(q, k, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_in_a_late_query_block_is_named(self):
+        q, k, v = self.readers()
+        q.mat[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
+            eala_attention(q, k, v)
 
 
 class TestNonFiniteInput:

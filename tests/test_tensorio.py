@@ -10,7 +10,7 @@ import pytest
 
 from eala.numerics import gaussian_matrix
 from eala.tensorio import (MAGIC, VERSION, TensorFileError, TensorMagicError,
-                           TensorTruncationError, TensorVersionError,
+                           TensorRows, TensorTruncationError, TensorVersionError,
                            read_tensor, write_tensor)
 
 
@@ -114,20 +114,139 @@ def traced_peak(fn, *args):
 
 
 class TestPeakMemory:
-    """Each payload is moved once: no whole-payload copy beside the array."""
+    """Each payload is moved once: no whole-payload copy beside the array,
+    and finiteness is read off a sum, with no payload-sized mask."""
 
     SHAPE = (16384, 64)
     SLACK = 64 * 1024
 
-    def test_read_holds_the_array_and_a_finiteness_mask(self, tmp_path):
+    def test_read_holds_only_the_array(self, tmp_path):
         p = tmp_path / "big.bin"
         write_tensor(p, gaussian_matrix(*self.SHAPE, 4))
         count = self.SHAPE[0] * self.SHAPE[1]
-        assert traced_peak(read_tensor, p) <= 8 * count + count + self.SLACK
+        assert traced_peak(read_tensor, p) <= 8 * count + self.SLACK
 
-    def test_contiguous_f64_write_holds_a_finiteness_mask(self, tmp_path):
+    def test_contiguous_f64_write_allocates_nothing_payload_sized(self, tmp_path):
         m = gaussian_matrix(*self.SHAPE, 4)
-        assert traced_peak(write_tensor, tmp_path / "big.bin", m) <= m.size + self.SLACK
+        assert traced_peak(write_tensor, tmp_path / "big.bin", m) <= self.SLACK
+
+    def test_row_read_holds_only_its_rows(self, tmp_path):
+        p = tmp_path / "big.bin"
+        write_tensor(p, gaussian_matrix(*self.SHAPE, 4))
+        rows = 2048
+        assert traced_peak(read_tensor, p, (100, 100 + rows)) <= 8 * rows * self.SHAPE[1] + self.SLACK
+
+
+# finite entries whose sum overflows: the sum is only a first look
+OVERFLOWING_SUMS = [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_read_rejects_each_non_finite_value(self, tmp_path, bad):
+        header = MAGIC + struct.pack("<BBH", 1, 2, 2) + struct.pack("<2Q", 2, 2)
+        p = tmp_path / "bad.bin"
+        p.write_bytes(header + struct.pack("<4d", 1.0, 2.0, 3.0, bad))
+        with pytest.raises(TensorFileError, match="bad.bin: payload contains non-finite values"):
+            read_tensor(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_each_non_finite_value(self, tmp_path, bad):
+        p = tmp_path / "x.bin"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_tensor(p, np.array([[0.0, 1.0], [2.0, bad]]))
+        assert not p.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values", OVERFLOWING_SUMS)
+    def test_finite_payload_whose_sum_overflows_round_trips(self, tmp_path, values):
+        m = np.array([values])
+        _, back = roundtrip(tmp_path, m)
+        assert np.array_equal(back, m)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f32_payload_whose_sum_overflows_round_trips(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        m = np.full((3, 2), big)
+        _, back = roundtrip(tmp_path, m, dtype="f32")
+        assert np.array_equal(back, m)
+
+    def test_inf_beside_an_overflowing_sum_is_found(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            write_tensor(tmp_path / "x.bin", np.array([[1.7e308, 1.7e308, np.inf]]))
+
+
+class TestRowRanges:
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (0, 1), (3, 7), (8, 9), (4, 4), (9, 9)])
+    def test_rows_are_the_slice_of_the_whole(self, tmp_path, dtype, lo, hi):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 31), dtype=dtype)
+        part = read_tensor(p, rows=(lo, hi))
+        assert part.dtype == np.float64 and part.flags.c_contiguous
+        assert part.shape == (hi - lo, 5)
+        assert np.array_equal(part, whole[lo:hi])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (0, 10), (5, 4)])
+    def test_rejects_rows_outside_the_file(self, tmp_path, lo, hi):
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 32))
+        with pytest.raises(ValueError, match="t.bin: rows"):
+            read_tensor(p, rows=(lo, hi))
+
+    def test_header_is_checked_on_every_row_read(self, tmp_path):
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 33))
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(TensorTruncationError):
+            read_tensor(p, rows=(0, 1))
+
+    def test_finiteness_is_checked_on_the_rows_read(self, tmp_path):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 34))
+        raw = bytearray(p.read_bytes())
+        raw[-8:] = struct.pack("<d", np.nan)
+        p.write_bytes(bytes(raw))
+        assert np.array_equal(read_tensor(p, rows=(0, 8)), whole[:8])
+        with pytest.raises(TensorFileError, match="non-finite"):
+            read_tensor(p, rows=(8, 9))
+
+
+class TestTensorRows:
+    def test_shape_and_blocks(self, tmp_path):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 40), dtype="f32")
+        rows = TensorRows(p)
+        assert rows.shape == (9, 5)
+        assert np.array_equal(rows[2:6], whole[2:6])
+        assert np.array_equal(rows[0:9], whole)
+        assert rows[7:30].shape == (2, 5)  # clamped, as a numpy slice is
+
+    def test_reader_checks_the_header_up_front(self, tmp_path):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"NOPE" + b"\x00" * 32)
+        with pytest.raises(TensorMagicError):
+            TensorRows(p)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (10, 5), (8, 5)])
+    def test_rewrite_between_block_reads_is_refused(self, tmp_path, shape):
+        # another shape of the same size, and two other sizes
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 41))
+        rows = TensorRows(p)
+        rows[0:4]
+        write_tensor(p, gaussian_matrix(*shape, 42))
+        with pytest.raises(TensorFileError, match="t.bin: changed between block reads"):
+            rows[4:9]
+
+    def test_replaced_file_is_refused(self, tmp_path):
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 43))
+        rows = TensorRows(p)
+        rows[0:4]
+        other = tmp_path / "other.bin"
+        write_tensor(other, gaussian_matrix(9, 5, 44))
+        os.replace(other, p)
+        with pytest.raises(TensorFileError, match="changed between block reads"):
+            rows[4:9]
+
+    def test_strided_slices_are_refused(self, tmp_path):
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 45))
+        with pytest.raises(ValueError, match="contiguous"):
+            TensorRows(p)[0:9:2]
 
 
 class TestWriteValidation:
