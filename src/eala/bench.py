@@ -53,17 +53,17 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       larger of the output (nc) and the ufunc buffer
                       (np.getbufsize() entries, at most n*n) that dividing
                       the weights by theta in place takes, counted under
-                      nc + gram (c^2) + S1, S2, entropy, theta (4n) + key
-                      mean, key sum, value sum (3c)
+                      nc + gram (c^2) + S2, entropy, theta (3n) + key mean,
+                      value sum (2c)
     eala-linear...... Q,K,V,out (4nc) + one block of queries scaled by
                       1/theta (min(n, block) rows of c, counted under nc,
                       as is the ufunc buffer, at most one block, that the
                       scaling takes; the key pass's scratch is freed before
                       the forward's is made) + gram and KV (2c^2) +
-                      entropy, theta (2n) + one block's S1, S2 and the
-                      entropy estimate's two temporaries (4 min(n, block),
-                      counted under n) + key mean, key sum, value sum
-                      (3c); no khat and no n^2 class at all
+                      entropy, theta (2n) + one block's S2 and the entropy
+                      estimate's two temporaries (3 min(n, block), counted
+                      under n) + key mean, value sum (2c); no khat and no
+                      n^2 class at all
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -82,16 +82,16 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
             "n2": _F8 * n * n,
             "nc": _F8 * (4 * n * c + max(n * c, min(n * n, np.getbufsize()))),
             "c2": _F8 * c * c,
-            "n": _F8 * 4 * n,
-            "c": _F8 * 3 * c,
+            "n": _F8 * 3 * n,
+            "c": _F8 * 2 * c,
         }
     block = min(n, _QUERY_BLOCK)
     return {
         "n2": 0,
         "nc": _F8 * ((4 * n + block) * c + min(block * c, np.getbufsize())),
         "c2": _F8 * 2 * c * c,
-        "n": _F8 * (2 * n + 4 * block),
-        "c": _F8 * 3 * c,
+        "n": _F8 * (2 * n + 3 * block),
+        "c": _F8 * 2 * c,
     }
 
 

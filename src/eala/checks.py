@@ -77,7 +77,7 @@ def gram_identity():
         m = key_moments(k, np.zeros((n, 0)))
         khat, _ = center_keys(k, m.mean)
         q = gaussian_matrix(1, c, 52_000 + i)
-        _, s2 = score_moments(q, m)
+        s2 = score_moments(q, m)
         brute = 0.0
         for j in range(n):
             brute += float(np.dot(q[0], khat[j])) ** 2

@@ -7,9 +7,11 @@ The pipeline replaces each softmax attention row with the affine family
 where keys are centered so the weights sum to one for any theta, and theta
 is chosen per query so the family's entropy matches an estimate of the
 softmax row's entropy.  All per-query quantities come from key-level
-summaries (the centered key sum, the C x C Gram matrix and khat^T V) that
-two blocked passes over the keys and values collect, so nothing on the
-linear path ever touches an n x n buffer or keeps an n x C copy of K.
+summaries (the C x C Gram matrix and khat^T V) that two blocked passes over
+the keys and values collect, so nothing on the linear path ever touches an
+n x n buffer or keeps an n x C copy of K.  The centred keys sum to zero, so
+the first score moment sum_j q . khat_j is zero for every query, and no
+layer computes it.
 
 The linear path reads Q, K and V only in row blocks, through `x[lo:hi]`
 and `x.shape`, so besides matrices it takes row readers such as
@@ -63,17 +65,15 @@ class EalaConfig:
 class KeyMoments:
     """Key and value summaries from one O(N C^2) pass over (K, V).
 
-    mean             : column mean of the keys, the centre of every khat_j
-    key_sum_centered : sum of centered keys, zero up to round-off
-    gram             : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
-    kv               : C x D matrix khat^T V (None on eala_attention's
-                       quadratic branch, which never reads it)
-    value_sum        : sum of the value rows
-    count            : number of keys n
+    mean      : column mean of the keys, the centre of every khat_j
+    gram      : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
+    kv        : C x D matrix khat^T V (None on eala_attention's quadratic
+                branch, which never reads it)
+    value_sum : sum of the value rows
+    count     : number of keys n
     """
 
     mean: np.ndarray
-    key_sum_centered: np.ndarray
     gram: np.ndarray
     kv: np.ndarray
     value_sum: np.ndarray
@@ -146,16 +146,15 @@ def _add(total, part):
 
 
 def _moment_sums(centred, n: int, v=None) -> tuple:
-    """Key sum, Gram khat^T khat and, with values v, khat^T V (else None),
-    summed over row blocks; `centred(lo, hi)` gives a block's centred keys."""
-    key_sum = gram = kv = None
+    """Gram khat^T khat and, with values v, khat^T V (else None), summed
+    over row blocks; `centred(lo, hi)` gives a block's centred keys."""
+    gram = kv = None
     for lo, hi in _row_blocks(n):
         kb = centred(lo, hi)
-        key_sum = _add(key_sum, kb.sum(axis=0))
         gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
         if v is not None:
             kv = _add(kv, kb.T @ v[lo:hi])
-    return key_sum, gram, kv
+    return gram, kv
 
 
 def key_moments(k_mat, v_mat) -> KeyMoments:
@@ -164,10 +163,10 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
     rows; each is read twice.  The first pass sums the keys and the values.
     The second centres every block of keys against the mean of all keys,
-    in one reused (block, C) scratch, and sums the centred keys, the Gram
-    khat^T khat and khat^T V.  This is the two-pass scheme (Chan, Golub &
-    LeVeque 1979): offset keys keep their spread, where K^T K - n mu mu^T
-    or a pairwise merge of per-block moments would cancel it away.
+    in one reused (block, C) scratch, and sums the Gram khat^T khat and
+    khat^T V.  This is the two-pass scheme (Chan, Golub & LeVeque 1979):
+    offset keys keep their spread, where K^T K - n mu mu^T or a pairwise
+    merge of per-block moments would cancel it away.
     Nothing n x C is kept.
     """
     k = _rows_source(k_mat)
@@ -180,10 +179,9 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     scratch = np.empty((min(n, _QUERY_BLOCK) + 1, k.shape[1]))
     mean = _column_sum(k, scratch) / n  # the bits of np.mean, without its wrapper
     value_sum = _column_sum(v)
-    key_sum, gram, kv = _moment_sums(
+    gram, kv = _moment_sums(
         lambda lo, hi: center_keys(k[lo:hi], mean, out=scratch[: hi - lo])[0], n, v)
-    return KeyMoments(mean=mean, key_sum_centered=key_sum, gram=gram, kv=kv,
-                      value_sum=value_sum, count=n)
+    return KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=value_sum, count=n)
 
 
 def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.ndarray, KeyMoments]:
@@ -193,15 +191,15 @@ def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
     khat, mean = center_keys(k, k.sum(axis=0) / k.shape[0])
-    key_sum, gram, kv = _moment_sums(lambda lo, hi: khat[lo:hi], k.shape[0],
-                                     v if with_kv else None)
-    return khat, KeyMoments(mean=mean, key_sum_centered=key_sum, gram=gram, kv=kv,
-                            value_sum=v.sum(axis=0), count=k.shape[0])
+    gram, kv = _moment_sums(lambda lo, hi: khat[lo:hi], k.shape[0], v if with_kv else None)
+    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=v.sum(axis=0),
+                            count=k.shape[0])
 
 
-def score_moments(q_mat, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query S1 = sum_j q.khat_j and S2 = sum_j (q.khat_j)^2, in O(C^2)
-    each and never touching individual keys.  Returns (s1, s2).
+def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
+    """Per-query second score moment S2 = sum_j (q.khat_j)^2, in O(C^2)
+    each and never touching individual keys.  (The first moment
+    sum_j q.khat_j is zero, as the centred keys sum to zero.)
 
     S2 = q M q^T is clamped at zero: M is positive semidefinite, so any
     negative value is rounding noise.  The product q M is one (rows, C)
@@ -210,39 +208,30 @@ def score_moments(q_mat, m: KeyMoments) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
-    s1 = q @ m.key_sum_centered
     t = q @ m.gram
     t *= q
     s2 = t.sum(axis=1)
     np.maximum(s2, 0.0, out=s2)
-    return s1, s2
+    return s2
 
 
-def _per_query(a, b, names: str) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"{names} must be 1-D arrays of equal length")
-    return a, b
+def approx_entropy(s2, n: int) -> np.ndarray:
+    """Second-order entropy estimate per query from its score moment S2.
 
+        Hhat = log n - S2 / n
 
-def approx_entropy(s1, s2, n: int) -> np.ndarray:
-    """Second-order entropy estimate per query from its score moments.
-
-        Hhat = log(n + S1) - (S1 + S2) / (n + S1)
-
-    With centered keys S1 vanishes and this is log n - S2/n.  The estimate
-    overshoots low for peaked rows, so it is clipped into the feasible
-    range [0, log n].
+    is the expansion of the softmax entropy around uniform for centred
+    keys, whose first score moment is zero.  The estimate overshoots low
+    for peaked rows, so it is clipped into the feasible range [0, log n].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    s1, s2 = _per_query(s1, s2, "s1 and s2")
-    base = n + s1
-    if np.any(base <= 0.0):
-        raise ValueError("n + S1 must be positive for the entropy expansion")
-    h = np.log(base) - (s1 + s2) / base
-    np.clip(h, 0.0, np.log(n), out=h)
+    s2 = np.asarray(s2, dtype=np.float64)
+    if s2.ndim != 1:
+        raise ValueError("s2 must be a 1-D array")
+    log_n = np.log(n)
+    h = log_n - s2 / n
+    np.clip(h, 0.0, log_n, out=h)
     return h
 
 
@@ -254,11 +243,16 @@ def theta_star(s2, entropy, n: int) -> np.ndarray:
 
     Where S2 or the entropy gap is at most DENOM_FLOOR the family target is
     (indistinguishable from) uniform and the sentinel +inf is returned;
-    downstream forwards treat 1/theta as 0.
+    downstream forwards treat 1/theta as 0.  Where `approx_entropy` gives
+    the entropy and is not clipped at 0, the gap is S2 / n, so theta* is
+    1/sqrt(2) + EPSILON.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    s2, ent = _per_query(s2, entropy, "s2 and entropy")
+    s2 = np.asarray(s2, dtype=np.float64)
+    ent = np.asarray(entropy, dtype=np.float64)
+    if s2.ndim != 1 or s2.shape != ent.shape:
+        raise ValueError("s2 and entropy must be 1-D arrays of equal length")
     # a nan fails both comparisons
     if s2.size and not (s2.min() >= 0.0 and s2.max() < np.inf):
         raise ValueError("s2 must be finite and nonnegative")
@@ -281,28 +275,6 @@ def _check_theta(theta, rows: int) -> np.ndarray:
     return th
 
 
-def _check_forward_args(q_mat, khat, v_mat, theta):
-    q = np.asarray(q_mat, dtype=np.float64)
-    kh = np.asarray(khat, dtype=np.float64)
-    v = np.asarray(v_mat, dtype=np.float64)
-    if q.ndim != 2 or kh.ndim != 2 or v.ndim != 2:
-        raise ValueError("Q, khat, V must be 2-D")
-    if q.shape[1] != kh.shape[1]:
-        raise ValueError(f"feature dims differ: Q {q.shape} vs khat {kh.shape}")
-    if kh.shape[0] != v.shape[0]:
-        raise ValueError(f"khat and V row counts differ: {kh.shape[0]} vs {v.shape[0]}")
-    return q, kh, v, _check_theta(theta, q.shape[0])
-
-
-def _affine_weights(q: np.ndarray, kh: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """(m, n) matrix of w_ij = (1 + (q_i . khat_j) / theta_i) / n, built in place."""
-    w = q @ kh.T
-    w /= th[:, None]
-    w += 1.0
-    w /= kh.shape[0]
-    return w
-
-
 def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     """Materialized-weights branch, O(N^2 C) time and one n^2 buffer.
 
@@ -310,8 +282,11 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
     temperatures contribute 1/theta = 0, i.e. plain averaging.  Weights may
     go negative at small theta; they are used as-is.
     """
-    q, kh, v, th = _check_forward_args(q_mat, khat, v_mat, theta)
-    return _affine_weights(q, kh, th) @ v
+    kh = np.asarray(khat, dtype=np.float64)
+    v = np.asarray(v_mat, dtype=np.float64)
+    if v.ndim != 2 or v.shape[:1] != kh.shape[:1]:
+        raise ValueError(f"V of shape {v.shape} does not match khat of shape {kh.shape}")
+    return eala_weights(q_mat, kh, theta) @ v
 
 
 def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
@@ -336,19 +311,23 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
 
 
 def eala_weights(q_mat, khat, theta) -> np.ndarray:
-    """Full (m, n) weight matrix of the affine family; diagnostic only.
+    """Full (m, n) weight matrix of the affine family, built in place:
+    w_ij = (1 + (q_i . khat_j) / theta_i) / n, each theta positive or the
+    +inf sentinel.  The quadratic forward multiplies it into V.
 
     Rows sum to one by centering, independent of theta, but entries may be
     negative when theta is close to the validity edge max_j |q . khat_j|.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     kh = np.asarray(khat, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
     if q.ndim != 2 or kh.ndim != 2 or q.shape[1] != kh.shape[1]:
         raise ValueError("incompatible query/key shapes")
-    if th.ndim != 1 or th.size != q.shape[0]:
-        raise ValueError("theta must be 1-D with one entry per query")
-    return _affine_weights(q, kh, th)
+    th = _check_theta(theta, q.shape[0])
+    w = q @ kh.T
+    w /= th[:, None]
+    w += 1.0
+    w /= kh.shape[0]
+    return w
 
 
 def select_path(path: str, n: int, c: int) -> str:
@@ -405,11 +384,11 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
     for lo, hi in _row_blocks(rows):
         qb = q[lo:hi]
         with np.errstate(invalid="ignore", over="ignore"):
-            s1, s2 = score_moments(qb, m)
+            s2 = score_moments(qb, m)
             finite = math.isfinite(s2 @ s2)
         if not finite:
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        ent[lo:hi] = approx_entropy(s1, s2, n) if approx else score_row_entropies(qb @ khat.T)
+        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
         theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
         if out is not None:
             eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])

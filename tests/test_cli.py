@@ -193,6 +193,21 @@ class TestAttend:
         denom = float(np.max(np.abs(want))) + 1e-15
         assert float(np.max(np.abs(got - want))) / denom <= 0.05
 
+    def test_large_keys_exit_zero(self, capsys, tmp_path):
+        # keys of magnitude 1e20 leave column sums far above 1 after
+        # centring, and the entropy estimate reads none of them
+        paths = {}
+        for seed, name in enumerate("qkv", 1):
+            paths[name] = tmp_path / f"{name}.bin"
+            scale = 1e20 if name == "k" else 1.0
+            write_tensor(paths[name], gaussian_matrix(64, 16, seed, 0.1) * scale)
+        out_path = tmp_path / "out.bin"
+        code, _, err = run(capsys, "attend", "--q", str(paths["q"]), "--k", str(paths["k"]),
+                           "--v", str(paths["v"]), "--out", str(out_path))
+        assert code == 0, err
+        got = read_tensor(out_path)
+        assert got.shape == (64, 16) and np.isfinite(got).all()
+
     def test_missing_input_exits_three(self, capsys, tmp_path):
         paths, _ = self.write_inputs(tmp_path)
         code, _, err = run(capsys, "attend", "--q", str(tmp_path / "nope.bin"),
