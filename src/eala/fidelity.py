@@ -28,8 +28,8 @@ from .workload import WorkloadSpec, gen_workload
 # excluded from ranking checks; their argsort is not well defined.
 TIE_TOL = 1e-12
 
-# Bisection costs O(n) per step for each query, about 50 steps to converge,
-# so O(n^2 * steps) for a report; the column is skipped beyond this n.
+# The temperature solve costs O(n) per step for each query, a few steps to
+# converge, so O(n^2 * steps) for a report; the column is skipped beyond this n.
 BISECTION_N_LIMIT = 1024
 
 # Queries per block of the per-query columns; scratch is O(block * n).

@@ -3,18 +3,16 @@
 The routines here are quadratic in sequence length on purpose.  They trade
 speed for being independently checkable: row entropies come straight from
 the definition, the KL decomposition is evaluated term by term, and the
-temperature solver returns the bits of a plain bisection.  It skips only
-the family evaluations of steps whose outcome a probe of the family
-certifies, with a guard derived in bisection_theta; the closed form is
-not used.  Everything downstream is validated against this module.
+temperature solver finds the root of the family entropy itself, by a
+bracketed Newton iteration; the closed form is not used.  Everything
+downstream is validated against this module.
 
-The family entropy, the bisection solver and the KL divergence also take a
-2-D stack of rows.  The stacked form runs the per-row checks and
+The family entropy, the temperature solver and the KL divergence also take
+a 2-D stack of rows.  The stacked form runs the per-row checks and
 arithmetic of the 1-D form on every row at once, so each row gets the same
 bits; a row the 1-D form rejects with ValueError gives nan.  The solver
-runs the family's checks on a row only at its bracket; its probes and
-steps then only evaluate the family, into two scratch buffers reused
-across them.
+runs the family's checks on a row only at its bracket; its steps then only
+evaluate the family, into two scratch buffers reused across them.
 """
 
 from __future__ import annotations
@@ -351,12 +349,14 @@ def _family_rejects(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _family_entropy(a: np.ndarray, theta: np.ndarray, usable: np.ndarray,
                     w: np.ndarray | None = None,
-                    terms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and validity of the family per row; nan where not valid.
+                    logs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy, validity and tilt sum_j a_j log w_j of the family per row;
+    the entropy is nan where not valid.
 
     Rows outside `usable` are computed with the rest and then masked, so
-    their values never reach the caller.  `w` and `terms` are optional
-    scratch of the shape of `a` for the weights and the entropy terms.
+    their entropies never reach the caller.  `w` and `logs` are optional
+    scratch of the shape of `a`, which neither may alias; both are
+    overwritten.
     """
     n = a.shape[1]
     with np.errstate(all="ignore"):
@@ -364,11 +364,11 @@ def _family_entropy(a: np.ndarray, theta: np.ndarray, usable: np.ndarray,
         w += 1.0
         w /= n
         valid = usable & (np.min(w, axis=1) > 0.0)
-        terms = np.log(w, out=terms)
-        terms *= w
-        h = -np.sum(terms, axis=1)
+        logs = np.log(w, out=logs)
+        h = -np.sum(np.multiply(w, logs, out=w), axis=1)
+        tilt = np.sum(np.multiply(a, logs, out=logs), axis=1)
     h[~valid] = np.nan
-    return h, valid
+    return h, valid, tilt
 
 
 def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarray]:
@@ -390,7 +390,7 @@ def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarr
         th = np.asarray(theta, dtype=np.float64)
         if th.shape != arr.shape[:1]:
             raise ValueError("theta must hold one entry per row of a")
-        return _family_entropy(arr, th, _family_rejects(arr, th) == 0)
+        return _family_entropy(arr, th, _family_rejects(arr, th) == 0)[:2]
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a must be a nonempty 1-D array")
     rows = arr[None, :]
@@ -398,68 +398,20 @@ def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarr
     code = _family_rejects(rows, th)[0]
     if code:
         raise ValueError(_REJECTIONS[code])
-    h, valid = _family_entropy(rows, th, np.ones(1, dtype=bool))
+    h, valid, _ = _family_entropy(rows, th, np.ones(1, dtype=bool))
     return float(h[0]), bool(valid[0])
-
-
-# Relative half-widths of the first two probe pairs that place the step
-# certificates; the last pair's is set per row from the guard.
-_PROBE_WIDTHS = (5e-2, 1e-3)
-
-# A certificate's entropy must clear the target by tol plus this margin,
-# which covers twice the rounding error of a computed family entropy.
-_GUARD = 2.0**-30
-
-
-def _certificates(rows: np.ndarray, target: np.ndarray, tol: float,
-                  w: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cert_lo, cert_hi) per row: thetas whose entropy certifiably brackets
-    the target, or -inf and inf where no probe gives one.
-
-    The probes start at the second-order root sqrt(sum a^2 / (2 n D)),
-    D = log n - target, and refine it by secant steps in 1/theta^2, in
-    which the entropy deficit log n - H is nearly linear, each from a pair
-    of probes at theta (1 -+ r).  Near the root H moves by about 2 D r
-    over a relative step r, so the last pair, at r = 4 G / D, lies about
-    8 G in entropy from the target: far enough to certify, near enough to
-    leave few steps uncertain.  cert_lo is the largest probe whose entropy
-    is below target - G, cert_hi the smallest whose entropy is above
-    target + G, with G = tol + _GUARD.  A probe whose weights are not all
-    positive gives nan and so certifies nothing.
-    """
-    n = rows.shape[1]
-    log_n = np.log(n)
-    guard = tol + _GUARD
-    below, above = target - guard, target + guard
-    cert_lo = np.full(rows.shape[0], -np.inf)
-    cert_hi = np.full(rows.shape[0], np.inf)
-    with np.errstate(all="ignore"):
-        theta = np.sqrt(np.einsum("ij,ij->i", rows, rows) / (2 * n * (log_n - target)))
-        for r in _PROBE_WIDTHS + (4.0 * guard / (log_n - target),):
-            probes = []
-            for t in (theta * (1.0 - r), theta * (1.0 + r)):
-                h, _ = _family_entropy(rows, t, np.isfinite(t) & (t > 0.0), w, terms)
-                np.maximum(cert_lo, t, out=cert_lo, where=h < below)
-                np.minimum(cert_hi, t, out=cert_hi, where=h > above)
-                probes.append((1.0 / (t * t), log_n - h))
-            (s0, d0), (s1, d1) = probes
-            step = 1.0 / np.sqrt(s0 + (log_n - target - d0) * (s1 - s0) / (d1 - d0))
-            theta = np.where(np.isfinite(step) & (step > 0.0), step, theta)
-    return cert_lo, cert_hi
 
 
 def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
                  max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bisection of bisection_theta, run on every row of `a` at once.
+    """The solve of bisection_theta, run on every row of `a` at once.
 
     Returns (theta, code, h_lo) per row: code is 0 or the rejection the 1-D
     form raises for that row, theta is nan where code is not 0, and h_lo
     is the family entropy at the bracket's lower edge.  Every row keeps
-    its own bracket and takes the same steps as a lone row would; a row
-    leaves the active set once it converges.  A step whose midpoint lies
-    at or beyond one of the row's certificates takes the outcome the
-    certificate guarantees without evaluating the family; only the rows
-    whose midpoint falls between them are gathered and evaluated.
+    its own bracket and iterate and takes the steps a lone row would; a
+    row leaves the active set once it converges.  Each step evaluates the
+    family only on the active rows, into two scratch buffers.
     """
     m, n = a.shape
     log_n = float(np.log(n))
@@ -490,41 +442,46 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
             if edge.size:
                 h_lo[edge], _ = linear_family_entropy(a[edge], lo[edge])
         code[live[(code[live] == 0) & (targets[live] < h_lo[live])]] = _BELOW_RANGE
+        # a bracket whose edges sum past the float64 range fails the theta
+        # check, at its midpoint lo + hi = inf
+        with np.errstate(over="ignore"):
+            code[live[(code[live] == 0) & ~np.isfinite(lo[live] + hi[live])]] = _BAD_THETA
 
-    # the bracket's midpoints are positive, so of the family's checks a step
-    # can fail only the theta check, and only by overflowing
+    # every iterate lies inside the bracket, so the family's checks hold
+    # there and each step only evaluates it
     act = np.flatnonzero(code == 0)
     rows = a[act]
     lo, hi, target = lo[act], hi[act], targets[act]
-    w_buf, terms_buf = np.empty_like(rows), np.empty_like(rows)
-    cert_lo, cert_hi = _certificates(rows, target, tol, w_buf, terms_buf)
-    pos = np.arange(act.size)  # each active row's place in `rows`
+    w_buf, log_buf = np.empty_like(rows), np.empty_like(rows)
+    with np.errstate(all="ignore"):
+        # the second-order root x0 = 2 n (log n - target) / sum a^2, with a
+        # scaled by max|a| so that its squares neither overflow nor vanish
+        peak = amax[act]
+        scaled = np.divide(rows, peak[:, None], out=w_buf)
+        t = peak * np.sqrt(np.sum(np.multiply(scaled, scaled, out=scaled), axis=1)
+                           / (2 * n * (log_n - target)))
     for _ in range(max_iter):
         if act.size == 0:
             break
-        with np.errstate(over="ignore"):
-            mid = 0.5 * (lo + hi)
-        # a midpoint that overflowed lies beyond cert_hi, which gives it
-        # the evaluation's outcome too: not below, not done
-        below = mid <= cert_lo
-        done = np.zeros(act.size, dtype=bool)
-        need = np.flatnonzero(~below & (mid < cert_hi))
-        if need.size:
-            w = np.take(rows, pos[need], axis=0, out=w_buf[: need.size])
-            h, _ = _family_entropy(w, mid[need], np.isfinite(mid[need]),
-                                   w, terms_buf[: need.size])
-            done[need] = np.abs(h - target[need]) <= tol
-            below[need] = h < target[need]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        theta[act[done]] = mid[done]
-        # a midpoint that overflowed is one the 1-D form rejects
-        overflow = ~np.isfinite(mid)
-        code[act[overflow]] = _BAD_THETA
-        stay = ~(done | overflow)
-        if not stay.all():
-            act, pos, target = act[stay], pos[stay], target[stay]
-            lo, hi, cert_lo, cert_hi = lo[stay], hi[stay], cert_lo[stay], cert_hi[stay]
+        k = act.size
+        # the geometric midpoint of the bracket's gaps to theta = max|a|
+        mid = peak + np.sqrt(lo - peak) * np.sqrt(hi - peak)
+        t = np.where((lo < t) & (t < hi), t, mid)
+        h, _, tilt = _family_entropy(rows, t, np.ones(k, dtype=bool),
+                                     w_buf[:k], log_buf[:k])
+        done = np.abs(h - target) <= tol
+        below = h < target
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        theta[act[done]] = t[done]
+        with np.errstate(all="ignore"):
+            # Newton in x = 1 / theta^2, where dH/dx = -tilt theta / (2 n):
+            # x' = x (1 + 2 n theta (h - target) / tilt)
+            t = t / np.sqrt(1.0 + 2 * n * t * (h - target) / tilt)
+        if done.any():
+            stay = ~done
+            act, rows, target = act[stay], rows[stay], target[stay]
+            lo, hi, t, peak = lo[stay], hi[stay], t[stay], peak[stay]
     if act.size:
         raise RuntimeError("bisection did not converge; bracket or tolerance is off")
     return theta, code, h_lo
@@ -532,60 +489,42 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
 
 def bisection_theta(a, target_entropy, tol: float = 1e-10,
                     max_iter: int = 200) -> float | np.ndarray:
-    """Solve H(w(theta)) = target_entropy for the affine family by bisection.
+    """Solve H(w(theta)) = target_entropy for the affine family.
 
     The family entropy increases strictly with theta on the all-positive
     regime and tends to log n from below, so the objective is monotone and
     a bracket [max|a| (1 + 1e-9), 1e9 max|a|] pins the root when one
-    exists.  Raises when `a` is all zero (family is uniform regardless of
-    theta) or the target lies outside the attainable range.
+    exists; a lower edge whose weights round to zero moves to
+    max|a| (1 + 1e-6).  Raises when `a` is all zero (family is uniform
+    regardless of theta) or the target lies outside the attainable range.
+
+    The solve is a bracketed Newton iteration in x = 1 / theta^2, in which
+    the entropy deficit log n - H is nearly linear.  It starts at the
+    second-order root x0 = 2 n (log n - target) / sum a^2.  The slope
+    dH/dx = -sum_j a_j log w_j / (2 n sqrt(x)) comes from the log pass
+    that gives H.  Each evaluation moves one bracket edge to its theta by
+    the sign of H - target, and a step that leaves the bracket falls back
+    to the bracket's midpoint, taken as the geometric mean of the edges'
+    gaps to max|a|.  Near that validity edge the slope grows without
+    bound, and a Newton step from above the root overshoots; this midpoint
+    reaches a root there in a few halvings of log(theta - max|a|), where
+    the plain midpoint would halve theta from 1e9 max|a| down to the root
+    one step at a time.  It stops at the first theta where the
+    computed family entropy, with the bits linear_family_entropy gives,
+    lies within tol of the target, and raises RuntimeError when max_iter
+    evaluations find none.  The slope only steers the iterates, so its
+    rounding can cost steps but never makes a returned theta miss tol.
 
     A 2-D `a` is a stack of m score rows with one target per row, and the
-    result is an (m,) array.  All rows are bisected together, and each row
+    result is an (m,) array.  All rows are solved together, and each row
     gets the bits of the 1-D call on it, except that a row the 1-D form
-    rejects with ValueError gives nan.  A row that does not converge raises
-    RuntimeError in both forms.
+    rejects with ValueError gives nan.  A row that does not converge
+    raises RuntimeError in both forms.
 
     Either form runs the family's checks on each row only at the bracket,
-    through linear_family_entropy.  Only the theta check depends on theta,
-    and a midpoint fails it only by overflowing to inf, so each step
-    evaluates the family on the rows still active without checking them
-    again, writing the weights and the entropy terms into two scratch
-    buffers allocated once per call.
-
-    Certified steps.  Before the steps the family is evaluated at six
-    probe thetas per row around the root.  With G = tol + 2**-30, cert_lo
-    is the largest probe whose computed entropy is below target - G and
-    cert_hi the smallest above target + G.  The entropy h increases
-    strictly with theta where the weights are positive.  So if every
-    computed entropy on the bracket lies within eps of the true one, a
-    midpoint mid <= cert_lo gives
-
-        fl(h(mid)) <= h(mid) + eps <= h(cert_lo) + eps
-                   <= fl(h(cert_lo)) + 2 eps < target - tol - 2**-30 + 2 eps,
-
-    up to the rounding of target - G, below u log n.  So the plain step
-    finds it below the target and not within tol: it sets lo = mid.
-    Symmetrically a midpoint >= cert_hi sets hi = mid; a midpoint that
-    overflowed lies there too, and the plain step also sets hi = mid from
-    its nan entropy before rejecting the row.  Such steps skip the
-    evaluation; the others run it as a plain step does.  A row no probe
-    certifies takes plain steps throughout.
-
-    The guard needs 2 eps < 2**-30.  Let u = 2**-53.  On the bracket,
-    theta >= max|a| (1 + 1e-9), so t_j = a_j / theta lies in (-1, 1),
-    w_j >= 1e-9 / n and |log w_j| <= log n + 21.  The computed weight
-    fl(fl(1 + fl(t_j)) / n) is within 2.01 u w_j + 1.01 u / n of w_j.
-    Through -w log w, whose slope is -(1 + log w), that moves the sum by
-    at most sum_j (2.01 u w_j + 1.01 u / n)(|log w_j| + 1), which is at
-    most u (3.02 log n + 25).  numpy's log is within 4 ulp and the product
-    rounds once: at most 9.1 u h <= 9.1 u log n more.  numpy sums a
-    contiguous row pairwise, in blocks of at most 128 terms over eight
-    accumulators, so each term passes through at most log2 n + 27
-    additions of nonnegative terms: at most (log2 n + 27) u log n more.
-    In all eps <= u (log2 n log n + 40 log n + 25), below 3e-13 for every
-    n <= 2**40, three orders of magnitude inside 2**-31.  A probe below the
-    bracket certifies no midpoint, as every midpoint lies above lo.
+    through linear_family_entropy.  Only the theta check depends on theta;
+    a bracket whose edges sum past the float64 range fails it, and every
+    iterate inside a bracket passes it.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 2:

@@ -1,11 +1,12 @@
-"""The 2-D (row-stack) forms of the oracle's family entropy, bisection and KL.
+"""The 2-D (row-stack) forms of the oracle's family entropy, theta solve and KL.
 
 Each 2-D call must give, row by row, the bits of the 1-D call on that row,
-with nan exactly where the 1-D call raises ValueError.  The 1-D forms are
-in turn held to the plain scalar loops below, kept as the reference for
-their checks and arithmetic, and for the bisection's error messages.  The
-bisection's certified steps skip evaluations, so its reference is a plain
-bisection that evaluates every step.
+with nan exactly where the 1-D call raises ValueError.  The 1-D family
+entropy and KL are in turn held to the plain scalar loops below, kept as
+the reference for their checks and arithmetic.  The theta solve takes
+Newton steps, so a plain bisection is its reference for which rows are
+rejected and with what message; a solved row must reproduce its target
+within tol through linear_family_entropy.
 """
 
 import numpy as np
@@ -15,12 +16,8 @@ from hypothesis import strategies as st
 
 from eala import oracle
 from eala.core import center_keys, eala_attention
-from eala.oracle import (_GUARD, _PROBE_WIDTHS, bisection_theta, kl_divergence,
-                         linear_family_entropy)
+from eala.oracle import bisection_theta, kl_divergence, linear_family_entropy
 from eala.workload import WorkloadSpec, gen_workload
-
-# the step certificates' guard at bisection_theta's default tol
-G = 1e-10 + _GUARD
 
 
 def ref_family_entropy(a, theta):
@@ -145,15 +142,11 @@ def bisection_stacks(draw, max_rows=7, max_n=24):
 
 
 @st.composite
-def certified_stacks(draw, max_rows=5):
-    """(a, targets): rows whose targets sit where the step certificates are
-    tight, on rows of up to 4096 entries, some scaled by 1e6.
-
-    A probe pair at half-width r around the root lies about 2 D r in
-    entropy on either side of a target D below log n, so D = f G / (2 r)
-    with f in [0, 4] puts that pair's entropies within 0-4 G of the target.
-    Other rows take a target just above the bracket's lower edge, where
-    the roots lie next to the validity edge theta = max|a|.
+def hard_stacks(draw, max_rows=5):
+    """(a, targets): rows of up to 4096 entries, some scaled by 1e6 or
+    1e-3, with targets up to 1e-14 of the way from either end of the
+    attainable range: just above the bracket's lower edge, where the roots
+    lie next to the validity edge theta = max|a|, or just below log n.
     """
     n = draw(st.one_of(st.integers(min_value=2, max_value=24),
                        st.sampled_from([257, 1024, 4096])))
@@ -168,15 +161,13 @@ def certified_stacks(draw, max_rows=5):
         else:
             a = rng.standard_t(3.0, size=n)
         a = centered(a * draw(st.sampled_from([1.0, 1e6, 1e-3])))
+        amax = float(np.max(np.abs(a)))
+        h_lo = ref_family_entropy(a, amax * (1.0 + 1e-9))[0] if amax > 0.0 else 0.0
+        frac = 10.0 ** -draw(st.floats(min_value=0.0, max_value=14.0))
         if draw(st.booleans()):
-            r = draw(st.sampled_from(_PROBE_WIDTHS))
-            target = log_n - draw(st.floats(min_value=0.0, max_value=4.0)) * G / (2.0 * r)
-        else:
-            amax = float(np.max(np.abs(a)))
-            h_lo = ref_family_entropy(a, amax * (1.0 + 1e-9))[0] if amax > 0.0 else 0.0
-            target = h_lo + draw(st.floats(min_value=0.0, max_value=1e-3)) * (log_n - h_lo)
+            frac = 1.0 - frac
         rows.append(a)
-        targets.append(target)
+        targets.append(h_lo + frac * (log_n - h_lo))
     return np.array(rows), np.array(targets)
 
 
@@ -264,9 +255,17 @@ class TestFamilyEntropyRows:
             linear_family_entropy(np.zeros((3, 4)), 1.0)
 
 
+def assert_solved(a, targets, thetas, tol=1e-10):
+    """Each non-nan theta reproduces its row's target within tol."""
+    for row, target, theta in zip(a, targets, thetas):
+        if not np.isnan(theta):
+            h, ok = linear_family_entropy(row, theta)
+            assert ok and abs(h - target) <= tol
+
+
 def assert_rows_match_the_reference(a, targets):
-    """The 2-D call matches the 1-D calls bit for bit, and they ref_bisection,
-    with nan and the same message where it raises."""
+    """The 2-D call matches the 1-D calls bit for bit; they reject the rows
+    ref_bisection rejects, with its messages, and solve the others."""
     try:
         want, messages = per_row(bisection_theta, a, targets)
     except RuntimeError:
@@ -275,14 +274,40 @@ def assert_rows_match_the_reference(a, targets):
         return
     ref, ref_messages = per_row(ref_bisection, a, targets)
     assert_same_bits(bisection_theta(a, targets), want)
-    assert_same_bits(want, ref)
+    assert np.array_equal(np.isnan(want), np.isnan(ref))
     assert messages == ref_messages
+    assert_solved(a, targets, want)
 
 
 class TestBisectionRows:
     @given(bisection_stacks())
     def test_rows_match_the_1d_form(self, stack):
         assert_rows_match_the_reference(*stack)
+
+    @given(hard_stacks())
+    def test_hard_rows_match_the_reference(self, stack):
+        assert_rows_match_the_reference(*stack)
+
+    def test_family_evaluations_per_row(self, monkeypatch):
+        # the fidelity report's shape, at the golden report's scale and seed
+        q, k, v = gen_workload(WorkloadSpec(n=1024, c=32, score_scale=0.1, seed=5))
+        khat, _ = center_keys(k)
+        a = q @ khat.T
+        evaluated = []
+        family_entropy = oracle._family_entropy
+
+        def counted(rows, *args, **kwargs):
+            evaluated.append(rows.shape[0])
+            return family_entropy(rows, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_family_entropy", counted)
+        targets = eala_attention(q, k, v).entropies
+        thetas = bisection_theta(a, targets)
+        assert np.isfinite(thetas).all()
+        # the bracket check included
+        assert sum(evaluated) <= 4 * a.shape[0]
+        monkeypatch.undo()
+        assert_solved(a, targets, thetas)
 
     def test_each_kind_in_one_call(self):
         n = 6
@@ -294,7 +319,8 @@ class TestBisectionRows:
         targets = np.array([mid, mid, mid, np.log(n), 0.5 * h_lo, mid])
         rows[5, 2] = np.inf
         got = bisection_theta(rows, targets)
-        assert got[0] == ref_bisection(a, mid)
+        assert got[0] == bisection_theta(a, mid)
+        assert_solved(a[None, :], [mid], got[:1])
         assert np.isnan(got[1:]).all()
         for row, target, text in zip(rows[1:], targets[1:],
                                      ("identically zero", "sum to zero", "outside",
@@ -320,22 +346,21 @@ class TestBisectionRows:
         a = centered([0.5, -0.1, 0.2, -0.6])
         target = 0.5 * (ref_family_entropy(a, 0.6 * (1.0 + 1e-9))[0] + np.log(4.0))
         got = bisection_theta(np.tile(a, (5, 1)), np.full(5, target))
-        assert np.all(got == ref_bisection(a, target))
+        assert np.all(got == bisection_theta(a, target))
+        assert_solved(np.tile(a, (5, 1)), np.full(5, target), got)
 
     def test_overflowing_bracket(self):
-        # 1e9 * max|a| is inf for the scaled row, so its first midpoint is
-        # inf, which the 1-D form rejects; the other rows go on converging
+        # 1e9 * max|a| is inf for the scaled row, so its bracket's midpoint
+        # is inf, which the 1-D form rejects; the other rows go on converging
         a = centered([0.5, -0.1, 0.2, -0.6])
         target = 0.5 * (ref_family_entropy(a, 0.6 * (1.0 + 1e-9))[0] + np.log(4.0))
         rows = np.array([a, a * 1e300, 3.0 * a])
         targets = np.array([target, target, 0.5 * (target + np.log(4.0))])
+        assert_rows_match_the_reference(rows, targets)
         got = bisection_theta(rows, targets)
-        want, messages = per_row(bisection_theta, rows, targets)
-        ref, ref_messages = per_row(ref_bisection, rows, targets)
-        assert_same_bits(got, want)
-        assert_same_bits(want, ref)
         assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
-        assert messages == ref_messages == [None, "theta must be a positive finite number", None]
+        assert per_row(bisection_theta, rows, targets)[1] == [
+            None, "theta must be a positive finite number", None]
 
     def test_single_entry_rows_are_rejected(self):
         got = bisection_theta(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
@@ -352,29 +377,6 @@ class TestBisectionRows:
     def test_target_shape_must_match(self):
         with pytest.raises(ValueError):
             bisection_theta(np.zeros((2, 4)), np.zeros(3))
-
-
-class TestCertifiedSteps:
-    @given(certified_stacks())
-    def test_rows_match_the_reference(self, stack):
-        assert_rows_match_the_reference(*stack)
-
-    def test_family_evaluations_per_row(self, monkeypatch):
-        # the fidelity report's shape, at the golden report's scale and seed
-        q, k, v = gen_workload(WorkloadSpec(n=1024, c=32, score_scale=0.1, seed=5))
-        khat, _ = center_keys(k)
-        a = q @ khat.T
-        evaluated = []
-        family_entropy = oracle._family_entropy
-
-        def counted(rows, *args, **kwargs):
-            evaluated.append(rows.shape[0])
-            return family_entropy(rows, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_family_entropy", counted)
-        thetas = bisection_theta(a, eala_attention(q, k, v).entropies)
-        assert np.isfinite(thetas).all()
-        assert sum(evaluated) <= 16 * a.shape[0]
 
 
 class TestKlRows:
