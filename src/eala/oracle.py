@@ -506,11 +506,10 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
     the sign of H - target, and a step that leaves the bracket falls back
     to the bracket's midpoint, taken as the geometric mean of the edges'
     gaps to max|a|.  Near that validity edge the slope grows without
-    bound, and a Newton step from above the root overshoots; this midpoint
-    reaches a root there in a few halvings of log(theta - max|a|), where
-    the plain midpoint would halve theta from 1e9 max|a| down to the root
-    one step at a time.  It stops at the first theta where the
-    computed family entropy, with the bits linear_family_entropy gives,
+    bound and Newton steps from above the root overshoot; this midpoint
+    reaches such a root in a few steps, where halving theta from
+    1e9 max|a| would take about thirty.  It stops at the first theta where
+    the computed family entropy, with the bits linear_family_entropy gives,
     lies within tol of the target, and raises RuntimeError when max_iter
     evaluations find none.  The slope only steers the iterates, so its
     rounding can cost steps but never makes a returned theta miss tol.
