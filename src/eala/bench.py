@@ -55,11 +55,11 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       the weights by theta in place takes, counted under
                       nc + gram (c^2) + S2, entropy, theta (3n) + key mean,
                       value sum (2c)
-    eala-linear...... Q,K,V,out (4nc) + one block of queries scaled by
-                      1/theta (min(n, block) rows of c, counted under nc,
-                      as is the ufunc buffer, at most one block, that the
-                      scaling takes; the key pass's scratch is freed before
-                      the forward's is made) + gram and KV (2c^2) +
+    eala-linear...... Q,K,V,out (4nc) + one block's product q M in the
+                      score moments (min(n, block) rows of c, counted under
+                      nc; the key pass's (block, c + 1) scratch is freed
+                      before it is made, and the forward writes q KV
+                      straight into the output) + gram and KV (2c^2) +
                       entropy, theta (2n) + one block's S2 and the entropy
                       estimate's two temporaries (3 min(n, block), counted
                       under n) + key mean, value sum (2c); no khat and no
@@ -88,7 +88,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     block = min(n, _QUERY_BLOCK)
     return {
         "n2": 0,
-        "nc": _F8 * ((4 * n + block) * c + min(block * c, np.getbufsize())),
+        "nc": _F8 * (4 * n + block) * c,
         "c2": _F8 * 2 * c * c,
         "n": _F8 * (2 * n + 3 * block),
         "c": _F8 * 2 * c,

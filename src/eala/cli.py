@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import uuid
 
 from .bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchResourceError,
                     bench_sweep, fit_loglog_slope, records_to_csv)
@@ -24,7 +26,8 @@ from .checks import CRITERIA, run_criterion
 from .core import EalaConfig, eala_attention
 from .fidelity import compare, jsonable
 from .oracle import exact_attention
-from .tensorio import TensorFileError, TensorRows, read_tensor, write_tensor
+from .tensorio import (TensorFileError, TensorRows, TensorRowWriter, read_tensor,
+                       write_tensor)
 from .workload import WorkloadSpec
 
 _ATTEND_MODES = ("exact", "eala", "eala-linear", "eala-quadratic")
@@ -134,14 +137,24 @@ def _run_bench(args) -> int:
 def _run_attend(args) -> int:
     paths = (args.q, args.k, args.v)
     if args.mode == "exact":
-        out = exact_attention(*map(read_tensor, paths)).output
-    else:
-        # row readers: the linear path streams the files in row blocks
-        path = {"eala": "auto", "eala-linear": "linear",
-                "eala-quadratic": "quadratic"}[args.mode]
-        cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
-        out = eala_attention(*map(TensorRows, paths), cfg).output
-    write_tensor(args.out, out, "f64")
+        write_tensor(args.out, exact_attention(*map(read_tensor, paths)).output, "f64")
+        return 0
+    # row readers and a row writer: the linear path streams the files in row
+    # blocks.  The rows go to a new file beside --out, which replaces --out
+    # only once all of them are in, so a failure leaves --out as it was.
+    q, k, v = map(TensorRows, paths)
+    path = {"eala": "auto", "eala-linear": "linear",
+            "eala-quadratic": "quadratic"}[args.mode]
+    cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
+    head, tail = os.path.split(os.path.abspath(args.out))
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    out = TensorRowWriter(tmp, (q.shape[0], v.shape[1]))
+    try:
+        eala_attention(q, k, v, cfg, out=out)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return 0
 
 

@@ -7,16 +7,18 @@ The pipeline replaces each softmax attention row with the affine family
 where keys are centered so the weights sum to one for any theta, and theta
 is chosen per query so the family's entropy matches an estimate of the
 softmax row's entropy.  All per-query quantities come from key-level
-summaries (the C x C Gram matrix and khat^T V) that two blocked passes over
-the keys and values collect, so nothing on the linear path ever touches an
-n x n buffer or keeps an n x C copy of K.  The centred keys sum to zero, so
-the first score moment sum_j q . khat_j is zero for every query, and no
-layer computes it.
+summaries (the C x C Gram matrix, khat^T V and the value sum) that two
+blocked passes over the keys, the second also over the values, collect, so
+nothing on the linear path ever touches an n x n buffer or keeps an n x C
+copy of K.  The centred keys sum to zero, so the first score moment
+sum_j q . khat_j is zero for every query, and no layer computes it.
 
 The linear path reads Q, K and V only in row blocks, through `x[lo:hi]`
-and `x.shape`, so besides matrices it takes row readers such as
-`tensorio.TensorRows`: then no input is ever held whole, and n is bounded
-by disk, not memory.
+and `x.shape`, and stores its output a row block at a time through
+`out[lo:hi] = block`.  So besides matrices it takes row readers such as
+`tensorio.TensorRows` and row writers such as `tensorio.TensorRowWriter`:
+then no input and no output is ever held whole, its memory is O(block C),
+and n is bounded by disk, not memory.
 """
 
 from __future__ import annotations
@@ -112,17 +114,16 @@ def _rows_source(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _column_sum(x, scratch=None) -> np.ndarray:
+def _column_sum(x) -> np.ndarray:
     """Column sums of the row source x, a block of rows at a time.
 
     Each block after the first is summed below the running total, which
-    sits in the first row of `scratch` (block + 1 rows, made if not given),
-    so the additions run in the order of numpy's sequential axis-0 sum: on
-    a C-ordered matrix of two or more columns the bits are those of
-    x.sum(axis=0).  (numpy sums one column, or a column-major matrix,
-    pairwise instead.)
+    sits in the first row of a (block + 1)-row scratch, so the additions
+    run in the order of numpy's sequential axis-0 sum: on a C-ordered
+    matrix of two or more columns the bits are those of x.sum(axis=0).
+    (numpy sums one column, or a column-major matrix, pairwise instead.)
     """
-    total = None
+    total = scratch = None
     for lo, hi in _row_blocks(x.shape[0]):
         block = x[lo:hi]
         if total is None:
@@ -145,55 +146,53 @@ def _add(total, part):
     return total
 
 
-def _moment_sums(centred, n: int, v=None) -> tuple:
-    """Gram khat^T khat and, with values v, khat^T V (else None), summed
-    over row blocks; `centred(lo, hi)` gives a block's centred keys."""
-    gram = kv = None
-    for lo, hi in _row_blocks(n):
-        kb = centred(lo, hi)
-        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
-        if v is not None:
-            kv = _add(kv, kb.T @ v[lo:hi])
-    return gram, kv
-
-
 def key_moments(k_mat, v_mat) -> KeyMoments:
     """Summaries of the keys and values in two blocked passes.
 
     K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
-    rows; each is read twice.  The first pass sums the keys and the values.
-    The second centres every block of keys against the mean of all keys,
-    in one reused (block, C) scratch, and sums the Gram khat^T khat and
-    khat^T V.  This is the two-pass scheme (Chan, Golub & LeVeque 1979):
-    offset keys keep their spread, where K^T K - n mu mu^T or a pairwise
-    merge of per-block moments would cancel it away.
-    Nothing n x C is kept.
+    rows: K twice and V once.  The first pass sums the keys.  The second
+    centres every block of keys against the mean of all keys into one
+    reused (block, C + 1) scratch whose last column is 1, and sums the Gram
+    khat^T khat and the scratch's transpose times the block of V, whose
+    first C rows are khat^T V and whose last row is the value sum.  This
+    is the two-pass scheme (Chan, Golub & LeVeque 1979): offset keys keep
+    their spread, where K^T K - n mu mu^T or a pairwise merge of per-block
+    moments would cancel it away.  Nothing n x C is kept.
     """
     k = _rows_source(k_mat)
     v = _rows_source(v_mat)
     if len(k.shape) != 2 or k.shape[0] == 0 or len(v.shape) != 2:
         raise ValueError("key_moments expects a nonempty 2-D key matrix and a 2-D value matrix")
-    n = k.shape[0]
+    n, c = k.shape
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    scratch = np.empty((min(n, _QUERY_BLOCK) + 1, k.shape[1]))
-    mean = _column_sum(k, scratch) / n  # the bits of np.mean, without its wrapper
-    value_sum = _column_sum(v)
-    gram, kv = _moment_sums(
-        lambda lo, hi: center_keys(k[lo:hi], mean, out=scratch[: hi - lo])[0], n, v)
-    return KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=value_sum, count=n)
+    mean = _column_sum(k) / n  # the bits of np.mean, without its wrapper
+    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
+    scratch[:, c] = 1.0
+    gram = kv_sum = None
+    for lo, hi in _row_blocks(n):
+        block = scratch[: hi - lo]
+        kb = center_keys(k[lo:hi], mean, out=block[:, :c])[0]
+        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
+        kv_sum = _add(kv_sum, block.T @ v[lo:hi])
+    return KeyMoments(mean=mean, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
 
 
 def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.ndarray, KeyMoments]:
     """(khat, moments) of whole key and value matrices: K is centred once,
     and row blocks of khat give the sums key_moments takes; KV only
     `with_kv`, as only the linear forward reads it."""
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"K and V row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    khat, mean = center_keys(k, k.sum(axis=0) / k.shape[0])
-    gram, kv = _moment_sums(lambda lo, hi: khat[lo:hi], k.shape[0], v if with_kv else None)
-    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=v.sum(axis=0),
-                            count=k.shape[0])
+    n = k.shape[0]
+    if v.shape[0] != n:
+        raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
+    khat, mean = center_keys(k, k.sum(axis=0) / n)
+    gram = kv = None
+    for lo, hi in _row_blocks(n):
+        kb = khat[lo:hi]
+        gram = _add(gram, kb.T @ kb)
+        if with_kv:
+            kv = _add(kv, kb.T @ v[lo:hi])
+    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=v.sum(axis=0), count=n)
 
 
 def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
@@ -203,14 +202,13 @@ def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
 
     S2 = q M q^T is clamped at zero: M is positive semidefinite, so any
     negative value is rounding noise.  The product q M is one (rows, C)
-    temporary; `eala_attention` passes its queries a block at a time.
+    temporary, which einsum dots row by row with q; `eala_attention`
+    passes its queries a block at a time.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
-    t = q @ m.gram
-    t *= q
-    s2 = t.sum(axis=1)
+    s2 = np.einsum("ij,ij->i", q @ m.gram, q)
     np.maximum(s2, 0.0, out=s2)
     return s2
 
@@ -294,19 +292,20 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
 
     Algebraically identical to the quadratic branch:
 
-        o_i = (sum_j v_j + (q_i / theta_i) KV) / n,   KV = khat^T V,
+        o_i = sum_j v_j / n + (q_i KV) / (n theta_i),   KV = khat^T V,
 
-    with KV and the value sum read from the key pass.  The queries scaled
-    by 1/theta are the one temporary; the product goes straight into
-    `out`, a (rows, D) array, when one is given.
+    with KV and the value sum read from the key pass.  The product q KV
+    goes straight into `out`, a (rows, D) array, when one is given; its
+    rows are then scaled in place, and the sentinel theta = inf scales
+    them by 0.  Beyond `out` only a few (rows,) and (D,) vectors are made.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
     th = _check_theta(theta, q.shape[0])
-    out = np.matmul(q / th[:, None], m.kv, out=out)
-    out += m.value_sum
-    out /= m.count
+    out = np.matmul(q, m.kv, out=out)
+    out *= (1.0 / (m.count * th))[:, None]
+    out += m.value_sum / m.count
     return out
 
 
@@ -339,20 +338,25 @@ def select_path(path: str, n: int, c: int) -> str:
     raise ValueError(f"unknown path {path!r}")
 
 
-def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnResult:
+def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None) -> AttnResult:
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
     Returns the output matrix along with the per-query entropy estimates
     that fed the temperature solve and the temperatures themselves.  NaN or
     inf in Q, K or V raises ValueError naming the input.
 
-    Q, K and V are matrices or row readers (see `key_moments`).  The linear
-    branch with approximate entropies streams them: two passes over the
-    keys and values, then one over row blocks of queries, each block going
-    through the score moments, the entropy estimate, the temperature and
-    the forward straight into its rows of the output.  The quadratic branch
+    Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
+    in numpy, receives the output and is returned as it: a (rows, D) array,
+    or a row writer with a `shape` that takes `out[lo:hi] = block`.  The
+    linear branch with approximate entropies streams them: two passes over
+    the keys, one over the values, then one over row blocks of queries,
+    each block going through the score moments, the entropy estimate, the
+    temperature and the forward, whose result lands in its rows of `out`.
+    A writer is handed each block's output as it is made, and the block is
+    dropped once stored, so no n x D buffer is made.  The quadratic branch
     and the exact entropy source need q khat^T, so they read each input
-    whole and centre K once into khat.
+    whole and centre K once into khat; the quadratic branch stores its
+    output through `out[0:rows]`.
     """
     if cfg is None:
         cfg = EalaConfig()
@@ -361,6 +365,9 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         raise ValueError("Q, K, V must be 2-D")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
+    rows, d = q.shape[0], v.shape[1]
+    if out is not None and tuple(out.shape) != (rows, d):
+        raise ValueError(f"out of shape {tuple(out.shape)} is not the output's {(rows, d)}")
     branch = select_path(cfg.path, n=k.shape[0], c=q.shape[1])
     approx = cfg.entropy_source == "approx"
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
@@ -371,27 +378,33 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None) -> AttnRe
         if approx and branch == "linear":
             m = key_moments(k, v)
         else:
-            q, k, v = q[0:q.shape[0]], k[0:k.shape[0]], v[0:v.shape[0]]
+            q, k, v = q[0:rows], k[0:k.shape[0]], v[0:v.shape[0]]
             khat, m = _whole_key_moments(k, v, with_kv=branch == "linear")
-        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum)
-    if not finite:
-        _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
-                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
-    rows, n = q.shape[0], m.count
-    out = np.empty((rows, v.shape[1])) if branch == "linear" else None
-    ent = np.empty(rows)
-    theta = np.empty(rows)
-    for lo, hi in _row_blocks(rows):
-        qb = q[lo:hi]
-        with np.errstate(invalid="ignore", over="ignore"):
+        if not math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum):
+            _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
+                             ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
+        n = m.count
+        ent = np.empty(rows)
+        theta = np.empty(rows)
+        if branch == "linear" and out is None:
+            out = np.empty((rows, d))
+        for lo, hi in _row_blocks(rows):
+            qb = q[lo:hi]
             s2 = score_moments(qb, m)
-            finite = math.isfinite(s2 @ s2)
-        if not finite:
-            _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
-        theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
-        if out is not None:
-            eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
-    if out is None:
-        out = eala_forward_quadratic(q, khat, v, theta)
+            if not math.isfinite(s2 @ s2):
+                _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
+            ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
+            theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
+            if branch == "quadratic":
+                continue
+            if isinstance(out, np.ndarray):
+                eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
+            else:
+                out[lo:hi] = eala_forward_linear(qb, m, theta[lo:hi])
+        if branch == "quadratic":
+            result = eala_forward_quadratic(q, khat, v, theta)
+            if out is None:
+                out = result
+            else:
+                out[0:rows] = result
     return AttnResult(output=out, entropies=ent, thetas=theta)

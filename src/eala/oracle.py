@@ -319,10 +319,10 @@ def strict_concavity_check(p, q, lam: float) -> float:
 
 
 # Why a score row is rejected, by code: the checks of linear_family_entropy
-# (1-3), then those bisection_theta adds (4-6), whose messages depend on the
+# (1-3), then those bisection_theta adds (4-7), whose messages depend on the
 # call and are built there.
 (_NON_FINITE, _NOT_CENTERED, _BAD_THETA,
- _ZERO_ROW, _OUT_OF_RANGE, _BELOW_RANGE) = range(1, 7)
+ _ZERO_ROW, _OUT_OF_RANGE, _BELOW_RANGE, _NO_VALID_EDGE) = range(1, 8)
 _REJECTIONS = {
     _NON_FINITE: "a must be finite",
     _NOT_CENTERED: "a must sum to zero (centered scores)",
@@ -440,7 +440,9 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
             code[edge[~np.isfinite(lo[edge])]] = _BAD_THETA
             edge = edge[code[edge] == 0]
             if edge.size:
-                h_lo[edge], _ = linear_family_entropy(a[edge], lo[edge])
+                h_lo[edge], valid = linear_family_entropy(a[edge], lo[edge])
+                # max|a| (1 + 1e-6) rounds to max|a| only near the subnormals
+                code[edge[~valid]] = _NO_VALID_EDGE
         code[live[(code[live] == 0) & (targets[live] < h_lo[live])]] = _BELOW_RANGE
         # a bracket whose edges sum past the float64 range fails the theta
         # check, at its midpoint lo + hi = inf
@@ -496,7 +498,9 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
     a bracket [max|a| (1 + 1e-9), 1e9 max|a|] pins the root when one
     exists; a lower edge whose weights round to zero moves to
     max|a| (1 + 1e-6).  Raises when `a` is all zero (family is uniform
-    regardless of theta) or the target lies outside the attainable range.
+    regardless of theta), when the target lies outside the attainable
+    range, or when max|a| is so near the subnormals that the moved edge
+    still rounds to it and no theta gives positive weights.
 
     The solve is a bracketed Newton iteration in x = 1 / theta^2, in which
     the entropy deficit log n - H is nearly linear.  It starts at the
@@ -542,6 +546,10 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
         raise ValueError(
             f"target entropy {target_entropy!r} outside (0, log n) = (0, {log_n!r})"
         )
+    if code[0] == _NO_VALID_EDGE:
+        raise ValueError(
+            f"max|a| = {float(np.max(np.abs(arr)))!r} is too close to zero: no float64 "
+            "theta above it gives every weight positive")
     if code[0] == _BELOW_RANGE:
         raise ValueError(
             f"target entropy {target_entropy!r} below the attainable range "

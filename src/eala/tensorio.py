@@ -12,7 +12,9 @@ Layout, in order:
 Readers always hand back float64 matrices regardless of the stored width.
 `read_tensor` reads a whole payload or a range of its rows; `TensorRows`
 hands out row blocks of one file on demand, so a caller can stream a
-payload larger than memory.
+payload larger than memory.  The writers mirror them: `write_tensor`
+writes a whole file or overwrites a range of an existing file's rows, and
+`TensorRowWriter` creates a file and takes its rows a block at a time.
 """
 
 from __future__ import annotations
@@ -66,13 +68,24 @@ def _all_finite(m: np.ndarray) -> bool:
     return all(np.isfinite(m[lo:lo + step]).all() for lo in range(0, m.shape[0], step))
 
 
-def write_tensor(path, mat, dtype: str = "f64") -> None:
+def _header(code: int, shape: tuple[int, int]) -> bytes:
+    return MAGIC + struct.pack("<BBH2Q", VERSION, code, 2, *shape)
+
+
+def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
     """Write a 2-D float matrix; dtype is "f32" or "f64".
 
     The payload goes from the array's own buffer to the file: a C-contiguous
     float64 matrix written as f64 is not copied.  NaN or inf raises
     ValueError, and so do values that are finite in float64 but beyond the
     float32 range for "f32", before the file is opened.
+
+    `rows`, a pair (lo, hi), writes `mat` over rows lo:hi of the existing
+    file at `path` instead, the mirror of read_tensor(rows=): its header is
+    validated against its size as a read's is, and the file must store
+    `dtype`, have mat's columns and hold rows lo:hi with hi - lo mat's
+    rows, or ValueError naming the file is raised.  Only those rows'
+    bytes change.
     """
     if dtype not in _CODE_FOR_NAME:
         raise ValueError(f'dtype must be "f32" or "f64", got {dtype!r}')
@@ -87,10 +100,22 @@ def write_tensor(path, mat, dtype: str = "f64") -> None:
     if dtype == "f32" and not _all_finite(payload):
         raise ValueError("refusing to write f32: a value beyond "
                          f"±{np.finfo(np.float32).max:.8g} overflows float32")
-    header = MAGIC + struct.pack("<BBH", VERSION, code, m.ndim)
-    dims = struct.pack(f"<{m.ndim}Q", *m.shape)
-    with open(path, "wb") as fh:
-        fh.write(header + dims)
+    if rows is None:
+        with open(path, "wb") as fh:
+            fh.write(_header(code, m.shape))
+            fh.write(payload)
+        return
+    lo, hi = map(operator.index, rows)
+    with open(path, "r+b") as fh:
+        (n, c), dt, _ = _read_header(fh, path)
+        if dt != _DTYPE_CODES[code]:
+            raise ValueError(f"{path}: stores {dt.itemsize * 8}-bit floats, not {dtype}")
+        if c != m.shape[1]:
+            raise ValueError(f"{path}: has {c} columns, the rows to write {m.shape[1]}")
+        if not (0 <= lo <= hi <= n and hi - lo == m.shape[0]):
+            raise ValueError(f"{path}: rows {lo}:{hi} of its {n} rows cannot take "
+                             f"{m.shape[0]} rows")
+        fh.seek(lo * c * dt.itemsize, os.SEEK_CUR)
         fh.write(payload)
 
 
@@ -199,3 +224,38 @@ class TensorRows:
     def _check_unchanged(self) -> None:
         if _stamp(os.stat(self.path)) != self._stamp:
             raise TensorFileError(f"{self.path}: changed between block reads")
+
+
+class TensorRowWriter:
+    """A new tensor file whose rows are written a block at a time.
+
+    Making the writer creates the file at `path`, which must not exist yet,
+    with the header of a (rows, cols) matrix of `dtype` and a payload of
+    that size (its rows read as zeros until written).  `w[lo:hi] = block`
+    writes those rows through `write_tensor(path, block, dtype,
+    rows=(lo, hi))`, so each block is checked as a whole write is, and the
+    header is validated again.  Nothing beyond the block is held.
+    """
+
+    def __init__(self, path, shape, dtype: str = "f64"):
+        if dtype not in _CODE_FOR_NAME:
+            raise ValueError(f'dtype must be "f32" or "f64", got {dtype!r}')
+        rows, cols = map(operator.index, shape)
+        if rows < 0 or cols < 0:
+            raise ValueError(f"shape {shape} has a negative dimension")
+        self.path, self.shape, self.dtype = path, (rows, cols), dtype
+        code = _CODE_FOR_NAME[dtype]
+        header = _header(code, self.shape)
+        with open(path, "xb") as fh:
+            try:
+                fh.write(header)
+                fh.truncate(len(header) + rows * cols * _DTYPE_CODES[code].itemsize)
+            except BaseException:
+                os.remove(path)
+                raise
+
+    def __setitem__(self, rows: slice, block) -> None:
+        lo, hi, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("TensorRowWriter writes contiguous row ranges only")
+        write_tensor(self.path, block, self.dtype, rows=(lo, max(lo, hi)))

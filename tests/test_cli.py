@@ -277,7 +277,47 @@ class TestStreamedAttend:
         out = tmp_path / "out.bin"
         assert self.attend(paths, out) == 3
         assert f"error: {bad}: payload contains non-finite values" in capsys.readouterr().err
-        assert not out.exists()
+        # nor any temporary file: Q's last block is read after the others
+        # are written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "q.bin", "v.bin"]
+
+    @pytest.mark.parametrize("name", ["q", "v"])
+    def test_failure_leaves_an_existing_output_as_it_was(self, tmp_path, name):
+        paths = self.write_inputs(tmp_path, 5000)
+        out = tmp_path / "out.bin"
+        write_tensor(out, gaussian_matrix(3, 2, 70))
+        before = out.read_bytes()
+        bad = tmp_path / f"{name}.bin"
+        raw = bytearray(bad.read_bytes())
+        raw[-8:] = struct.pack("<d", np.nan)
+        bad.write_bytes(bytes(raw))
+        assert self.attend(paths, out) == 3
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "out.bin", "q.bin", "v.bin"]
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    def test_output_over_an_input_is_the_in_memory_bits(self, tmp_path, name):
+        n = 2 * _QUERY_BLOCK + 1
+        paths = self.write_inputs(tmp_path, n)
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv")).output
+        assert self.attend(paths, paths[name]) == 0
+        assert np.array_equal(read_tensor(paths[name]), want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "q.bin", "v.bin"]
+
+    def test_peak_holds_no_output_sized_buffer(self, tmp_path):
+        # at 65536 x 64 the output is 32 MiB; a few blocks of 2048 rows, and
+        # the per-query entropies and temperatures, stay below a quarter of it
+        n, c = 65536, 64
+        paths = self.write_inputs(tmp_path, n, c)
+        out = tmp_path / "out.bin"
+        self.attend(paths, out)  # warm-up
+        tracemalloc.start()
+        try:
+            assert self.attend(paths, out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * c / 4
 
     def test_peak_holds_the_output_and_a_few_blocks(self, tmp_path):
         n, c, d = 16384, 64, 64

@@ -93,6 +93,13 @@ def whole_matrix_moments(k, v):
     return khat.T @ khat, khat.T @ v, np.sum(v, axis=0)
 
 
+def assert_value_sum(got, v):
+    """got is the column sum of v up to the summation order: two orders of
+    n terms differ by at most 2 n eps sum_j |v_j| per column."""
+    bound = 2 * v.shape[0] * np.finfo(np.float64).eps * np.sum(np.abs(v), axis=0)
+    assert np.all(np.abs(got - np.sum(v, axis=0)) <= bound)
+
+
 def max_rel(got, want, scale=None):
     if scale is None:
         scale = float(np.max(np.abs(want)))
@@ -105,9 +112,10 @@ class TestKeyPass:
         k = gaussian_matrix(n, 16, 1800)
         v = gaussian_matrix(n, 8, 1801)
         m = key_moments(k, v)
-        got = (m.gram, m.kv, m.value_sum)
-        for a, b in zip(got, whole_matrix_moments(k, v)):
-            assert np.array_equal(a, b)
+        gram, kv, _ = whole_matrix_moments(k, v)
+        assert np.array_equal(m.gram, gram) and np.array_equal(m.kv, kv)
+        # the value sum is the last row of one GEMM with the centred keys
+        assert_value_sum(m.value_sum, v)
         assert np.array_equal(m.mean, np.mean(k, axis=0)) and m.count == n
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -119,17 +127,18 @@ class TestKeyPass:
         gram, kv, value_sum = whole_matrix_moments(k, v)
         assert max_rel(m.gram, gram) <= 1e-11
         assert max_rel(m.kv, kv) <= 1e-11
-        assert np.array_equal(m.value_sum, value_sum)
+        assert_value_sum(m.value_sum, v)
 
     @pytest.mark.parametrize("n", [_QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3])
     def test_blocked_sums_are_numpys_axis0_sums(self, n):
         # the running total is summed above each block, in numpy's order;
-        # strided head slices of a wider matrix sum the same way
+        # strided head slices of a wider matrix sum the same way.  The value
+        # sum comes out of the GEMM that gives khat^T V, in BLAS's order.
         wide = gaussian_matrix(n, 48, 1830) + 1e6
         for k, v in ((wide[:, :16], wide[:, 16:24]), (wide[:, 24:40].copy(), wide[:, 40:])):
             m = key_moments(k, v)
             assert np.array_equal(m.mean, np.mean(k, axis=0))
-            assert np.array_equal(m.value_sum, np.sum(v, axis=0))
+            assert_value_sum(m.value_sum, v)
 
     def test_offset_keys_keep_their_gram(self):
         # centring against the mean of all keys first loses no spread
@@ -385,12 +394,14 @@ def whole_matrix_linear_path(q, k, v):
     """The linear path with every query-side product over all rows at once:
     the reference for the row-blocked score moments and forward."""
     khat = k - np.mean(k, axis=0)
-    n = khat.shape[0]
-    s2 = np.sum((q @ (khat.T @ khat)) * q, axis=1)
+    n, c = khat.shape
+    s2 = np.einsum("ij,ij->i", q @ (khat.T @ khat), q)
     np.maximum(s2, 0.0, out=s2)
     ent = approx_entropy(s2, n)
     theta = theta_star(s2, ent, n)
-    out = (np.sum(v, axis=0)[None, :] + (q / theta[:, None]) @ (khat.T @ v)) / n
+    # one GEMM gives khat^T V and, through a column of ones, the value sum
+    kv_sum = np.hstack([khat, np.ones((n, 1))]).T @ v
+    out = (q @ kv_sum[:c]) * (1.0 / (n * theta))[:, None] + kv_sum[c] / n
     return out, ent, theta
 
 
@@ -452,8 +463,23 @@ class RecordedRows:
         return self.mat[lo:hi].copy()
 
 
+class RecordedWriter:
+    """A row writer into a matrix that records every row range written."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.mat = np.full(shape, np.nan)
+        self.writes = []
+
+    def __setitem__(self, rows, block):
+        lo, hi, _ = rows.indices(self.shape[0])
+        self.writes.append((lo, hi))
+        self.mat[lo:hi] = block
+
+
 class TestRowReaders:
     N = 2 * _QUERY_BLOCK + 3
+    BLOCKS = [(0, _QUERY_BLOCK), (_QUERY_BLOCK, 2 * _QUERY_BLOCK), (2 * _QUERY_BLOCK, N)]
 
     def readers(self, n=N, c=8):
         return [RecordedRows(m) for m in random_instance(n, c, 2000, 0.05)]
@@ -466,9 +492,43 @@ class TestRowReaders:
         for a, b in zip((res.output, res.entropies, res.thetas),
                         (want.output, want.entropies, want.thetas)):
             assert np.array_equal(a, b)
-        blocks = [(lo, min(lo + _QUERY_BLOCK, self.N)) for lo in range(0, self.N, _QUERY_BLOCK)]
-        assert q.reads == blocks
-        assert k.reads == v.reads == blocks + blocks  # two passes over K and V
+        assert q.reads == v.reads == self.BLOCKS
+        assert k.reads == self.BLOCKS + self.BLOCKS  # two passes over K, one over V
+
+    @pytest.mark.parametrize("path", ["auto", "linear"])
+    def test_linear_path_writes_each_block_once(self, path):
+        q, k, v = self.readers()
+        out = RecordedWriter((self.N, 8))
+        res = eala_attention(q, k, v, EalaConfig(path=path), out=out)
+        assert res.output is out
+        assert out.writes == self.BLOCKS
+        want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
+        assert np.array_equal(out.mat, want.output)
+        assert q.reads == v.reads == self.BLOCKS and k.reads == self.BLOCKS + self.BLOCKS
+
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    def test_branches_needing_khat_write_once_whole(self, cfg):
+        q, k, v = self.readers(n=40)
+        out = RecordedWriter((40, 8))
+        eala_attention(q, k, v, cfg, out=out)
+        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        assert np.array_equal(out.mat, want.output)
+        # at 40 rows the linear forward of the exact source has one block
+        assert out.writes == [(0, 40)]
+
+    def test_array_out_is_filled_and_returned(self):
+        q, k, v = random_instance(self.N, 8, 2001, 0.05)
+        for cfg in (EalaConfig(path="linear"), EalaConfig(path="quadratic")):
+            out = np.full((self.N, 8), np.nan)
+            res = eala_attention(q, k, v, cfg, out=out)
+            assert res.output is out
+            assert np.array_equal(out, eala_attention(q, k, v, cfg).output)
+
+    def test_out_of_the_wrong_shape_is_refused(self):
+        q, k, v = self.readers(n=40)
+        with pytest.raises(ValueError, match="not the output's"):
+            eala_attention(q, k, v, out=RecordedWriter((40, 7)))
+        assert q.reads == k.reads == v.reads == []
 
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
     def test_branches_needing_khat_read_each_input_once_whole(self, cfg):

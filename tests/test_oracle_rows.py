@@ -49,6 +49,9 @@ def ref_bisection(a, target, tol=1e-10, max_iter=200):
     if not ok:
         lo = amax * (1.0 + 1e-6)
         h_lo, ok = ref_family_entropy(a, lo)
+    if not ok:
+        raise ValueError(f"max|a| = {amax!r} is too close to zero: no float64 "
+                         "theta above it gives every weight positive")
     if target < h_lo:
         raise ValueError(
             f"target entropy {target!r} below the attainable range "
@@ -361,6 +364,18 @@ class TestBisectionRows:
         assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
         assert per_row(bisection_theta, rows, targets)[1] == [
             None, "theta must be a positive finite number", None]
+
+    def test_rows_near_the_subnormals_are_rejected_at_the_bracket(self):
+        # max|a| (1 + 1e-9) and max|a| (1 + 1e-6) both round to max|a|, so
+        # no theta in the bracket gives positive weights
+        a = np.array([5e-324, -5e-324])
+        with pytest.raises(ValueError, match="^max\\|a\\| = 5e-324 is too close to zero"):
+            bisection_theta(a, 0.5)
+        rows = np.array([a, [1e-320, -1e-320], [1e-310, -1e-310], [0.3, -0.3]])
+        targets = np.full(4, 0.5)
+        got = bisection_theta(rows, targets)
+        assert np.isnan(got[:2]).all() and not np.isnan(got[2:]).any()
+        assert_rows_match_the_reference(rows, targets)
 
     def test_single_entry_rows_are_rejected(self):
         got = bisection_theta(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))

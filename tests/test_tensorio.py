@@ -10,8 +10,8 @@ import pytest
 
 from eala.numerics import gaussian_matrix
 from eala.tensorio import (MAGIC, VERSION, TensorFileError, TensorMagicError,
-                           TensorRows, TensorTruncationError, TensorVersionError,
-                           read_tensor, write_tensor)
+                           TensorRows, TensorRowWriter, TensorTruncationError,
+                           TensorVersionError, read_tensor, write_tensor)
 
 
 def roundtrip(tmp_path, mat, dtype="f64"):
@@ -247,6 +247,109 @@ class TestTensorRows:
         p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 45))
         with pytest.raises(ValueError, match="contiguous"):
             TensorRows(p)[0:9:2]
+
+
+class TestRowWrites:
+    """write_tensor(rows=) overwrites rows of an existing file, the mirror
+    of read_tensor(rows=), and refuses any block the file cannot take."""
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (0, 1), (3, 7), (8, 9), (4, 4)])
+    def test_rows_land_in_their_slice(self, tmp_path, dtype, lo, hi):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 50), dtype=dtype)
+        size = p.stat().st_size
+        block = gaussian_matrix(9, 5, 51)[lo:hi]
+        write_tensor(p, block, dtype, rows=(lo, hi))
+        want = whole.copy()
+        want[lo:hi] = block.astype(dtype.replace("f", "float"))
+        assert np.array_equal(read_tensor(p), want) and p.stat().st_size == size
+
+    @pytest.mark.parametrize("lo, hi, height", [(-1, 2, 3), (8, 10, 2), (5, 4, 0), (0, 2, 3)])
+    def test_rejects_a_range_outside_the_file_or_of_another_height(self, tmp_path, lo, hi,
+                                                                    height):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 52))
+        with pytest.raises(ValueError, match="t.bin: rows"):
+            write_tensor(p, np.ones((height, 5)), rows=(lo, hi))
+        assert np.array_equal(read_tensor(p), whole)
+
+    def test_rejects_a_column_mismatch(self, tmp_path):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 53))
+        with pytest.raises(ValueError, match="t.bin: has 5 columns"):
+            write_tensor(p, np.ones((2, 4)), rows=(0, 2))
+        assert np.array_equal(read_tensor(p), whole)
+
+    def test_rejects_a_dtype_mismatch(self, tmp_path):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 54), dtype="f32")
+        with pytest.raises(ValueError, match="t.bin: stores 32-bit floats, not f64"):
+            write_tensor(p, np.ones((2, 5)), "f64", rows=(0, 2))
+        assert np.array_equal(read_tensor(p), whole)
+
+    @pytest.mark.parametrize("cut", [6, 20, 8])
+    def test_rejects_a_short_header_or_payload(self, tmp_path, cut):
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 55))
+        p.write_bytes(p.read_bytes()[:cut] if cut != 8 else p.read_bytes()[:-8])
+        with pytest.raises(TensorTruncationError, match="t.bin"):
+            write_tensor(p, np.ones((1, 5)), rows=(0, 1))
+
+    def test_rejects_a_changed_header(self, tmp_path):
+        # the same payload size read as 5 x 9: the columns no longer match
+        p, _ = roundtrip(tmp_path, gaussian_matrix(9, 5, 56))
+        raw = bytearray(p.read_bytes())
+        raw[8:24] = struct.pack("<2Q", 5, 9)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="t.bin: has 9 columns"):
+            write_tensor(p, np.ones((1, 5)), rows=(0, 1))
+        raw[:4] = b"NOPE"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TensorMagicError, match="t.bin"):
+            write_tensor(p, np.ones((1, 9)), rows=(0, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_block_before_opening(self, tmp_path, bad):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 57))
+        block = np.ones((2, 5))
+        block[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            write_tensor(p, block, rows=(2, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_tensor(tmp_path / "missing.bin", block, rows=(2, 4))
+        assert np.array_equal(read_tensor(p), whole)
+
+
+class TestTensorRowWriter:
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_blocks_make_the_file_a_whole_write_makes(self, tmp_path, dtype):
+        mat = gaussian_matrix(9, 5, 60)
+        w = TensorRowWriter(tmp_path / "w.bin", (9, 5), dtype)
+        assert w.shape == (9, 5)
+        for lo, hi in ((4, 9), (0, 4)):
+            w[lo:hi] = mat[lo:hi]
+        write_tensor(tmp_path / "whole.bin", mat, dtype)
+        assert (tmp_path / "w.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    def test_new_file_has_header_and_sized_payload(self, tmp_path):
+        TensorRowWriter(tmp_path / "w.bin", (3, 2))
+        assert np.array_equal(read_tensor(tmp_path / "w.bin"), np.zeros((3, 2)))
+        TensorRowWriter(tmp_path / "e.bin", (0, 4))
+        assert read_tensor(tmp_path / "e.bin").shape == (0, 4)
+
+    def test_an_existing_file_is_not_replaced(self, tmp_path):
+        p, whole = roundtrip(tmp_path, gaussian_matrix(9, 5, 61))
+        with pytest.raises(FileExistsError):
+            TensorRowWriter(p, (9, 5))
+        assert np.array_equal(read_tensor(p), whole)
+
+    def test_blocks_are_checked(self, tmp_path):
+        w = TensorRowWriter(tmp_path / "w.bin", (4, 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            w[0:1] = np.array([[1.0, np.nan]])
+        with pytest.raises(ValueError, match="w.bin: rows 2:4"):
+            w[2:6] = np.ones((4, 2))  # clamped to 2:4, as a numpy slice is
+        with pytest.raises(ValueError, match="contiguous"):
+            w[0:4:2] = np.ones((2, 2))
+        with pytest.raises(ValueError, match="dtype"):
+            TensorRowWriter(tmp_path / "x.bin", (4, 2), "f16")
+        assert not (tmp_path / "x.bin").exists()
 
 
 class TestWriteValidation:
