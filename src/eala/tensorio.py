@@ -241,8 +241,6 @@ class TensorRowWriter:
         if dtype not in _CODE_FOR_NAME:
             raise ValueError(f'dtype must be "f32" or "f64", got {dtype!r}')
         rows, cols = map(operator.index, shape)
-        if rows < 0 or cols < 0:
-            raise ValueError(f"shape {shape} has a negative dimension")
         self.path, self.shape, self.dtype = path, (rows, cols), dtype
         code = _CODE_FOR_NAME[dtype]
         header = _header(code, self.shape)
