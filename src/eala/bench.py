@@ -55,11 +55,12 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       the weights by theta in place takes, counted under
                       nc + gram (c^2) + S2, entropy, theta (3n) + key mean,
                       value sum (2c)
-    eala-linear...... Q,K,V,out (4nc) + one block's product q M in the
-                      score moments (min(n, block) rows of c, counted under
-                      nc; the key pass's (block, c + 1) scratch is freed
-                      before it is made, and the forward writes q KV
-                      straight into the output) + gram and KV (2c^2) +
+    eala-linear...... Q,K,V,out (4nc) + one block of min(n, block) rows
+                      of c, counted under nc: the product q M in the score
+                      moments, or the queries scaled by 1/(n theta) in the
+                      forward, which is made after q M is freed (the key
+                      pass's (block, c + 1) scratch is freed before
+                      either) + gram and KV (2c^2) +
                       entropy, theta (2n) + one block's S2 and the entropy
                       estimate's two temporaries (3 min(n, block), counted
                       under n) + key mean, value sum (2c); no khat and no

@@ -146,18 +146,38 @@ def _add(total, part):
     return total
 
 
+def _moment_sums(centre, n: int, c: int, v=None) -> tuple:
+    """Gram khat^T khat and, with values v, [khat | 1]^T V (else None),
+    summed over row blocks of the n keys.
+
+    `centre(lo, hi, out)` writes the centred keys lo:hi into `out`, the
+    first C columns of one reused (block, C + 1) scratch whose last column
+    is 1.  So one GEMM of the scratch's transpose with the block of V gives
+    khat^T V in its first C rows and the value sum in its last.
+    """
+    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
+    scratch[:, c] = 1.0
+    gram = kv_sum = None
+    for lo, hi in _row_blocks(n):
+        block = scratch[: hi - lo]
+        kb = block[:, :c]
+        centre(lo, hi, kb)
+        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
+        if v is not None:
+            kv_sum = _add(kv_sum, block.T @ v[lo:hi])
+    return gram, kv_sum
+
+
 def key_moments(k_mat, v_mat) -> KeyMoments:
     """Summaries of the keys and values in two blocked passes.
 
     K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
     rows: K twice and V once.  The first pass sums the keys.  The second
-    centres every block of keys against the mean of all keys into one
-    reused (block, C + 1) scratch whose last column is 1, and sums the Gram
-    khat^T khat and the scratch's transpose times the block of V, whose
-    first C rows are khat^T V and whose last row is the value sum.  This
-    is the two-pass scheme (Chan, Golub & LeVeque 1979): offset keys keep
-    their spread, where K^T K - n mu mu^T or a pairwise merge of per-block
-    moments would cancel it away.  Nothing n x C is kept.
+    centres every block of keys against the mean of all keys and sums the
+    Gram khat^T khat, khat^T V and the value sum (see `_moment_sums`).
+    This is the two-pass scheme (Chan, Golub & LeVeque 1979): offset keys
+    keep their spread, where K^T K - n mu mu^T or a pairwise merge of
+    per-block moments would cancel it away.  Nothing n x C is kept.
     """
     k = _rows_source(k_mat)
     v = _rows_source(v_mat)
@@ -167,32 +187,23 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
     mean = _column_sum(k) / n  # the bits of np.mean, without its wrapper
-    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
-    scratch[:, c] = 1.0
-    gram = kv_sum = None
-    for lo, hi in _row_blocks(n):
-        block = scratch[: hi - lo]
-        kb = center_keys(k[lo:hi], mean, out=block[:, :c])[0]
-        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
-        kv_sum = _add(kv_sum, block.T @ v[lo:hi])
+    gram, kv_sum = _moment_sums(lambda lo, hi, out: center_keys(k[lo:hi], mean, out=out), n, c, v)
     return KeyMoments(mean=mean, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
 
 
 def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.ndarray, KeyMoments]:
     """(khat, moments) of whole key and value matrices: K is centred once,
-    and row blocks of khat give the sums key_moments takes; KV only
-    `with_kv`, as only the linear forward reads it."""
-    n = k.shape[0]
+    and row blocks of khat give the sums key_moments takes, by the same
+    GEMMs.  KV only `with_kv`, as only the linear forward reads it; without
+    it the value sum is numpy's."""
+    n, c = k.shape
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
     khat, mean = center_keys(k, k.sum(axis=0) / n)
-    gram = kv = None
-    for lo, hi in _row_blocks(n):
-        kb = khat[lo:hi]
-        gram = _add(gram, kb.T @ kb)
-        if with_kv:
-            kv = _add(kv, kb.T @ v[lo:hi])
-    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=v.sum(axis=0), count=n)
+    gram, kv_sum = _moment_sums(lambda lo, hi, out: np.copyto(out, khat[lo:hi]), n, c,
+                                v if with_kv else None)
+    kv, value_sum = (kv_sum[:c], kv_sum[c]) if with_kv else (None, v.sum(axis=0))
+    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=value_sum, count=n)
 
 
 def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
@@ -292,19 +303,19 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
 
     Algebraically identical to the quadratic branch:
 
-        o_i = sum_j v_j / n + (q_i KV) / (n theta_i),   KV = khat^T V,
+        o_i = (q_i / (n theta_i)) KV + sum_j v_j / n,   KV = khat^T V,
 
-    with KV and the value sum read from the key pass.  The product q KV
-    goes straight into `out`, a (rows, D) array, when one is given; its
-    rows are then scaled in place, and the sentinel theta = inf scales
-    them by 0.  Beyond `out` only a few (rows,) and (D,) vectors are made.
+    with KV and the value sum read from the key pass.  The queries scaled
+    by 1/(n theta) are the one (rows, C) temporary: scaled first, a row of
+    large scores keeps its product with KV in range, where q KV alone
+    would overflow.  The sentinel theta = inf scales a row by 0.  The
+    product goes straight into `out`, a (rows, D) array, when one is given.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
     th = _check_theta(theta, q.shape[0])
-    out = np.matmul(q, m.kv, out=out)
-    out *= (1.0 / (m.count * th))[:, None]
+    out = np.matmul(q * (1.0 / (m.count * th))[:, None], m.kv, out=out)
     out += m.value_sum / m.count
     return out
 
@@ -373,38 +384,43 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
     # its block's S2, so their sums of squares check all three inputs with
     # no pass of their own.  With q holding inf, S2 = q M q^T is +inf or NaN
-    # (M is PSD), so its clamp at zero hides nothing.
+    # (M is PSD), so its clamp at zero hides nothing.  Floating-point
+    # warnings are silenced for those sums and checks alone: an overflow
+    # in a later step still warns.
     with np.errstate(invalid="ignore", over="ignore"):
         if approx and branch == "linear":
             m = key_moments(k, v)
         else:
             q, k, v = q[0:rows], k[0:k.shape[0]], v[0:v.shape[0]]
             khat, m = _whole_key_moments(k, v, with_kv=branch == "linear")
-        if not math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum):
-            _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
-                             ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
-        n = m.count
-        ent = np.empty(rows)
-        theta = np.empty(rows)
-        if branch == "linear" and out is None:
-            out = np.empty((rows, d))
-        for lo, hi in _row_blocks(rows):
-            qb = q[lo:hi]
+        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum)
+    if not finite:
+        _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
+                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
+    n = m.count
+    ent = np.empty(rows)
+    theta = np.empty(rows)
+    if branch == "linear" and out is None:
+        out = np.empty((rows, d))
+    for lo, hi in _row_blocks(rows):
+        qb = q[lo:hi]
+        with np.errstate(invalid="ignore", over="ignore"):
             s2 = score_moments(qb, m)
-            if not math.isfinite(s2 @ s2):
-                _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-            ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
-            theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
-            if branch == "quadratic":
-                continue
-            if isinstance(out, np.ndarray):
-                eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
-            else:
-                out[lo:hi] = eala_forward_linear(qb, m, theta[lo:hi])
+            finite = math.isfinite(s2 @ s2)
+        if not finite:
+            _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
+        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
+        theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
         if branch == "quadratic":
-            result = eala_forward_quadratic(q, khat, v, theta)
-            if out is None:
-                out = result
-            else:
-                out[0:rows] = result
+            continue
+        if isinstance(out, np.ndarray):
+            eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
+        else:
+            out[lo:hi] = eala_forward_linear(qb, m, theta[lo:hi])
+    if branch == "quadratic":
+        result = eala_forward_quadratic(q, khat, v, theta)
+        if out is None:
+            out = result
+        else:
+            out[0:rows] = result
     return AttnResult(output=out, entropies=ent, thetas=theta)

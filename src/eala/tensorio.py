@@ -77,15 +77,15 @@ def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
 
     The payload goes from the array's own buffer to the file: a C-contiguous
     float64 matrix written as f64 is not copied.  NaN or inf raises
-    ValueError, and so do values that are finite in float64 but beyond the
-    float32 range for "f32", before the file is opened.
+    ValueError before the file is opened, and so do values that are finite
+    in float64 but beyond the float32 range for "f32".
 
     `rows`, a pair (lo, hi), writes `mat` over rows lo:hi of the existing
     file at `path` instead, the mirror of read_tensor(rows=): its header is
-    validated against its size as a read's is, and the file must store
-    `dtype`, have mat's columns and hold rows lo:hi with hi - lo mat's
-    rows, or ValueError naming the file is raised.  Only those rows'
-    bytes change.
+    validated against its size as a read's is, the values are stored in
+    the width that header declares (`dtype` is not read), and the file
+    must have mat's columns and hold rows lo:hi with hi - lo mat's rows,
+    or ValueError naming the file is raised.  Only those rows' bytes change.
     """
     if dtype not in _CODE_FOR_NAME:
         raise ValueError(f'dtype must be "f32" or "f64", got {dtype!r}')
@@ -94,13 +94,9 @@ def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
         raise ValueError("write_tensor expects a 2-D matrix")
     if not _all_finite(m):
         raise ValueError("refusing to write non-finite values")
-    code = _CODE_FOR_NAME[dtype]
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(m, dtype=_DTYPE_CODES[code])
-    if dtype == "f32" and not _all_finite(payload):
-        raise ValueError("refusing to write f32: a value beyond "
-                         f"±{np.finfo(np.float32).max:.8g} overflows float32")
     if rows is None:
+        code = _CODE_FOR_NAME[dtype]
+        payload = _payload(m, _DTYPE_CODES[code])
         with open(path, "wb") as fh:
             fh.write(_header(code, m.shape))
             fh.write(payload)
@@ -108,15 +104,25 @@ def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
     lo, hi = map(operator.index, rows)
     with open(path, "r+b") as fh:
         (n, c), dt, _ = _read_header(fh, path)
-        if dt != _DTYPE_CODES[code]:
-            raise ValueError(f"{path}: stores {dt.itemsize * 8}-bit floats, not {dtype}")
         if c != m.shape[1]:
             raise ValueError(f"{path}: has {c} columns, the rows to write {m.shape[1]}")
         if not (0 <= lo <= hi <= n and hi - lo == m.shape[0]):
             raise ValueError(f"{path}: rows {lo}:{hi} of its {n} rows cannot take "
                              f"{m.shape[0]} rows")
+        payload = _payload(m, dt)
         fh.seek(lo * c * dt.itemsize, os.SEEK_CUR)
         fh.write(payload)
+
+
+def _payload(m: np.ndarray, dt: np.dtype) -> np.ndarray:
+    """The finite float64 m as contiguous scalars of dt; a value beyond
+    the float32 range raises ValueError when dt is 4 bytes wide."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(m, dtype=dt)
+    if dt.itemsize == 4 and not _all_finite(payload):
+        raise ValueError("refusing to write f32: a value beyond "
+                         f"±{np.finfo(np.float32).max:.8g} overflows float32")
+    return payload
 
 
 def _read_header(fh, path) -> tuple[tuple[int, int], np.dtype, os.stat_result]:
@@ -227,22 +233,20 @@ class TensorRows:
 
 
 class TensorRowWriter:
-    """A new tensor file whose rows are written a block at a time.
+    """A new f64 tensor file whose rows are written a block at a time.
 
     Making the writer creates the file at `path`, which must not exist yet,
-    with the header of a (rows, cols) matrix of `dtype` and a payload of
-    that size (its rows read as zeros until written).  `w[lo:hi] = block`
-    writes those rows through `write_tensor(path, block, dtype,
-    rows=(lo, hi))`, so each block is checked as a whole write is, and the
-    header is validated again.  Nothing beyond the block is held.
+    with the header of a (rows, cols) float64 matrix and a payload of that
+    size (its rows read as zeros until written).  `w[lo:hi] = block`
+    writes those rows through `write_tensor(path, block, rows=(lo, hi))`,
+    so each block is checked as a whole write is, and the header is
+    validated again.  Nothing beyond the block is held.
     """
 
-    def __init__(self, path, shape, dtype: str = "f64"):
-        if dtype not in _CODE_FOR_NAME:
-            raise ValueError(f'dtype must be "f32" or "f64", got {dtype!r}')
+    def __init__(self, path, shape):
         rows, cols = map(operator.index, shape)
-        self.path, self.shape, self.dtype = path, (rows, cols), dtype
-        code = _CODE_FOR_NAME[dtype]
+        self.path, self.shape = path, (rows, cols)
+        code = _CODE_FOR_NAME["f64"]
         header = _header(code, self.shape)
         with open(path, "xb") as fh:
             try:
@@ -256,4 +260,4 @@ class TensorRowWriter:
         lo, hi, step = rows.indices(self.shape[0])
         if step != 1:
             raise ValueError("TensorRowWriter writes contiguous row ranges only")
-        write_tensor(self.path, block, self.dtype, rows=(lo, max(lo, hi)))
+        write_tensor(self.path, block, rows=(lo, max(lo, hi)))

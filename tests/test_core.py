@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
-                       approx_entropy, center_keys, eala_attention,
+                       _whole_key_moments, approx_entropy, center_keys, eala_attention,
                        eala_forward_linear, eala_forward_quadratic,
                        eala_weights, key_moments, score_moments, select_path,
                        theta_star)
@@ -139,6 +139,17 @@ class TestKeyPass:
             m = key_moments(k, v)
             assert np.array_equal(m.mean, np.mean(k, axis=0))
             assert_value_sum(m.value_sum, v)
+
+    @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, 2 * _QUERY_BLOCK + 3])
+    def test_whole_matrix_sums_are_the_streamed_sums(self, n):
+        # both linear variants (approx and exact entropies) read KV and the
+        # value sum from the same blocked GEMM, so their bits agree
+        k = gaussian_matrix(n, 16, 1840) + 1e6
+        v = gaussian_matrix(n, 8, 1841)
+        want = key_moments(k, v)
+        got = _whole_key_moments(k, v, with_kv=True)[1]
+        for field in ("mean", "gram", "kv", "value_sum"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_offset_keys_keep_their_gram(self):
         # centring against the mean of all keys first loses no spread
@@ -401,7 +412,7 @@ def whole_matrix_linear_path(q, k, v):
     theta = theta_star(s2, ent, n)
     # one GEMM gives khat^T V and, through a column of ones, the value sum
     kv_sum = np.hstack([khat, np.ones((n, 1))]).T @ v
-    out = (q @ kv_sum[:c]) * (1.0 / (n * theta))[:, None] + kv_sum[c] / n
+    out = (q * (1.0 / (n * theta))[:, None]) @ kv_sum[:c] + kv_sum[c] / n
     return out, ent, theta
 
 
@@ -591,6 +602,18 @@ class TestNonFiniteInput:
         q, k, v = random_instance(12, 3, 1940)
         out = eala_attention(q, k, v * 1e155).output
         assert np.isfinite(out).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("path", ["linear", "quadratic"])
+    def test_large_scores_and_values_pass(self, path):
+        # q . khat near 1e100 and V near 1e210: q KV would overflow, but
+        # theta grows with the scores, so the output stays near V's scale
+        q = gaussian_matrix(8, 4, 1950) * 1e50
+        k = gaussian_matrix(8, 4, 1951) * 1e50
+        v = gaussian_matrix(8, 3, 1952) * 1e210
+        res = eala_attention(q, k, v, EalaConfig(path=path))
+        for got, want in zip((res.output, res.entropies, res.thetas), direct_sums(q, k, v)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_is_told_apart(self):
