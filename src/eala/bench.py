@@ -58,9 +58,10 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     eala-linear...... Q,K,V,out (4nc) + one block of min(n, block) rows
                       of c, counted under nc: the product q M in the score
                       moments, or the queries scaled by 1/(n theta) in the
-                      forward, which is made after q M is freed (the key
-                      pass's (block, c + 1) scratch is freed before
-                      either) + gram and KV (2c^2) +
+                      forward, which is made after q M is freed, with the
+                      ufunc buffer (at most one block) that the scaling
+                      takes; the key pass's (block, c + 1) scratch is freed
+                      before either + gram and KV (2c^2) +
                       entropy, theta (2n) + one block's S2 and the entropy
                       estimate's two temporaries (3 min(n, block), counted
                       under n) + key mean, value sum (2c); no khat and no
@@ -89,7 +90,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     block = min(n, _QUERY_BLOCK)
     return {
         "n2": 0,
-        "nc": _F8 * (4 * n + block) * c,
+        "nc": _F8 * ((4 * n + block) * c + min(block * c, np.getbufsize())),
         "c2": _F8 * 2 * c * c,
         "n": _F8 * (2 * n + 3 * block),
         "c": _F8 * 2 * c,
