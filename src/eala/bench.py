@@ -49,12 +49,13 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       softmax kernel's one (min(n, block), n) scratch,
                       counted under nc: it is freed before the output is
                       made
-    eala-quadratic... Q,K,V,khat (4nc) + one n*n weight buffer + the
+    eala-quadratic... Q,K,V,khat (4nc) + one n*n weight buffer (the score
+                      block that gives S2 is freed before it is made) + the
                       larger of the output (nc) and the ufunc buffer
                       (np.getbufsize() entries, at most n*n) that dividing
                       the weights by theta in place takes, counted under
-                      nc + gram (c^2) + S2, entropy, theta (3n) + key mean,
-                      value sum (2c)
+                      nc + S2, entropy, theta (3n) + key mean, value sum
+                      (2c); no Gram
     eala-linear...... Q,K,V,out (4nc) + one block of min(n, block) rows
                       of c, counted under nc: the product q M in the score
                       moments, or the queries scaled by 1/(n theta) in the
@@ -83,7 +84,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
         return {
             "n2": _F8 * n * n,
             "nc": _F8 * (4 * n * c + max(n * c, min(n * n, np.getbufsize()))),
-            "c2": _F8 * c * c,
+            "c2": 0,
             "n": _F8 * 3 * n,
             "c": _F8 * 2 * c,
         }

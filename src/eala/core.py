@@ -6,12 +6,16 @@ The pipeline replaces each softmax attention row with the affine family
 
 where keys are centered so the weights sum to one for any theta, and theta
 is chosen per query so the family's entropy matches an estimate of the
-softmax row's entropy.  All per-query quantities come from key-level
-summaries (the C x C Gram matrix, khat^T V and the value sum) that two
-blocked passes over the keys, the second also over the values, collect, so
-nothing on the linear path ever touches an n x n buffer or keeps an n x C
-copy of K.  The centred keys sum to zero, so the first score moment
-sum_j q . khat_j is zero for every query, and no layer computes it.
+softmax row's entropy, which reads each query's second score moment
+S2 = sum_j (q . khat_j)^2.  On the linear path every per-query quantity
+comes from key-level summaries (the C x C Gram matrix, khat^T V and the
+value sum) that `key_moments` collects in two blocked passes over the
+keys, the second also over the values, so nothing there ever touches an
+n x n buffer or keeps an n x C copy of K.  The quadratic branch and the
+exact entropy source form the scores q khat^T anyway, and take S2 as
+their row sums of squares.  The centred keys sum to zero, so the first
+score moment sum_j q . khat_j is zero for every query, and no layer
+computes it.
 
 The linear path reads Q, K and V only in row blocks, through `x[lo:hi]`
 and `x.shape`, and stores its output a row block at a time through
@@ -69,8 +73,7 @@ class KeyMoments:
 
     mean      : column mean of the keys, the centre of every khat_j
     gram      : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
-    kv        : C x D matrix khat^T V (None on eala_attention's quadratic
-                branch, which never reads it)
+    kv        : C x D matrix khat^T V, read by the linear forward
     value_sum : sum of the value rows
     count     : number of keys n
     """
@@ -146,37 +149,17 @@ def _add(total, part):
     return total
 
 
-def _moment_sums(centre, n: int, c: int, v=None) -> tuple:
-    """Gram khat^T khat and, with values v, [khat | 1]^T V (else None),
-    summed over row blocks of the n keys.
-
-    `centre(lo, hi, out)` writes the centred keys lo:hi into `out`, the
-    first C columns of one reused (block, C + 1) scratch whose last column
-    is 1.  So one GEMM of the scratch's transpose with the block of V gives
-    khat^T V in its first C rows and the value sum in its last.
-    """
-    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
-    scratch[:, c] = 1.0
-    gram = kv_sum = None
-    for lo, hi in _row_blocks(n):
-        block = scratch[: hi - lo]
-        kb = block[:, :c]
-        centre(lo, hi, kb)
-        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
-        if v is not None:
-            kv_sum = _add(kv_sum, block.T @ v[lo:hi])
-    return gram, kv_sum
-
-
 def key_moments(k_mat, v_mat) -> KeyMoments:
     """Summaries of the keys and values in two blocked passes.
 
     K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
     rows: K twice and V once.  The first pass sums the keys.  The second
-    centres every block of keys against the mean of all keys and sums the
-    Gram khat^T khat, khat^T V and the value sum (see `_moment_sums`).
-    This is the two-pass scheme (Chan, Golub & LeVeque 1979): offset keys
-    keep their spread, where K^T K - n mu mu^T or a pairwise merge of
+    centres every block of keys against the mean of all keys into the first
+    C columns of one reused (block, C + 1) scratch whose last column is 1,
+    and sums the Gram khat^T khat and the GEMM of the scratch's transpose
+    with the block of V: khat^T V in its first C rows, the value sum in its
+    last.  This is the two-pass scheme (Chan, Golub & LeVeque 1979): offset
+    keys keep their spread, where K^T K - n mu mu^T or a pairwise merge of
     per-block moments would cancel it away.  Nothing n x C is kept.
     """
     k = _rows_source(k_mat)
@@ -187,23 +170,15 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
     mean = _column_sum(k) / n  # the bits of np.mean, without its wrapper
-    gram, kv_sum = _moment_sums(lambda lo, hi, out: center_keys(k[lo:hi], mean, out=out), n, c, v)
+    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
+    scratch[:, c] = 1.0
+    gram = kv_sum = None
+    for lo, hi in _row_blocks(n):
+        block = scratch[: hi - lo]
+        kb = center_keys(k[lo:hi], mean, out=block[:, :c])[0]
+        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
+        kv_sum = _add(kv_sum, block.T @ v[lo:hi])
     return KeyMoments(mean=mean, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
-
-
-def _whole_key_moments(k: np.ndarray, v: np.ndarray, with_kv: bool) -> tuple[np.ndarray, KeyMoments]:
-    """(khat, moments) of whole key and value matrices: K is centred once,
-    and row blocks of khat give the sums key_moments takes, by the same
-    GEMMs.  KV only `with_kv`, as only the linear forward reads it; without
-    it the value sum is numpy's."""
-    n, c = k.shape
-    if v.shape[0] != n:
-        raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    khat, mean = center_keys(k, k.sum(axis=0) / n)
-    gram, kv_sum = _moment_sums(lambda lo, hi, out: np.copyto(out, khat[lo:hi]), n, c,
-                                v if with_kv else None)
-    kv, value_sum = (kv_sum[:c], kv_sum[c]) if with_kv else (None, v.sum(axis=0))
-    return khat, KeyMoments(mean=mean, gram=gram, kv=kv, value_sum=value_sum, count=n)
 
 
 def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
@@ -365,9 +340,10 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     temperature and the forward, whose result lands in its rows of `out`.
     A writer is handed each block's output as it is made, and the block is
     dropped once stored, so no n x D buffer is made.  The quadratic branch
-    and the exact entropy source need q khat^T, so they read each input
-    whole and centre K once into khat; the quadratic branch stores its
-    output through `out[0:rows]`.
+    and the exact entropy source need the scores q khat^T, so they read
+    each input whole and centre K once into khat; each query block's S2 is
+    then the row sums of squares of its scores, and the quadratic branch
+    builds no key moments and stores its output through `out[0:rows]`.
     """
     if cfg is None:
         cfg = EalaConfig()
@@ -376,28 +352,38 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
         raise ValueError("Q, K, V must be 2-D")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
+    n = k.shape[0]
+    if v.shape[0] != n:
+        raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
     rows, d = q.shape[0], v.shape[1]
     if out is not None and tuple(out.shape) != (rows, d):
         raise ValueError(f"out of shape {tuple(out.shape)} is not the output's {(rows, d)}")
-    branch = select_path(cfg.path, n=k.shape[0], c=q.shape[1])
+    branch = select_path(cfg.path, n=n, c=q.shape[1])
     approx = cfg.entropy_source == "approx"
+    streamed = approx and branch == "linear"
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
     # its block's S2, so their sums of squares check all three inputs with
-    # no pass of their own.  With q holding inf, S2 = q M q^T is +inf or NaN
-    # (M is PSD), so its clamp at zero hides nothing.  Floating-point
-    # warnings are silenced for those sums and checks alone: an overflow
-    # in a later step still warns.
+    # no pass of their own.  With q holding inf, S2 is +inf or NaN (a sum
+    # of squares, or q M q^T with M PSD, whose clamp at zero hides
+    # nothing).  Floating-point warnings are silenced for those sums and
+    # checks alone: an overflow in a later step still warns.
     with np.errstate(invalid="ignore", over="ignore"):
-        if approx and branch == "linear":
+        if not streamed:
+            q, k, v = q[0:rows], k[0:n], v[0:n]
+        if branch == "linear":
             m = key_moments(k, v)
+            sums = [m.mean, m.value_sum, m.kv]
+            if not approx:
+                khat = center_keys(k, m.mean)[0]
         else:
-            q, k, v = q[0:rows], k[0:k.shape[0]], v[0:v.shape[0]]
-            khat, m = _whole_key_moments(k, v, with_kv=branch == "linear")
-        finite = math.isfinite(m.mean @ m.mean + m.value_sum @ m.value_sum)
+            khat, mean = center_keys(k)
+            sums = [mean, v.sum(axis=0)]
+        finite = math.isfinite(sum(np.vdot(x, x) for x in sums))
     if not finite:
-        _name_nonfinite([("K", k, m.mean, "the key mean overflows float64 although K is finite"),
-                         ("V", v, m.value_sum, "the value sum overflows float64 although V is finite")])
-    n = m.count
+        _name_nonfinite(list(zip("KVV", (k, v, v), sums, (
+            "the key mean overflows float64 although K is finite",
+            "the value sum overflows float64 although V is finite",
+            "khat^T V overflows float64 although K and V are finite"))))
     ent = np.empty(rows)
     theta = np.empty(rows)
     if branch == "linear" and out is None:
@@ -405,11 +391,12 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     for lo, hi in _row_blocks(rows):
         qb = q[lo:hi]
         with np.errstate(invalid="ignore", over="ignore"):
-            s2 = score_moments(qb, m)
+            scores = None if streamed else qb @ khat.T
+            s2 = score_moments(qb, m) if streamed else np.einsum("ij,ij->i", scores, scores)
             finite = math.isfinite(s2 @ s2)
         if not finite:
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(qb @ khat.T)
+        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(scores)
         theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
         if branch == "quadratic":
             continue
@@ -418,6 +405,7 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
         else:
             out[lo:hi] = eala_forward_linear(qb, m, theta[lo:hi])
     if branch == "quadratic":
+        scores = None  # so the forward's weights are the one n x n buffer
         result = eala_forward_quadratic(q, khat, v, theta)
         if out is None:
             out = result

@@ -81,23 +81,16 @@ def shannon_entropy(p) -> float:
 
 
 def entropy_from_scores(scores) -> float:
-    """Entropy of softmax(scores) without forming the probabilities naively.
-
-    Uses the shifted identity H = log(sum e^z) - sum p_j z_j with
-    z = scores - max(scores).  Both terms are then nonnegative-ish and of
-    the same magnitude, so the subtraction does not cancel catastrophically
-    even for near-one-hot rows.
+    """Entropy of softmax(scores): one row of `score_row_entropies`, whose
+    shifted identity H = log(sum e^z) - sum p_j z_j, z = scores - max,
+    does not cancel catastrophically even for near-one-hot rows.
     """
     z = np.asarray(scores, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("entropy_from_scores expects a nonempty 1-D array")
     if not np.all(np.isfinite(z)):
         raise ValueError("scores must be finite")
-    z = z - np.max(z)
-    e = np.exp(z)
-    total = float(np.sum(e))
-    h = float(np.log(total) - np.dot(e, z) / total)
-    return max(h, 0.0)
+    return float(score_row_entropies(z[None, :])[0])
 
 
 def _softmax_block_rows(n: int) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
-                       _whole_key_moments, approx_entropy, center_keys, eala_attention,
+                       approx_entropy, center_keys, eala_attention,
                        eala_forward_linear, eala_forward_quadratic,
                        eala_weights, key_moments, score_moments, select_path,
                        theta_star)
@@ -141,15 +141,15 @@ class TestKeyPass:
             assert_value_sum(m.value_sum, v)
 
     @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, 2 * _QUERY_BLOCK + 3])
-    def test_whole_matrix_sums_are_the_streamed_sums(self, n):
+    def test_exact_source_forward_reads_the_key_pass(self, n):
         # both linear variants (approx and exact entropies) read KV and the
-        # value sum from the same blocked GEMM, so their bits agree
+        # value sum from key_moments, so the exact source's output is the
+        # linear forward of its thetas, bit for bit
+        q = gaussian_matrix(n, 16, 1842, 0.05)
         k = gaussian_matrix(n, 16, 1840) + 1e6
         v = gaussian_matrix(n, 8, 1841)
-        want = key_moments(k, v)
-        got = _whole_key_moments(k, v, with_kv=True)[1]
-        for field in ("mean", "gram", "kv", "value_sum"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        res = eala_attention(q, k, v, EalaConfig(path="linear", entropy_source="exact"))
+        assert np.array_equal(res.output, eala_forward_linear(q, key_moments(k, v), res.thetas))
 
     def test_offset_keys_keep_their_gram(self):
         # centring against the mean of all keys first loses no spread
@@ -616,6 +616,18 @@ class TestNonFiniteInput:
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_kv_is_told_apart(self):
+        # keys near 1e50 and V near 1e260: the key mean and the value sum
+        # are finite, khat^T V is not
+        q = gaussian_matrix(8, 4, 16)
+        k = gaussian_matrix(8, 4, 17) * 1e50
+        v = gaussian_matrix(8, 3, 18) * 1e260
+        with pytest.raises(ValueError, match=r"^khat\^T V overflows float64 although K and V are finite$"):
+            eala_attention(q, k, v, EalaConfig(path="linear"))
+        # the quadratic branch reads no KV and is fine
+        assert np.isfinite(eala_attention(q, k, v, EalaConfig(path="quadratic")).output).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_is_told_apart(self):
         q, _, v = random_instance(12, 3, 1930)
         with pytest.raises(ValueError, match="key mean overflows float64 although K is finite"):
@@ -682,6 +694,16 @@ class TestEalaAttention:
         out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
         denom = max(float(np.max(np.abs(out_q))), 1e-300)
         assert float(np.max(np.abs(out_q - out_l))) / denom <= 1e-9
+
+    def test_quadratic_branch_takes_s2_from_its_scores(self):
+        # C > N: S2 is the row sums of squares of the score block the
+        # branch forms, not q M q^T
+        q, k, v = random_instance(24, 40, 1250, scale=0.1)
+        scores = q @ center_keys(k)[0].T
+        s2 = np.einsum("ij,ij->i", scores, scores)
+        res = eala_attention(q, k, v)
+        assert np.array_equal(res.entropies, approx_entropy(s2, 24))
+        assert np.array_equal(res.thetas, theta_star(s2, res.entropies, 24))
 
     def test_key_shift_invariance(self):
         q, k, v = random_instance(18, 5, 1300)
