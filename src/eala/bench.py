@@ -49,13 +49,13 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
                       softmax kernel's one (min(n, block), n) scratch,
                       counted under nc: it is freed before the output is
                       made
-    eala-quadratic... Q,K,V,khat (4nc) + one n*n weight buffer (the score
-                      block that gives S2 is freed before it is made) + the
-                      larger of the output (nc) and the ufunc buffer
-                      (np.getbufsize() entries, at most n*n) that dividing
-                      the weights by theta in place takes, counted under
-                      nc + S2, entropy, theta (3n) + key mean, value sum
-                      (2c); no Gram
+    eala-quadratic... Q,K,V,khat,out (5nc) + the weights of one query
+                      block, min(n, block) rows of n, counted under n2
+                      (its scores, which give S2, are freed first) + the
+                      ufunc buffer (np.getbufsize() entries, at most the
+                      weights) of dividing them by theta, under nc +
+                      entropy, theta (2n) + one block's S2 (under n) +
+                      key mean, value sum (2c); no Gram
     eala-linear...... Q,K,V,out (4nc) + one block of min(n, block) rows
                       of c, counted under nc: the product q M in the score
                       moments, or the queries scaled by 1/(n theta) in the
@@ -80,15 +80,15 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
             "n": _F8 * n,
             "c": 0,
         }
+    block = min(n, _QUERY_BLOCK)
     if mode == "eala-quadratic":
         return {
-            "n2": _F8 * n * n,
-            "nc": _F8 * (4 * n * c + max(n * c, min(n * n, np.getbufsize()))),
+            "n2": _F8 * block * n,
+            "nc": _F8 * (5 * n * c + min(block * n, np.getbufsize())),
             "c2": 0,
-            "n": _F8 * 3 * n,
+            "n": _F8 * (2 * n + block),
             "c": _F8 * 2 * c,
         }
-    block = min(n, _QUERY_BLOCK)
     return {
         "n2": 0,
         "nc": _F8 * ((4 * n + block) * c + min(block * c, np.getbufsize())),

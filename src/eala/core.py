@@ -17,12 +17,13 @@ their row sums of squares.  The centred keys sum to zero, so the first
 score moment sum_j q . khat_j is zero for every query, and no layer
 computes it.
 
-The linear path reads Q, K and V only in row blocks, through `x[lo:hi]`
-and `x.shape`, and stores its output a row block at a time through
-`out[lo:hi] = block`.  So besides matrices it takes row readers such as
-`tensorio.TensorRows` and row writers such as `tensorio.TensorRowWriter`:
-then no input and no output is ever held whole, its memory is O(block C),
-and n is bounded by disk, not memory.
+Every branch reads Q in row blocks, through `x[lo:hi]` and `x.shape`, and
+stores its output a row block at a time through `out[lo:hi] = block`; the
+linear path with approximate entropies reads K and V in row blocks too.
+So besides matrices it takes row readers such as `tensorio.TensorRows`
+and row writers such as `tensorio.TensorRowWriter`: then on that path no
+input or output is ever held whole, memory is O(block C), and n is
+bounded by disk, not memory.
 """
 
 from __future__ import annotations
@@ -141,14 +142,6 @@ def _column_sum(x) -> np.ndarray:
     return total
 
 
-def _add(total, part):
-    """total += part, with None for a total that has no terms yet."""
-    if total is None:
-        return part
-    total += part
-    return total
-
-
 def key_moments(k_mat, v_mat) -> KeyMoments:
     """Summaries of the keys and values in two blocked passes.
 
@@ -172,12 +165,13 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     mean = _column_sum(k) / n  # the bits of np.mean, without its wrapper
     scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
     scratch[:, c] = 1.0
-    gram = kv_sum = None
+    gram = np.zeros((c, c))
+    kv_sum = np.zeros((c + 1, v.shape[1]))
     for lo, hi in _row_blocks(n):
         block = scratch[: hi - lo]
         kb = center_keys(k[lo:hi], mean, out=block[:, :c])[0]
-        gram = _add(gram, kb.T @ kb)  # kb.T @ kb takes numpy's syrk path
-        kv_sum = _add(kv_sum, block.T @ v[lo:hi])
+        gram += kb.T @ kb  # kb.T @ kb takes numpy's syrk path
+        kv_sum += block.T @ v[lo:hi]
     return KeyMoments(mean=mean, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
 
 
@@ -259,18 +253,20 @@ def _check_theta(theta, rows: int) -> np.ndarray:
     return th
 
 
-def eala_forward_quadratic(q_mat, khat, v_mat, theta) -> np.ndarray:
-    """Materialized-weights branch, O(N^2 C) time and one n^2 buffer.
+def eala_forward_quadratic(q_mat, khat, v_mat, theta, out=None) -> np.ndarray:
+    """Materialized-weights branch: O(M N C) time and one (M, N) buffer for
+    M queries against N keys.
 
     o_i = sum_j ((1 + (q_i . khat_j) / theta_i) / n) v_j.  Sentinel
     temperatures contribute 1/theta = 0, i.e. plain averaging.  Weights may
-    go negative at small theta; they are used as-is.
+    go negative at small theta; they are used as-is.  `out`, an (M, D)
+    array, takes the product when one is given.
     """
     kh = np.asarray(khat, dtype=np.float64)
     v = np.asarray(v_mat, dtype=np.float64)
     if v.ndim != 2 or v.shape[:1] != kh.shape[:1]:
         raise ValueError(f"V of shape {v.shape} does not match khat of shape {kh.shape}")
-    return eala_weights(q_mat, kh, theta) @ v
+    return np.matmul(eala_weights(q_mat, kh, theta), v, out=out)
 
 
 def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
@@ -333,17 +329,13 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
     in numpy, receives the output and is returned as it: a (rows, D) array,
-    or a row writer with a `shape` that takes `out[lo:hi] = block`.  The
-    linear branch with approximate entropies streams them: two passes over
-    the keys, one over the values, then one over row blocks of queries,
-    each block going through the score moments, the entropy estimate, the
-    temperature and the forward, whose result lands in its rows of `out`.
-    A writer is handed each block's output as it is made, and the block is
-    dropped once stored, so no n x D buffer is made.  The quadratic branch
-    and the exact entropy source need the scores q khat^T, so they read
-    each input whole and centre K once into khat; each query block's S2 is
-    then the row sums of squares of its scores, and the quadratic branch
-    builds no key moments and stores its output through `out[0:rows]`.
+    or a row writer with a `shape` that takes `out[lo:hi] = block`.  After
+    the key summaries, one pass over row blocks of queries takes each
+    block through S2, the entropy, the temperature and the branch's
+    forward, into its rows of `out`, so no n x D buffer is made.  The
+    quadratic branch and the exact entropy source read K and V whole to
+    centre K into khat, and take S2 as the row sums of squares of each
+    block's scores q khat^T; the quadratic branch builds no key moments.
     """
     if cfg is None:
         cfg = EalaConfig()
@@ -353,14 +345,22 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
     n = k.shape[0]
+    if n == 0:
+        raise ValueError("K must be nonempty: there is no key to attend to")
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
     rows, d = q.shape[0], v.shape[1]
     if out is not None and tuple(out.shape) != (rows, d):
         raise ValueError(f"out of shape {tuple(out.shape)} is not the output's {(rows, d)}")
-    branch = select_path(cfg.path, n=n, c=q.shape[1])
+    if isinstance(out, np.ndarray) and any(
+            isinstance(x, np.ndarray) and np.may_share_memory(out, x) for x in (q, k, v)):
+        # a block written into out would change rows of Q or V still to be read
+        res = eala_attention(q, k, v, cfg)
+        out[...] = res.output
+        return AttnResult(output=out, entropies=res.entropies, thetas=res.thetas)
+    quadratic = select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
     approx = cfg.entropy_source == "approx"
-    streamed = approx and branch == "linear"
+    scored = quadratic or not approx  # the branch forms the scores q khat^T
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
     # its block's S2, so their sums of squares check all three inputs with
     # no pass of their own.  With q holding inf, S2 is +inf or NaN (a sum
@@ -368,16 +368,16 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     # nothing).  Floating-point warnings are silenced for those sums and
     # checks alone: an overflow in a later step still warns.
     with np.errstate(invalid="ignore", over="ignore"):
-        if not streamed:
-            q, k, v = q[0:rows], k[0:n], v[0:n]
-        if branch == "linear":
-            m = key_moments(k, v)
-            sums = [m.mean, m.value_sum, m.kv]
-            if not approx:
-                khat = center_keys(k, m.mean)[0]
-        else:
+        if scored:
+            k, v = k[0:n], v[0:n]
+        if quadratic:
             khat, mean = center_keys(k)
             sums = [mean, v.sum(axis=0)]
+        else:
+            m = key_moments(k, v)
+            sums = [m.mean, m.value_sum, m.kv]
+            if scored:
+                khat = center_keys(k, m.mean)[0]
         finite = math.isfinite(sum(np.vdot(x, x) for x in sums))
     if not finite:
         _name_nonfinite(list(zip("KVV", (k, v, v), sums, (
@@ -386,29 +386,25 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
             "khat^T V overflows float64 although K and V are finite"))))
     ent = np.empty(rows)
     theta = np.empty(rows)
-    if branch == "linear" and out is None:
+    if out is None:
         out = np.empty((rows, d))
     for lo, hi in _row_blocks(rows):
         qb = q[lo:hi]
         with np.errstate(invalid="ignore", over="ignore"):
-            scores = None if streamed else qb @ khat.T
-            s2 = score_moments(qb, m) if streamed else np.einsum("ij,ij->i", scores, scores)
+            scores = qb @ khat.T if scored else None
+            s2 = np.einsum("ij,ij->i", scores, scores) if scored else score_moments(qb, m)
             finite = math.isfinite(s2 @ s2)
         if not finite:
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
         ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(scores)
         theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
-        if branch == "quadratic":
-            continue
-        if isinstance(out, np.ndarray):
-            eala_forward_linear(qb, m, theta[lo:hi], out=out[lo:hi])
+        scores = None  # so the quadratic forward's weights are the one block x n buffer
+        dest = out[lo:hi] if isinstance(out, np.ndarray) else None
+        if quadratic:
+            block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest)
         else:
-            out[lo:hi] = eala_forward_linear(qb, m, theta[lo:hi])
-    if branch == "quadratic":
-        scores = None  # so the forward's weights are the one n x n buffer
-        result = eala_forward_quadratic(q, khat, v, theta)
-        if out is None:
-            out = result
-        else:
-            out[0:rows] = result
+            block = eala_forward_linear(qb, m, theta[lo:hi], out=dest)
+        if dest is None:
+            out[lo:hi] = block
+            del block  # freed before the next block's temporaries are made
     return AttnResult(output=out, entropies=ent, thetas=theta)

@@ -176,6 +176,8 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
         raise ValueError("q, k, v must be 2-D")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"feature dims differ: q {q.shape} vs k {k.shape}")
+    if k.shape[0] == 0:
+        raise ValueError("K must be nonempty: there is no key to attend to")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k and v row counts differ: {k.shape[0]} vs {v.shape[0]}")
     if q.shape[0] == 0:

@@ -25,6 +25,8 @@ class TestAllocationModel:
         m = allocation_model("eala-quadratic", 64, 16)
         assert m["n2"] == 8 * 64 * 64
         assert m["c2"] == 0
+        # past one query block, the weights of one block
+        assert allocation_model("eala-quadratic", 4096, 16)["n2"] == 8 * _QUERY_BLOCK * 4096
 
     def test_linear_has_no_square_class(self):
         for n in (1, 64, 4096, 1 << 16):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,9 +456,15 @@ class TestQueryBlocks:
         self.check(q, gaussian_matrix(1, 3, 5), gaussian_matrix(1, 2, 6), bitwise=True)
 
     def test_no_keys_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            eala_attention(gaussian_matrix(4, 3, 7), np.zeros((0, 3)), np.zeros((0, 2)),
-                           self.LINEAR)
+        # named at the entry, with no queries too, on every branch and by the oracle
+        for q in (np.zeros((0, 3)), gaussian_matrix(4, 3, 7)):
+            for path in ("linear", "quadratic"):
+                for source in ("approx", "exact"):
+                    with pytest.raises(ValueError, match="nonempty"):
+                        eala_attention(q, np.zeros((0, 3)), np.zeros((0, 2)),
+                                       EalaConfig(entropy_source=source, path=path))
+            with pytest.raises(ValueError, match="nonempty"):
+                exact_attention(q, np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 class RecordedRows:
@@ -518,14 +525,28 @@ class TestRowReaders:
         assert q.reads == v.reads == self.BLOCKS and k.reads == self.BLOCKS + self.BLOCKS
 
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
-    def test_branches_needing_khat_write_once_whole(self, cfg):
-        q, k, v = self.readers(n=40)
-        out = RecordedWriter((40, 8))
-        eala_attention(q, k, v, cfg, out=out)
+    def test_branches_needing_khat_stream_queries_and_output(self, cfg):
+        q = self.readers()[0]
+        k, v = self.readers(n=40)[1:]
+        out = RecordedWriter((self.N, 8))
+        res = eala_attention(q, k, v, cfg, out=out)
+        assert res.output is out
         want = eala_attention(q.mat, k.mat, v.mat, cfg)
         assert np.array_equal(out.mat, want.output)
-        # at 40 rows the linear forward of the exact source has one block
-        assert out.writes == [(0, 40)]
+        # khat needs K whole, and V is read with it
+        assert q.reads == out.writes == self.BLOCKS
+        assert k.reads == v.reads == [(0, 40)]
+
+    def test_quadratic_branch_holds_one_block_of_weights(self):
+        q = random_instance(self.N, 8, 2002, 0.05)[0]
+        _, k, v = random_instance(40, 8, 2003, 0.05)
+        tracemalloc.start()
+        try:
+            eala_attention(q, k, v, EalaConfig(path="quadratic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * self.N * 40
 
     def test_array_out_is_filled_and_returned(self):
         q, k, v = random_instance(self.N, 8, 2001, 0.05)
@@ -535,19 +556,34 @@ class TestRowReaders:
             assert res.output is out
             assert np.array_equal(out, eala_attention(q, k, v, cfg).output)
 
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
+                                     EalaConfig(path="linear", entropy_source="exact")])
+    @pytest.mark.parametrize("layout", ["out is Q", "out one row past Q", "out over V"])
+    def test_out_overlapping_an_input(self, cfg, layout):
+        q, k, v = random_instance(self.N, 8, 2004, 0.05)
+        k, v = k[:40], v[:40]
+        want = eala_attention(q, k, v, cfg)
+        if layout == "out is Q":
+            out = q
+        elif layout == "out one row past Q":
+            # writing a block of output changes the first row of the next block of Q
+            buf = np.vstack([q, q[:1]])
+            q, out = buf[:-1], buf[1:]
+        else:
+            # writing the first block of output overwrites V
+            out = np.vstack([v, np.zeros((self.N - 40, 8))])
+            v = out[:40]
+        res = eala_attention(q, k, v, cfg, out=out)
+        assert res.output is out
+        for a, b in zip((out, res.entropies, res.thetas),
+                        (want.output, want.entropies, want.thetas)):
+            assert np.array_equal(a, b)
+
     def test_out_of_the_wrong_shape_is_refused(self):
         q, k, v = self.readers(n=40)
         with pytest.raises(ValueError, match="not the output's"):
             eala_attention(q, k, v, out=RecordedWriter((40, 7)))
         assert q.reads == k.reads == v.reads == []
-
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
-    def test_branches_needing_khat_read_each_input_once_whole(self, cfg):
-        q, k, v = self.readers(n=40)
-        res = eala_attention(q, k, v, cfg)
-        want = eala_attention(q.mat, k.mat, v.mat, cfg)
-        assert np.array_equal(res.output, want.output)
-        assert q.reads == k.reads == v.reads == [(0, 40)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_in_a_reader_is_told_apart(self):
