@@ -537,6 +537,24 @@ class TestRowReaders:
         assert q.reads == out.writes == self.BLOCKS
         assert k.reads == v.reads == [(0, 40)]
 
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    def test_branches_needing_khat_write_once_whole(self, cfg):
+        q, k, v = self.readers(n=40)
+        out = RecordedWriter((40, 8))
+        eala_attention(q, k, v, cfg, out=out)
+        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        assert np.array_equal(out.mat, want.output)
+        # at 40 rows the query loop has one block
+        assert out.writes == [(0, 40)]
+
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    def test_branches_needing_khat_read_each_input_once_whole(self, cfg):
+        q, k, v = self.readers(n=40)
+        res = eala_attention(q, k, v, cfg)
+        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        assert np.array_equal(res.output, want.output)
+        assert q.reads == k.reads == v.reads == [(0, 40)]
+
     def test_quadratic_branch_holds_one_block_of_weights(self):
         q = random_instance(self.N, 8, 2002, 0.05)[0]
         _, k, v = random_instance(40, 8, 2003, 0.05)
