@@ -44,7 +44,9 @@ class BenchRecord:
 def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
     """Peak live bytes per allocation class for one forward pass.
 
-    exact............ Q,K,V (3nc) + one n*n score/weight buffer + row
+    exact............ exact_attention with kept weights, the materialised
+                      baseline: Q,K,V (3nc) + the n*n score buffer that
+                      becomes the returned weights + row
                       entropies (n) + the larger of the output (nc) and the
                       softmax kernel's one (min(n, block), n) scratch,
                       counted under nc: it is freed before the output is
@@ -100,7 +102,7 @@ def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
 
 def _forward_fn(mode: str):
     if mode == "exact":
-        return lambda q, k, v: exact_attention(q, k, v)
+        return lambda q, k, v: exact_attention(q, k, v, keep_weights=True)
     path = "linear" if mode == "eala-linear" else "quadratic"
     cfg = EalaConfig(path=path)
     return lambda q, k, v: eala_attention(q, k, v, cfg)

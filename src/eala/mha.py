@@ -4,6 +4,12 @@ The layer exists to show the linearized kernel dropping into the position
 the exact one normally occupies: shared input projections, per-head
 attention, concatenation, output projection.  No residuals, normalization,
 or feed-forward block; the substitution is isolated on purpose.
+
+Each head writes its output into its own columns of one (n, model_dim)
+buffer, and the projected q, k and v are freed before the output
+projection, so the layer's peak is q, k, v, that buffer and one head's
+scratch.  The exact mode keeps no weight matrix, so a head's scratch is
+O(block n), not n^2.
 """
 
 from __future__ import annotations
@@ -73,13 +79,12 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact",
     k = x @ params.w_key
     v = x @ params.w_value
     head_dim = params.model_dim // params.heads
-    pieces = []
+    merged = np.empty_like(q)
     for h in range(params.heads):
         sl = slice(h * head_dim, (h + 1) * head_dim)
         if mode == "exact":
-            res = exact_attention(q[:, sl], k[:, sl], v[:, sl])
+            merged[:, sl] = exact_attention(q[:, sl], k[:, sl], v[:, sl]).output
         else:
-            res = eala_attention(q[:, sl], k[:, sl], v[:, sl], cfg)
-        pieces.append(res.output)
-    merged = np.concatenate(pieces, axis=1)
+            eala_attention(q[:, sl], k[:, sl], v[:, sl], cfg, out=merged[:, sl])
+    del q, k, v
     return merged @ params.w_output

@@ -13,6 +13,10 @@ arithmetic of the 1-D form on every row at once, so each row gets the same
 bits; a row the 1-D form rejects with ValueError gives nan.  The solver
 runs the family's checks on a row only at its bracket; its steps then only
 evaluate the family, into two scratch buffers reused across them.
+
+`exact_attention` keeps the O(m n) weight matrix only when asked for it.
+Otherwise it runs over blocks of query rows, since softmax rows do not
+depend on each other, and its scratch is O(block n) beside the output.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import numpy as np
 # Entries per row block of the in-place softmax pass: a block of float64
 # stays in L2, and the only n^2 buffer alive is the score matrix itself.
 _SOFTMAX_BLOCK_ENTRIES = 1 << 17
+
+# Fewest query rows per block of exact_attention without kept weights:
+# thinner blocks make the two GEMMs per block too narrow to run at speed.
+_MIN_QUERY_ROWS = 64
 
 # Probability vectors must sum to 1 within this before we trust them.
 SIMPLEX_TOL = 1e-12
@@ -98,18 +106,27 @@ def _softmax_block_rows(n: int) -> int:
     return max(1, _SOFTMAX_BLOCK_ENTRIES // max(n, 1))
 
 
-def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool) -> np.ndarray:
+def _query_rows(n: int) -> int:
+    """Rows per query block of exact_attention without kept weights."""
+    return max(_MIN_QUERY_ROWS, _softmax_block_rows(n))
+
+
+def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool,
+                          e_buf: np.ndarray | None = None) -> np.ndarray:
     """Row softmax entropies of a score matrix, one row block at a time.
 
     With `to_weights` each row of `scores` is overwritten by its softmax,
     so `scores` stays the only n^2-sized buffer, and one (block, n) scratch
     holds the exponentials; otherwise `scores` is left as it is and a
     second scratch holds the shifted scores.  Every step writes in place.
+    `e_buf`, when given, is that exponential scratch, of at least
+    min(m, block) rows of n, so a caller's loop can reuse it.
     """
     m, n = scores.shape
     rows = _softmax_block_rows(n)
     ent = np.empty(m, dtype=np.float64)
-    e_buf = np.empty((min(m, rows), n))
+    if e_buf is None:
+        e_buf = np.empty((min(m, rows), n))
     z_buf = None if to_weights else np.empty_like(e_buf)
     for lo in range(0, m, rows):
         blk = scores[lo : lo + rows]
@@ -165,9 +182,17 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
     """Dense softmax attention, the quadratic reference implementation.
 
     q_mat (m, c), k_mat (n, c), v_mat (n, d).  The scores are the raw dot
-    products; pass q / sqrt(c) for scaled ones.  Peak scratch is one m x n
-    buffer, which becomes the weight matrix.  NaN or inf in Q, K or V
-    raises ValueError naming the input, with no queries too.
+    products; pass q / sqrt(c) for scaled ones.  With `keep_weights` the
+    m x n score matrix becomes the returned weight matrix, and the output
+    is W V.  Without it one pass over equal blocks of query rows, each
+    about the softmax pass's block but none under 64 rows unless m is,
+    scores each block into one reused (rows, n) buffer, turns it into
+    weights in place and writes the block's rows of the output, so the
+    scratch beside the output is two (rows, n) buffers and O(m).  The
+    two forms agree to rounding, and bit for bit wherever the BLAS sums
+    each row of a block's GEMMs as it does in the whole products.  NaN
+    or inf in Q, K or V raises ValueError naming the input, with no
+    queries too.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     k = np.asarray(k_mat, dtype=np.float64)
@@ -186,9 +211,27 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
     # NaN or inf in Q or K reaches a row entropy, and in V the output, so
     # the inputs are scanned only when the summed squares are not finite
     with np.errstate(invalid="ignore", over="ignore"):
-        scores = q @ k.T
-        ent = _softmax_entropy_rows(scores, to_weights=True)
-        out = scores @ v
+        if keep_weights:
+            scores = q @ k.T
+            ent = _softmax_entropy_rows(scores, to_weights=True)
+            out = scores @ v
+        else:
+            scores = None
+            m, n = q.shape[0], k.shape[0]
+            # equal blocks of at most the softmax block's rows, but none of
+            # fewer than 64: a GEMM of a few rows may also take another
+            # BLAS kernel, with other bits, than the kept path's product
+            blocks = max(1, min(-(-m // _query_rows(n)), m // _MIN_QUERY_ROWS))
+            edges = [i * m // blocks for i in range(blocks + 1)]
+            rows = -(-m // blocks)
+            ent = np.empty(m)
+            out = np.empty((m, v.shape[1]))
+            s_buf = np.empty((rows, n))
+            e_buf = np.empty((min(rows, _softmax_block_rows(n)), n))
+            for lo, hi in zip(edges, edges[1:]):
+                w = np.matmul(q[lo:hi], k.T, out=s_buf[:hi - lo])
+                ent[lo:hi] = _softmax_entropy_rows(w, True, e_buf)
+                np.matmul(w, v, out=out[lo:hi])
         flat = out.reshape(-1)
         finite = math.isfinite(ent @ ent + flat @ flat)
     if not finite:
@@ -197,7 +240,7 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
                          ("V", v, out, "the output overflows float64 although V is finite")])
     return AttnResult(
         output=out,
-        weights=scores if keep_weights else None,
+        weights=scores,
         entropies=ent,
     )
 

@@ -96,10 +96,11 @@ class TestExactPathPeak:
 
     @pytest.fixture(scope="class")
     def traced_peak(self):
+        # the model is of the materialised baseline, which keeps its weights
         q, k, v = gen_workload_raw(self.N, self.C, 0)
         tracemalloc.start()
         try:
-            exact_attention(q, k, v)
+            exact_attention(q, k, v, keep_weights=True)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ from eala import cli
 from eala.cli import cli_main
 from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
 from eala.numerics import gaussian_matrix
-from eala.oracle import exact_attention
+from eala.oracle import _query_rows, exact_attention
 from eala.tensorio import read_tensor, write_tensor
 
 
@@ -242,7 +242,8 @@ class TestAttend:
 
 class TestStreamedAttend:
     """The eala modes stream their inputs through row readers: the output
-    is the in-memory pipeline's, bit for bit, and no input is held whole."""
+    is the in-memory pipeline's, bit for bit, and no input is held whole.
+    The exact mode reads its inputs whole but holds no n x n buffer."""
 
     def write_inputs(self, tmp_path, n, c=16, dtype="f64"):
         paths = {}
@@ -305,8 +306,12 @@ class TestStreamedAttend:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "q.bin", "v.bin"]
 
     def test_peak_holds_no_output_sized_buffer(self, tmp_path):
-        # at 65536 x 64 the output is 32 MiB; a few blocks of 2048 rows, and
-        # the per-query entropies and temperatures, stay below a quarter of it
+        # at 65536 x 64 the output is 32 MiB.  The per-query entropies and
+        # temperatures are held whole, and three (2048, 64) blocks at once:
+        # a Q block, its rows scaled by 1/(n theta) and the output block
+        # they make; a fourth block's room covers the per-block vectors and
+        # the ufunc buffer.  Holding a written output block through the
+        # next block would pass it.
         n, c = 65536, 64
         paths = self.write_inputs(tmp_path, n, c)
         out = tmp_path / "out.bin"
@@ -317,7 +322,7 @@ class TestStreamedAttend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * c / 4
+        assert peak <= 8 * (2 * n + 4 * _QUERY_BLOCK * c)
 
     def test_peak_holds_the_output_and_a_few_blocks(self, tmp_path):
         n, c, d = 16384, 64, 64
@@ -331,6 +336,22 @@ class TestStreamedAttend:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n * d + 4 * _QUERY_BLOCK * c + 8 * n)
+
+    def test_exact_mode_holds_no_n2_buffer(self, tmp_path):
+        # the inputs, read whole, the output, exact_attention's two blocks
+        # of query rows by n keys and a few n-long vectors; the n x n
+        # scores alone would be 128 MiB
+        n, c = 4096, 16
+        paths = self.write_inputs(tmp_path, n, c)
+        out = tmp_path / "out.bin"
+        self.attend(paths, out, "--mode", "exact")  # warm-up
+        tracemalloc.start()
+        try:
+            assert self.attend(paths, out, "--mode", "exact") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * n * c + 2 * _query_rows(n) * n + 8 * n)
 
 
 class TestModuleEntryPoint:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,59 @@ class TestMhaForward:
             mha_forward(p, np.zeros(8))
         with pytest.raises(ValueError):
             mha_forward(p, gaussian_matrix(5, 8, 18), mode="softmax")
+
+
+def _peak(fn, *args, **kwargs):
+    fn(*args, **kwargs)  # warm-up
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMhaBuffers:
+    """Heads write into one (n, model_dim) buffer, and q, k, v go before the
+    output projection.  At 2048 x 256 with 4 heads one head's exact scratch
+    (3 MiB) is smaller than one n x model_dim buffer (4 MiB), so the peak
+    bound sees a list of head outputs, a concatenation or q, k, v kept
+    through the projection: each adds one such buffer."""
+
+    N, DIM, HEADS = 2048, 256, 4
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        p = mha_init(self.DIM, self.HEADS, seed=21)
+        x = gaussian_matrix(self.N, self.DIM, 22, 0.05)
+        q, k, v = x @ p.w_query, x @ p.w_key, x @ p.w_value
+        return p, x, q, k, v
+
+    def heads(self, layer):
+        _, _, q, k, v = layer
+        hd = self.DIM // self.HEADS
+        for h in range(self.HEADS):
+            sl = slice(h * hd, (h + 1) * hd)
+            yield sl, (q[:, sl], k[:, sl], v[:, sl])
+
+    @pytest.mark.parametrize("mode", ["exact", "eala"])
+    def test_output_is_the_per_head_calls_joined(self, layer, mode):
+        p, x = layer[:2]
+        attend = exact_attention if mode == "exact" else eala_attention
+        cols = [attend(*qkv).output for _, qkv in self.heads(layer)]
+        want = np.concatenate(cols, axis=1) @ p.w_output
+        assert np.array_equal(mha_forward(p, x, mode=mode), want)
+
+    @pytest.mark.parametrize("mode", ["exact", "eala"])
+    def test_peak_is_qkv_the_merged_buffer_and_one_head(self, layer, mode):
+        p, x = layer[:2]
+        merged = np.empty((self.N, self.DIM))
+        if mode == "exact":
+            head = max(_peak(exact_attention, *qkv) for _, qkv in self.heads(layer))
+        else:
+            head = max(_peak(eala_attention, *qkv, out=merged[:, sl])
+                       for sl, qkv in self.heads(layer))
+        # q, k, v and the merged buffer, one head's scratch, and 4 KiB for
+        # the Python objects of the loop
+        buffers = 4 * 8 * self.N * self.DIM
+        assert _peak(mha_forward, p, x, mode) <= buffers + head + 4096

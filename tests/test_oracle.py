@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eala.numerics import gaussian_matrix, softmax_row, uniform_stream
-from eala.oracle import (bisection_theta, entropy_from_scores, exact_attention,
-                         kl_decomposition, kl_divergence, linear_family_entropy,
-                         shannon_entropy, strict_concavity_check)
+from eala.oracle import (_query_rows, bisection_theta, entropy_from_scores,
+                         exact_attention, kl_decomposition, kl_divergence,
+                         linear_family_entropy, shannon_entropy, strict_concavity_check)
+from eala.workload import gen_workload_raw
 from strategies import score_vectors, simplex_pairs, simplex_vectors
 
 WORKED_SCORES = np.array([0.1, -0.1])
@@ -139,6 +142,41 @@ class TestExactAttention:
         res = exact_attention(np.array([[50.0], [-50.0]]), np.array([[1.0], [-1.0]]), v)
         assert np.isfinite(res.output).all()
         assert res.output[0, 0] > 0.0 > res.output[1, 0]
+
+
+class TestExactQueryBlocks:
+    """Without kept weights exact_attention runs over blocks of query rows."""
+
+    N, C = 2048, 64
+    ROWS = _query_rows(N)
+
+    def test_unkept_weights_hold_no_n2_buffer(self):
+        q, k, v = gen_workload_raw(self.N, self.C, 0)
+        m, n, d = q.shape[0], k.shape[0], v.shape[1]
+        exact_attention(q, k, v)  # warm-up
+        tracemalloc.start()
+        try:
+            exact_attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, one block's scores and one exponential scratch of
+        # that size, and a few m-long vectors; the scores alone are 32 MiB
+        assert peak <= 8 * (m * d + 2 * self.ROWS * n + 8 * m)
+
+    @pytest.mark.parametrize("m", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    def test_kept_and_unkept_give_the_same_bits(self, m):
+        # every block has at least 64 rows, so the BLAS runs the GEMM kernel
+        # of the kept path's whole products on it, and rows sum in the same
+        # order; a GEMM of a few rows may take another kernel
+        q = gaussian_matrix(m, self.C, 41, 0.1)
+        k = gaussian_matrix(self.N, self.C, 42)
+        v = gaussian_matrix(self.N, self.C, 43)
+        kept = exact_attention(q, k, v, keep_weights=True)
+        unkept = exact_attention(q, k, v)
+        assert unkept.weights is None
+        assert np.array_equal(unkept.output, kept.output)
+        assert np.array_equal(unkept.entropies, kept.entropies)
 
 
 class TestKlDivergence:
