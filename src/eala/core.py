@@ -9,13 +9,12 @@ is chosen per query so the family's entropy matches an estimate of the
 softmax row's entropy, which reads each query's second score moment
 S2 = sum_j (q . khat_j)^2.  On the linear path every per-query quantity
 comes from key-level summaries (the C x C Gram matrix, khat^T V and the
-value sum) that `key_moments` collects in two blocked passes over the
-keys, the second also over the values, so nothing there ever touches an
-n x n buffer or keeps an n x C copy of K.  The quadratic branch and the
-exact entropy source form the scores q khat^T anyway, and take S2 as
-their row sums of squares.  The centred keys sum to zero, so the first
-score moment sum_j q . khat_j is zero for every query, and no layer
-computes it.
+value sum) that `key_moments` collects in one blocked pass over the keys
+and values, so nothing there ever touches an n x n buffer or keeps an
+n x C copy of K.  The quadratic branch and the exact entropy source form
+the scores q khat^T anyway, and take S2 as their row sums of squares.
+The centred keys sum to zero, so the first score moment sum_j q . khat_j
+is zero for every query, and no layer computes it.
 
 Every branch reads Q in row blocks, through `x[lo:hi]` and `x.shape`, and
 stores its output a row block at a time through `out[lo:hi] = block`; the
@@ -89,15 +88,26 @@ class KeyMoments:
 def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the key mean: khat_j = k_j - mean.  Returns (khat, mean).
 
-    `mean` defaults to the column mean of k_mat; the key pass gives the mean
-    of all keys to centre one row block at a time into its scratch `out`.
+    `mean` defaults to the key pass's mean (see `key_moments`): the column
+    mean s of the first _QUERY_BLOCK rows, and past them s + delta, where
+    delta is the column mean of k - s and khat_j = (k_j - s) - delta.  So
+    every branch centres the keys as the linear path does, with no rounded
+    sum of raw keys in khat.  The key pass gives its shift s to centre one
+    row block at a time into its scratch `out`.
     """
     k = np.asarray(k_mat, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] == 0:
         raise ValueError("center_keys expects a nonempty 2-D key matrix")
-    if mean is None:
-        mean = np.mean(k, axis=0)
-    return np.subtract(k, mean, out=out), mean
+    if mean is not None:
+        return np.subtract(k, mean, out=out), mean
+    first = k[:_QUERY_BLOCK]
+    shift = first.sum(axis=0) / len(first)  # the bits of np.mean, without its wrapper
+    khat = np.subtract(k, shift, out=out)
+    if len(k) == len(first):
+        return khat, shift
+    delta = khat.sum(axis=0) / len(k)
+    khat -= delta
+    return khat, shift + delta
 
 
 def _row_blocks(rows: int):
@@ -118,42 +128,22 @@ def _rows_source(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _column_sum(x) -> np.ndarray:
-    """Column sums of the row source x, a block of rows at a time.
-
-    Each block after the first is summed below the running total, which
-    sits in the first row of a (block + 1)-row scratch, so the additions
-    run in the order of numpy's sequential axis-0 sum: on a C-ordered
-    matrix of two or more columns the bits are those of x.sum(axis=0).
-    (numpy sums one column, or a column-major matrix, pairwise instead.)
-    """
-    total = scratch = None
-    for lo, hi in _row_blocks(x.shape[0]):
-        block = x[lo:hi]
-        if total is None:
-            total = block.sum(axis=0)
-        else:
-            if scratch is None:
-                scratch = np.empty((_QUERY_BLOCK + 1, x.shape[1]))
-            seeded = scratch[: hi - lo + 1]
-            seeded[0] = total
-            seeded[1:] = block
-            total = seeded.sum(axis=0)
-    return total
-
-
 def key_moments(k_mat, v_mat) -> KeyMoments:
-    """Summaries of the keys and values in two blocked passes.
+    """Summaries of the keys and values in one blocked pass.
 
-    K and V are matrices or row readers, read in row blocks of _QUERY_BLOCK
-    rows: K twice and V once.  The first pass sums the keys.  The second
-    centres every block of keys against the mean of all keys into the first
-    C columns of one reused (block, C + 1) scratch whose last column is 1,
-    and sums the Gram khat^T khat and the GEMM of the scratch's transpose
-    with the block of V: khat^T V in its first C rows, the value sum in its
-    last.  This is the two-pass scheme (Chan, Golub & LeVeque 1979): offset
-    keys keep their spread, where K^T K - n mu mu^T or a pairwise merge of
-    per-block moments would cancel it away.  Nothing n x C is kept.
+    K and V are matrices or row readers, read once each in row blocks of
+    _QUERY_BLOCK rows.  Every block of keys is centred against the shift s,
+    the mean of the first block, into the first C columns of one reused
+    (block, C + 1) scratch whose last column is 1.  The pass sums the GEMM
+    of the scratch's transpose with the block of V, (K - s)^T V in its
+    first C rows and the value sum in its last, and the Gram
+    G_s = (K - s)^T (K - s).  Past one block the Gram also takes the ones
+    column, t = sum_j (k_j - s); with delta = t / n the mean is s + delta,
+    M = G_s - n delta delta^T and khat^T V = (K - s)^T V - delta (sum v)^T.
+    This is the shifted-data scheme (Chan, Golub & LeVeque 1979): s sits
+    near the keys, so offset keys keep their spread, where K^T K - n mu mu^T
+    would cancel it away, and no rounded sum of raw keys biases khat.
+    Nothing n x C is kept.
     """
     k = _rows_source(k_mat)
     v = _rows_source(v_mat)
@@ -162,17 +152,24 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     n, c = k.shape
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    mean = _column_sum(k) / n  # the bits of np.mean, without its wrapper
     scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
     scratch[:, c] = 1.0
-    gram = np.zeros((c, c))
+    cols = c + 1 if n > _QUERY_BLOCK else c
+    gram = np.zeros((cols, cols))
     kv_sum = np.zeros((c + 1, v.shape[1]))
+    shift = None
     for lo, hi in _row_blocks(n):
         block = scratch[: hi - lo]
-        kb = center_keys(k[lo:hi], mean, out=block[:, :c])[0]
+        shift = center_keys(k[lo:hi], shift, out=block[:, :c])[1]
+        kb = block[:, :cols]
         gram += kb.T @ kb  # kb.T @ kb takes numpy's syrk path
         kv_sum += block.T @ v[lo:hi]
-    return KeyMoments(mean=mean, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
+    if cols == c:  # one block: s is the mean of all keys
+        return KeyMoments(mean=shift, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
+    delta = gram[:c, c] / n
+    kv_sum[:c] -= np.outer(delta, kv_sum[c])
+    return KeyMoments(mean=shift + delta, gram=gram[:c, :c] - n * np.outer(delta, delta),
+                      kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
 
 
 def score_moments(q_mat, m: KeyMoments) -> np.ndarray:

@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from eala.numerics import gaussian_matrix
+
 
 @st.composite
 def simplex_vectors(draw, min_n=2, max_n=64):
@@ -48,3 +50,19 @@ def attention_instances(draw, max_n=64, max_c=16, scale=1.0):
         return np.asarray(raw, dtype=np.float64).reshape(rows, cols)
 
     return mat(m, c), mat(n, c), mat(n, c)
+
+
+@st.composite
+def shifted_key_instances(draw, max_n, max_m=32, max_c=8):
+    """(Q, K, V) from seeded Gaussians whose keys sit far from the origin:
+    a common offset of 1e6 or 1e8, or a drift down the rows from 0 to 1e3
+    standard deviations.  Up to max_n keys and max_m queries."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    c = draw(st.integers(min_value=1, max_value=max_c))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    shift = draw(st.sampled_from([1e6, 1e8, "drift"]))
+    if shift == "drift":
+        shift = 1e3 * np.linspace(0.0, 1.0, n)[:, None]
+    k = gaussian_matrix(n, c, seed + 1) + shift
+    return gaussian_matrix(m, c, seed), k, gaussian_matrix(n, c, seed + 2)

@@ -13,6 +13,7 @@ from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
                        theta_star)
 from eala.numerics import gaussian_matrix, uniform_stream
 from eala.oracle import bisection_theta, entropy_from_scores, exact_attention
+from strategies import shifted_key_instances
 
 CFG = EalaConfig()
 
@@ -88,10 +89,24 @@ class TestKeyMoments:
         assert float(np.max(np.abs(kh.sum(axis=0)))) <= 1e-9 * 128 * float(np.max(np.abs(k)))
 
 
-def whole_matrix_moments(k, v):
-    """The key pass's three sums, each over all rows at once."""
-    khat = k - np.mean(k, axis=0)
+def whole_matrix_moments(k, v, khat=None):
+    """The key pass's three sums, each over all rows at once.  khat, the
+    centred keys, defaults to k - np.mean(k); long-double keys from
+    `long_double_centring` make long-double sums."""
+    if khat is None:
+        khat = k - np.mean(k, axis=0)
     return khat.T @ khat, khat.T @ v, np.sum(v, axis=0)
+
+
+def long_double_centring(k):
+    """(khat, mean) of k in long double.  The keys are centred as offsets
+    from the first row, which are exact for offset keys, so neither a
+    rounded sum of raw keys nor the mean's own rounding biases khat."""
+    kl = k.astype(np.longdouble)
+    khat = kl - kl[0]
+    mean = khat.mean(axis=0)
+    khat -= mean
+    return khat, kl[0] + mean
 
 
 def assert_value_sum(got, v):
@@ -125,21 +140,30 @@ class TestKeyPass:
         k = gaussian_matrix(n, 16, 1810) + offset
         v = gaussian_matrix(n, 8, 1811)
         m = key_moments(k, v)
-        gram, kv, value_sum = whole_matrix_moments(k, v)
+        # np.mean's sequential sum of the raw keys would bias the reference
+        gram, kv, value_sum = whole_matrix_moments(k, v, long_double_centring(k)[0])
         assert max_rel(m.gram, gram) <= 1e-11
         assert max_rel(m.kv, kv) <= 1e-11
         assert_value_sum(m.value_sum, v)
 
-    @pytest.mark.parametrize("n", [_QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3])
-    def test_blocked_sums_are_numpys_axis0_sums(self, n):
-        # the running total is summed above each block, in numpy's order;
-        # strided head slices of a wider matrix sum the same way.  The value
-        # sum comes out of the GEMM that gives khat^T V, in BLAS's order.
-        wide = gaussian_matrix(n, 48, 1830) + 1e6
-        for k, v in ((wide[:, :16], wide[:, 16:24]), (wide[:, 24:40].copy(), wide[:, 40:])):
-            m = key_moments(k, v)
-            assert np.array_equal(m.mean, np.mean(k, axis=0))
-            assert_value_sum(m.value_sum, v)
+    @pytest.mark.parametrize("keys", [0.0, 1e6, 1e8, "drift"])
+    @pytest.mark.parametrize("n", [2 * _QUERY_BLOCK + 3, 65536])
+    def test_shifted_pass_matches_long_double(self, n, keys):
+        # the shift s is near the keys, so k - s is exact and the mean
+        # s + delta is the long-double mean rounded once; measured at
+        # most 2.4e-15 (Gram) and 7.0e-15 (khat^T V) over three seeds
+        base = gaussian_matrix(n, 16, 1870)
+        # "drift" runs from 0 to 1e3 standard deviations down the rows
+        k = base + (1e3 * np.linspace(0.0, 1.0, n)[:, None] if keys == "drift" else keys)
+        v = gaussian_matrix(n, 8, 1871)
+        m = key_moments(k, v)
+        khat, mean = long_double_centring(k)
+        gram, kv, _ = whole_matrix_moments(k, v, khat)
+        spread = float(np.max(np.abs(khat)))
+        assert np.all(np.abs(m.mean - mean) <= np.spacing(np.abs(m.mean)) + 1e-15 * spread)
+        assert max_rel(m.gram, gram) <= 1e-14
+        assert max_rel(m.kv, kv) <= 1e-14
+        assert_value_sum(m.value_sum, v)
 
     @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, 2 * _QUERY_BLOCK + 3])
     def test_exact_source_forward_reads_the_key_pass(self, n):
@@ -384,14 +408,17 @@ class TestForwardPaths:
     @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
                                    2 * _QUERY_BLOCK + 3])
     def test_branch_equivalence_across_key_blocks(self, n):
+        # each branch centres the offset keys itself, so center_keys must
+        # take the key pass's mean: np.mean's biased sum fails at 1e8
         q = gaussian_matrix(16, 4, 1160)
-        kh, _ = center_keys(gaussian_matrix(n, 4, 1161))
         v = gaussian_matrix(n, 3, 1162)
         theta = 0.5 + 2.0 * uniform_stream(1163, 16)
-        oq = eala_forward_quadratic(q, kh, v, theta)
-        ol = linear_forward(q, kh, v, theta)
-        denom = max(float(np.max(np.abs(oq))), 1e-300)
-        assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9
+        for offset in (0.0, 1e6, 1e8):
+            k = gaussian_matrix(n, 4, 1161) + offset
+            oq = eala_forward_quadratic(q, center_keys(k)[0], v, theta)
+            ol = eala_forward_linear(q, key_moments(k, v), theta)
+            denom = max(float(np.max(np.abs(oq))), 1e-300)
+            assert float(np.max(np.abs(oq - ol))) / denom <= 1e-9, offset
 
     def test_weight_rows_sum_to_one_for_any_theta(self):
         q, k, _ = random_instance(20, 6, 1100)
@@ -510,8 +537,7 @@ class TestRowReaders:
         for a, b in zip((res.output, res.entropies, res.thetas),
                         (want.output, want.entropies, want.thetas)):
             assert np.array_equal(a, b)
-        assert q.reads == v.reads == self.BLOCKS
-        assert k.reads == self.BLOCKS + self.BLOCKS  # two passes over K, one over V
+        assert q.reads == k.reads == v.reads == self.BLOCKS  # one pass over each
 
     @pytest.mark.parametrize("path", ["auto", "linear"])
     def test_linear_path_writes_each_block_once(self, path):
@@ -522,7 +548,7 @@ class TestRowReaders:
         assert out.writes == self.BLOCKS
         want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
         assert np.array_equal(out.mat, want.output)
-        assert q.reads == v.reads == self.BLOCKS and k.reads == self.BLOCKS + self.BLOCKS
+        assert q.reads == k.reads == v.reads == self.BLOCKS
 
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
@@ -746,6 +772,16 @@ class TestEalaAttention:
         q, k, v = random_instance(24, 6, 1200)
         out_q = eala_attention(q, k, v, EalaConfig(path="quadratic")).output
         out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
+        denom = max(float(np.max(np.abs(out_q))), 1e-300)
+        assert float(np.max(np.abs(out_q - out_l))) / denom <= 1e-9
+
+    @settings(max_examples=30)
+    @given(shifted_key_instances(max_n=2 * _QUERY_BLOCK + 3))
+    def test_forced_paths_agree_on_shifted_keys(self, qkv):
+        # the quadratic branch centres K with center_keys, the linear one in
+        # the key pass: both by one rule for the mean, across key blocks too
+        out_q = eala_attention(*qkv, EalaConfig(path="quadratic")).output
+        out_l = eala_attention(*qkv, EalaConfig(path="linear")).output
         denom = max(float(np.max(np.abs(out_q))), 1e-300)
         assert float(np.max(np.abs(out_q - out_l))) / denom <= 1e-9
 
