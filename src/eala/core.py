@@ -32,6 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the C function that np.einsum calls when not asked to optimize, without its wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    _einsum = np.einsum
+
 from .oracle import AttnResult, _name_nonfinite, score_row_entropies
 
 _ENTROPY_SOURCES = ("approx", "exact")
@@ -65,6 +70,9 @@ class EalaConfig:
             raise ValueError(f"entropy_source must be one of {_ENTROPY_SOURCES}")
         if self.path not in _PATHS:
             raise ValueError(f"path must be one of {_PATHS}")
+
+
+_DEFAULT_CONFIG = EalaConfig()
 
 
 @dataclass
@@ -101,19 +109,19 @@ def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     if mean is not None:
         return np.subtract(k, mean, out=out), mean
     first = k[:_QUERY_BLOCK]
-    shift = first.sum(axis=0) / len(first)  # the bits of np.mean, without its wrapper
+    shift = np.add.reduce(first, axis=0) / len(first)  # the bits of np.mean, without its wrappers
     khat = np.subtract(k, shift, out=out)
     if len(k) == len(first):
         return khat, shift
-    delta = khat.sum(axis=0) / len(k)
+    delta = np.add.reduce(khat, axis=0) / len(k)
     khat -= delta
     return khat, shift + delta
 
 
 def _row_blocks(rows: int):
     """(lo, hi) of each row block of `rows` rows, in order."""
-    starts = range(0, rows, _QUERY_BLOCK)
-    return zip(starts, [*starts[1:], rows])
+    for lo in range(0, rows, _QUERY_BLOCK):
+        yield lo, min(lo + _QUERY_BLOCK, rows)
 
 
 def _rows_source(x):
@@ -123,6 +131,8 @@ def _rows_source(x):
     arrays, and no `__array__`, as `tensorio.TensorRows`; array-likes that
     have `__array__` (arrays, data frames, tensors) are converted whole.
     """
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
     if hasattr(x, "shape") and not hasattr(x, "__array__"):
         return x
     return np.asarray(x, dtype=np.float64)
@@ -155,15 +165,16 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
     scratch[:, c] = 1.0
     cols = c + 1 if n > _QUERY_BLOCK else c
-    gram = np.zeros((cols, cols))
-    kv_sum = np.zeros((c + 1, v.shape[1]))
-    shift = None
+    gram = kv_sum = shift = None
     for lo, hi in _row_blocks(n):
         block = scratch[: hi - lo]
         shift = center_keys(k[lo:hi], shift, out=block[:, :c])[1]
         kb = block[:, :cols]
-        gram += kb.T @ kb  # kb.T @ kb takes numpy's syrk path
-        kv_sum += block.T @ v[lo:hi]
+        if gram is None:  # the first block's GEMMs are the sums so far
+            gram, kv_sum = kb.T @ kb, block.T @ v[lo:hi]  # kb.T @ kb takes numpy's syrk path
+        else:
+            gram += kb.T @ kb
+            kv_sum += block.T @ v[lo:hi]
     if cols == c:  # one block: s is the mean of all keys
         return KeyMoments(mean=shift, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
     delta = gram[:c, c] / n
@@ -185,9 +196,12 @@ def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
     q = np.asarray(q_mat, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
-    s2 = np.einsum("ij,ij->i", q @ m.gram, q)
-    np.maximum(s2, 0.0, out=s2)
-    return s2
+    return _score_moments(q, m.gram)
+
+
+def _score_moments(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    s2 = _einsum("ij,ij->i", q @ gram, q)
+    return np.maximum(s2, 0.0, out=s2)
 
 
 def approx_entropy(s2, n: int) -> np.ndarray:
@@ -204,10 +218,14 @@ def approx_entropy(s2, n: int) -> np.ndarray:
     s2 = np.asarray(s2, dtype=np.float64)
     if s2.ndim != 1:
         raise ValueError("s2 must be a 1-D array")
-    log_n = np.log(n)
+    log_n = np.log(float(n))
+    return np.minimum(_approx_entropy(s2, n, log_n), log_n)  # a negative s2 passes log n
+
+
+def _approx_entropy(s2: np.ndarray, n: int, log_n) -> np.ndarray:
+    """Hhat of an S2 >= 0, which never exceeds log n."""
     h = log_n - s2 / n
-    np.clip(h, 0.0, log_n, out=h)
-    return h
+    return np.maximum(h, 0.0, out=h)
 
 
 def theta_star(s2, entropy, n: int) -> np.ndarray:
@@ -232,12 +250,21 @@ def theta_star(s2, entropy, n: int) -> np.ndarray:
     if s2.size and not (s2.min() >= 0.0 and s2.max() < np.inf):
         raise ValueError("s2 must be finite and nonnegative")
     log_n = np.log(float(n))
-    gap = log_n - np.clip(ent, 0.0, log_n)
-    degenerate = (s2 <= DENOM_FLOOR) | (gap <= DENOM_FLOOR)
+    return _theta_star(s2, log_n - np.minimum(np.maximum(ent, 0.0), log_n), n)
+
+
+def _theta_star(s2: np.ndarray, gap: np.ndarray, n: int) -> np.ndarray:
+    """theta* from a finite S2 >= 0 and the gap log n - H of an entropy
+    clipped into [0, log n]."""
+    low = np.fmin(s2, gap)  # fmin: a nan gap leaves the S2 test
+    degenerate = low <= DENOM_FLOOR if np.minimum.reduce(low, initial=np.inf) <= DENOM_FLOOR else None
     # avoid 0/0 in the masked lanes; they are overwritten with the sentinel
-    safe_gap = np.where(degenerate, 1.0, gap)
-    theta = np.sqrt(s2 / (2.0 * n * safe_gap)) + EPSILON
-    theta[degenerate] = np.inf
+    theta = gap * (2.0 * n) if degenerate is None else np.where(degenerate, 1.0, gap) * (2.0 * n)
+    np.divide(s2, theta, out=theta)
+    np.sqrt(theta, out=theta)
+    theta += EPSILON
+    if degenerate is not None:
+        theta[degenerate] = np.inf
     return theta
 
 
@@ -245,25 +272,31 @@ def _check_theta(theta, rows: int) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if th.ndim != 1 or th.size != rows:
         raise ValueError("theta must be 1-D with one entry per query")
-    if not (th > 0.0).all():  # a nan fails the comparison
+    if not np.minimum.reduce(th, initial=np.inf) > 0.0:  # a nan is the min, and fails
         raise ValueError("theta entries must be positive (or the +inf sentinel)")
     return th
 
 
-def eala_forward_quadratic(q_mat, khat, v_mat, theta, out=None) -> np.ndarray:
+def eala_forward_quadratic(q_mat, khat, v_mat, theta, out=None, *, scores=None) -> np.ndarray:
     """Materialized-weights branch: O(M N C) time and one (M, N) buffer for
     M queries against N keys.
 
     o_i = sum_j ((1 + (q_i . khat_j) / theta_i) / n) v_j.  Sentinel
     temperatures contribute 1/theta = 0, i.e. plain averaging.  Weights may
     go negative at small theta; they are used as-is.  `out`, an (M, D)
-    array, takes the product when one is given.
+    array, takes the product when one is given.  `scores`, when given, is
+    the (M, N) product Q khat^T that the caller has formed already; it
+    becomes the weights in place, so the product is formed once per block,
+    and `q_mat` is not read.
     """
     kh = np.asarray(khat, dtype=np.float64)
     v = np.asarray(v_mat, dtype=np.float64)
     if v.ndim != 2 or v.shape[:1] != kh.shape[:1]:
         raise ValueError(f"V of shape {v.shape} does not match khat of shape {kh.shape}")
-    return np.matmul(eala_weights(q_mat, kh, theta), v, out=out)
+    if scores is None:
+        return np.matmul(eala_weights(q_mat, kh, theta), v, out=out)
+    th = _check_theta(theta, scores.shape[0])
+    return np.matmul(_weights_from_scores(scores, th, kh.shape[0]), v, out=out)
 
 
 def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
@@ -283,7 +316,8 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
     th = _check_theta(theta, q.shape[0])
-    out = np.matmul(q * (1.0 / (m.count * th))[:, None], m.kv, out=out)
+    # einsum scales the rows without a broadcast multiply's 64 KiB ufunc buffer
+    out = np.matmul(_einsum("ij,i->ij", q, 1.0 / (m.count * th)), m.kv, out=out)
     out += m.value_sum / m.count
     return out
 
@@ -301,10 +335,13 @@ def eala_weights(q_mat, khat, theta) -> np.ndarray:
     if q.ndim != 2 or kh.ndim != 2 or q.shape[1] != kh.shape[1]:
         raise ValueError("incompatible query/key shapes")
     th = _check_theta(theta, q.shape[0])
-    w = q @ kh.T
+    return _weights_from_scores(q @ kh.T, th, kh.shape[0])
+
+
+def _weights_from_scores(w: np.ndarray, th: np.ndarray, n: int) -> np.ndarray:
     w /= th[:, None]
     w += 1.0
-    w /= kh.shape[0]
+    w /= n
     return w
 
 
@@ -326,17 +363,23 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
     in numpy, receives the output and is returned as it: a (rows, D) array,
-    or a row writer with a `shape` that takes `out[lo:hi] = block`.  After
-    the key summaries, one pass over row blocks of queries takes each
-    block through S2, the entropy, the temperature and the branch's
-    forward, into its rows of `out`, so no n x D buffer is made.  The
-    quadratic branch and the exact entropy source read K and V whole to
-    centre K into khat, and take S2 as the row sums of squares of each
-    block's scores q khat^T; the quadratic branch builds no key moments.
+    or a row writer with a `shape` that takes `out[lo:hi] = block`.  Every
+    block handed to a row writer is one reused buffer, which the next
+    block overwrites: the writer copies or stores the rows before it
+    returns.  After the key summaries, one pass over row blocks of queries
+    takes each block through S2, the entropy, the temperature and the
+    branch's forward, into its rows of `out`, so no n x D buffer is made.
+    The steps are the kernels of `score_moments`, `approx_entropy` and
+    `theta_star`, which the public functions wrap with checks of their
+    input that this pipeline makes once at its entry.  The quadratic
+    branch and the exact entropy source read K and V whole to centre K
+    into khat, and take S2 as the row sums of squares of each block's
+    scores q khat^T; the quadratic branch builds no key moments, and turns
+    those scores into its weights in place.
     """
     if cfg is None:
-        cfg = EalaConfig()
-    q, k, v = (_rows_source(x) for x in (q_mat, k_mat, v_mat))
+        cfg = _DEFAULT_CONFIG
+    q, k, v = _rows_source(q_mat), _rows_source(k_mat), _rows_source(v_mat)
     if len(q.shape) != 2 or len(k.shape) != 2 or len(v.shape) != 2:
         raise ValueError("Q, K, V must be 2-D")
     if q.shape[1] != k.shape[1]:
@@ -358,50 +401,74 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
     quadratic = select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
     approx = cfg.entropy_source == "approx"
     scored = quadratic or not approx  # the branch forms the scores q khat^T
+    log_n = np.log(float(n))
+
+    def block_s2(lo, hi):
+        """Q's rows lo:hi, their scores (None if the branch forms none),
+        their S2 >= 0 and whether S2 is finite."""
+        qb = q[lo:hi]
+        scores = qb @ khat.T if scored else None
+        s2 = _einsum("ij,ij->i", scores, scores) if scored else _score_moments(qb, m.gram)
+        return qb, scores, s2, math.isfinite(s2 @ s2)
+
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
     # its block's S2, so their sums of squares check all three inputs with
     # no pass of their own.  With q holding inf, S2 is +inf or NaN (a sum
     # of squares, or q M q^T with M PSD, whose clamp at zero hides
     # nothing).  Floating-point warnings are silenced for those sums and
-    # checks alone: an overflow in a later step still warns.
+    # checks alone: an overflow in a later step still warns.  A call of one
+    # query block takes its S2 under the key pass's errstate.
+    pending = None
     with np.errstate(invalid="ignore", over="ignore"):
         if scored:
             k, v = k[0:n], v[0:n]
         if quadratic:
             khat, mean = center_keys(k)
-            sums = [mean, v.sum(axis=0)]
+            sums = [mean, np.add.reduce(v, axis=0)]
         else:
             m = key_moments(k, v)
             sums = [m.mean, m.value_sum, m.kv]
             if scored:
                 khat = center_keys(k, m.mean)[0]
-        finite = math.isfinite(sum(np.vdot(x, x) for x in sums))
+        finite = math.isfinite(sum(map(np.vdot, sums, sums)))
+        if finite and 0 < rows <= _QUERY_BLOCK:
+            pending = block_s2(0, rows)
     if not finite:
         _name_nonfinite(list(zip("KVV", (k, v, v), sums, (
             "the key mean overflows float64 although K is finite",
             "the value sum overflows float64 although V is finite",
             "khat^T V overflows float64 although K and V are finite"))))
-    ent = np.empty(rows)
-    theta = np.empty(rows)
+    if not 0 < rows <= _QUERY_BLOCK:  # one query block returns its block's own arrays
+        ent, theta = np.empty(rows), np.empty(rows)
     if out is None:
         out = np.empty((rows, d))
+    buf = None if isinstance(out, np.ndarray) else np.empty((min(rows, _QUERY_BLOCK), d))
     for lo, hi in _row_blocks(rows):
-        qb = q[lo:hi]
-        with np.errstate(invalid="ignore", over="ignore"):
-            scores = qb @ khat.T if scored else None
-            s2 = np.einsum("ij,ij->i", scores, scores) if scored else score_moments(qb, m)
-            finite = math.isfinite(s2 @ s2)
+        if pending is None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pending = block_s2(lo, hi)
+        (qb, scores, s2, finite), pending = pending, None
         if not finite:
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        ent[lo:hi] = approx_entropy(s2, n) if approx else score_row_entropies(scores)
-        theta[lo:hi] = theta_star(s2, ent[lo:hi], n)
-        scores = None  # so the quadratic forward's weights are the one block x n buffer
-        dest = out[lo:hi] if isinstance(out, np.ndarray) else None
-        if quadratic:
-            block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest)
+        if approx:
+            h = _approx_entropy(s2, n, log_n)
+            th = _theta_star(s2, log_n - h, n)
         else:
-            block = eala_forward_linear(qb, m, theta[lo:hi], out=dest)
-        if dest is None:
-            out[lo:hi] = block
-            del block  # freed before the next block's temporaries are made
+            h = score_row_entropies(scores)
+            th = _theta_star(s2, log_n - np.minimum(h, log_n), n)
+        if hi - lo == rows:
+            ent, theta = h, th
+        else:  # copied into the call's arrays; the block's own are freed before the forward
+            ent[lo:hi], theta[lo:hi] = h, th
+            s2 = h = None
+            th = theta[lo:hi]
+        dest = out[lo:hi] if buf is None else buf[: hi - lo]
+        if quadratic:
+            eala_forward_quadratic(qb, khat, v, th, out=dest, scores=scores)
+        else:
+            scores = None  # so the exact source's scores are freed before the forward
+            eala_forward_linear(qb, m, th, out=dest)
+        if buf is not None:
+            out[lo:hi] = dest
+        qb = scores = None  # freed before the next block is read
     return AttnResult(output=out, entropies=ent, thetas=theta)

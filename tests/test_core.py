@@ -3,16 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eala import core
 from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
                        approx_entropy, center_keys, eala_attention,
                        eala_forward_linear, eala_forward_quadratic,
                        eala_weights, key_moments, score_moments, select_path,
                        theta_star)
 from eala.numerics import gaussian_matrix, uniform_stream
-from eala.oracle import bisection_theta, entropy_from_scores, exact_attention
+from eala.oracle import (bisection_theta, entropy_from_scores, exact_attention,
+                         score_row_entropies)
 from strategies import shifted_key_instances
 
 CFG = EalaConfig()
@@ -550,6 +552,24 @@ class TestRowReaders:
         assert np.array_equal(out.mat, want.output)
         assert q.reads == k.reads == v.reads == self.BLOCKS
 
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
+                                     EalaConfig(entropy_source="exact")])
+    def test_row_writer_gets_one_reused_buffer(self, cfg):
+        q = self.readers()[0]
+        k, v = self.readers(n=40)[1:]
+        addresses = []
+
+        class Writer(RecordedWriter):
+            def __setitem__(self, rows, block):
+                addresses.append(block.__array_interface__["data"][0])
+                super().__setitem__(rows, block)
+
+        out = Writer((self.N, 8))
+        eala_attention(q, k, v, cfg, out=out)
+        assert out.writes == self.BLOCKS
+        assert len(set(addresses)) == 1
+        assert np.array_equal(out.mat, eala_attention(q.mat, k.mat, v.mat, cfg).output)
+
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
         q = self.readers()[0]
@@ -642,6 +662,61 @@ class TestRowReaders:
         q.mat[-1, 0] = np.nan
         with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
             eala_attention(q, k, v)
+
+
+def pipeline_chain(q, k, v, cfg):
+    """eala_attention spelled out with the public functions, one query
+    block of _QUERY_BLOCK rows at a time: the key pass (or the centred
+    keys), S2, the entropy, theta and the branch's forward."""
+    n = len(k)
+    quadratic = select_path(cfg.path, n, q.shape[1]) == "quadratic"
+    approx = cfg.entropy_source == "approx"
+    if quadratic:
+        khat = center_keys(k)[0]
+    else:
+        m = key_moments(k, v)
+        khat = center_keys(k, m.mean)[0]
+    outs, ents, thetas = [], [], []
+    for lo in range(0, len(q), _QUERY_BLOCK):
+        qb = q[lo:lo + _QUERY_BLOCK]
+        scores = qb @ khat.T
+        s2 = (score_moments(qb, m) if approx and not quadratic
+              else np.einsum("ij,ij->i", scores, scores))
+        ent = approx_entropy(s2, n) if approx else score_row_entropies(scores)
+        theta = theta_star(s2, ent, n)
+        outs.append(eala_forward_quadratic(qb, khat, v, theta) if quadratic
+                    else eala_forward_linear(qb, m, theta))
+        ents.append(ent)
+        thetas.append(theta)
+    return np.vstack(outs), np.concatenate(ents), np.concatenate(thetas)
+
+
+# block edges of the query loop and the key pass, and small sizes
+PIPELINE_SIZES = st.one_of(st.integers(min_value=1, max_value=40),
+                           st.sampled_from([_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
+                                            2 * _QUERY_BLOCK + 3]))
+
+
+class TestPipelineChain:
+    """eala_attention runs private kernels where the public functions check
+    their input; both are one arithmetic, bit for bit."""
+
+    @given(m=PIPELINE_SIZES, n=PIPELINE_SIZES, c=st.integers(min_value=1, max_value=48),
+           seed=st.integers(min_value=0, max_value=10_000),
+           scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans(),
+           source=st.sampled_from(["approx", "exact"]),
+           path=st.sampled_from(["auto", "quadratic", "linear"]))
+    def test_matches_the_public_functions(self, m, n, c, seed, scale, zero_rows, source, path):
+        assume(min(m, n) <= 40)  # one side long at a time keeps the exact source cheap
+        q = gaussian_matrix(m, c, seed, scale)
+        if zero_rows:
+            q[::3] = 0.0  # S2 = 0: the sentinel theta
+        k = gaussian_matrix(n, c, seed + 1, scale)
+        v = gaussian_matrix(n, 3, seed + 2)
+        cfg = EalaConfig(entropy_source=source, path=path)
+        res = eala_attention(q, k, v, cfg)
+        for got, want in zip((res.output, res.entropies, res.thetas), pipeline_chain(q, k, v, cfg)):
+            assert np.array_equal(got, want)
 
 
 class TestNonFiniteInput:
@@ -794,6 +869,20 @@ class TestEalaAttention:
         res = eala_attention(q, k, v)
         assert np.array_equal(res.entropies, approx_entropy(s2, 24))
         assert np.array_equal(res.thetas, theta_star(s2, res.entropies, 24))
+
+    def test_quadratic_branch_forms_the_scores_once(self, monkeypatch):
+        # C > N: the block's scores that gave S2 become the weights in place,
+        # so eala_weights, which forms q khat^T again, is never called
+        q, k, v = random_instance(24, 40, 1260, scale=0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eala_weights called")
+
+        monkeypatch.setattr(core, "eala_weights", refuse)
+        res = eala_attention(q, k, v)
+        monkeypatch.undo()
+        want = eala_forward_quadratic(q, center_keys(k)[0], v, res.thetas)
+        assert np.array_equal(res.output, want)
 
     def test_key_shift_invariance(self):
         q, k, v = random_instance(18, 5, 1300)
