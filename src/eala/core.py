@@ -32,11 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # the C function that np.einsum calls when not asked to optimize, without its wrapper
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x
-    _einsum = np.einsum
-
 from .oracle import AttnResult, _name_nonfinite, score_row_entropies
 
 _ENTROPY_SOURCES = ("approx", "exact")
@@ -120,8 +115,8 @@ def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(rows: int):
     """(lo, hi) of each row block of `rows` rows, in order."""
-    for lo in range(0, rows, _QUERY_BLOCK):
-        yield lo, min(lo + _QUERY_BLOCK, rows)
+    starts = range(0, rows, _QUERY_BLOCK)
+    return zip(starts, [*starts[1:], rows])
 
 
 def _rows_source(x):
@@ -200,7 +195,7 @@ def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
 
 
 def _score_moments(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    s2 = _einsum("ij,ij->i", q @ gram, q)
+    s2 = np.einsum("ij,ij->i", q @ gram, q)
     return np.maximum(s2, 0.0, out=s2)
 
 
@@ -285,9 +280,9 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta, out=None, *, scores=None) 
     temperatures contribute 1/theta = 0, i.e. plain averaging.  Weights may
     go negative at small theta; they are used as-is.  `out`, an (M, D)
     array, takes the product when one is given.  `scores`, when given, is
-    the (M, N) product Q khat^T that the caller has formed already; it
-    becomes the weights in place, so the product is formed once per block,
-    and `q_mat` is not read.
+    the (M, N) float64 product Q khat^T that the caller has formed
+    already: it is overwritten with the weights, so the product is formed
+    once, and Q's values are not read, only its row count.
     """
     kh = np.asarray(khat, dtype=np.float64)
     v = np.asarray(v_mat, dtype=np.float64)
@@ -295,7 +290,10 @@ def eala_forward_quadratic(q_mat, khat, v_mat, theta, out=None, *, scores=None) 
         raise ValueError(f"V of shape {v.shape} does not match khat of shape {kh.shape}")
     if scores is None:
         return np.matmul(eala_weights(q_mat, kh, theta), v, out=out)
-    th = _check_theta(theta, scores.shape[0])
+    shape = np.shape(q_mat)[:1] + kh.shape[:1]
+    if not (isinstance(scores, np.ndarray) and scores.dtype == np.float64 and scores.shape == shape):
+        raise ValueError(f"scores must be a float64 array of shape {shape} (Q's rows by khat's)")
+    th = _check_theta(theta, shape[0])
     return np.matmul(_weights_from_scores(scores, th, kh.shape[0]), v, out=out)
 
 
@@ -316,8 +314,8 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != m.kv.shape[0]:
         raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.kv.shape[0]}")
     th = _check_theta(theta, q.shape[0])
-    # einsum scales the rows without a broadcast multiply's 64 KiB ufunc buffer
-    out = np.matmul(_einsum("ij,i->ij", q, 1.0 / (m.count * th)), m.kv, out=out)
+    # einsum scales the rows without the 64 KiB ufunc buffer of a broadcast multiply
+    out = np.matmul(np.einsum("ij,i->ij", q, 1.0 / (m.count * th)), m.kv, out=out)
     out += m.value_sum / m.count
     return out
 
@@ -363,12 +361,10 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
     in numpy, receives the output and is returned as it: a (rows, D) array,
-    or a row writer with a `shape` that takes `out[lo:hi] = block`.  Every
-    block handed to a row writer is one reused buffer, which the next
-    block overwrites: the writer copies or stores the rows before it
-    returns.  After the key summaries, one pass over row blocks of queries
-    takes each block through S2, the entropy, the temperature and the
-    branch's forward, into its rows of `out`, so no n x D buffer is made.
+    or a row writer with a `shape` that takes `out[lo:hi] = block`.  After
+    the key summaries, one pass over row blocks of queries takes each
+    block through S2, the entropy, the temperature and the branch's
+    forward, into its rows of `out`, so no n x D buffer is made.
     The steps are the kernels of `score_moments`, `approx_entropy` and
     `theta_star`, which the public functions wrap with checks of their
     input that this pipeline makes once at its entry.  The quadratic
@@ -408,7 +404,7 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
         their S2 >= 0 and whether S2 is finite."""
         qb = q[lo:hi]
         scores = qb @ khat.T if scored else None
-        s2 = _einsum("ij,ij->i", scores, scores) if scored else _score_moments(qb, m.gram)
+        s2 = np.einsum("ij,ij->i", scores, scores) if scored else _score_moments(qb, m.gram)
         return qb, scores, s2, math.isfinite(s2 @ s2)
 
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
@@ -442,7 +438,6 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
         ent, theta = np.empty(rows), np.empty(rows)
     if out is None:
         out = np.empty((rows, d))
-    buf = None if isinstance(out, np.ndarray) else np.empty((min(rows, _QUERY_BLOCK), d))
     for lo, hi in _row_blocks(rows):
         if pending is None:
             with np.errstate(invalid="ignore", over="ignore"):
@@ -462,13 +457,14 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None)
             ent[lo:hi], theta[lo:hi] = h, th
             s2 = h = None
             th = theta[lo:hi]
-        dest = out[lo:hi] if buf is None else buf[: hi - lo]
+        dest = out[lo:hi] if isinstance(out, np.ndarray) else None
         if quadratic:
-            eala_forward_quadratic(qb, khat, v, th, out=dest, scores=scores)
+            block = eala_forward_quadratic(qb, khat, v, th, out=dest, scores=scores)
         else:
             scores = None  # so the exact source's scores are freed before the forward
-            eala_forward_linear(qb, m, th, out=dest)
-        if buf is not None:
-            out[lo:hi] = dest
-        qb = scores = None  # freed before the next block is read
+            block = eala_forward_linear(qb, m, th, out=dest)
+        qb = scores = None  # freed before the block is written
+        if dest is None:
+            out[lo:hi] = block
+            del block  # freed before the next block's temporaries are made
     return AttnResult(output=out, entropies=ent, thetas=theta)

@@ -552,24 +552,6 @@ class TestRowReaders:
         assert np.array_equal(out.mat, want.output)
         assert q.reads == k.reads == v.reads == self.BLOCKS
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
-                                     EalaConfig(entropy_source="exact")])
-    def test_row_writer_gets_one_reused_buffer(self, cfg):
-        q = self.readers()[0]
-        k, v = self.readers(n=40)[1:]
-        addresses = []
-
-        class Writer(RecordedWriter):
-            def __setitem__(self, rows, block):
-                addresses.append(block.__array_interface__["data"][0])
-                super().__setitem__(rows, block)
-
-        out = Writer((self.N, 8))
-        eala_attention(q, k, v, cfg, out=out)
-        assert out.writes == self.BLOCKS
-        assert len(set(addresses)) == 1
-        assert np.array_equal(out.mat, eala_attention(q.mat, k.mat, v.mat, cfg).output)
-
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
         q = self.readers()[0]
@@ -883,6 +865,18 @@ class TestEalaAttention:
         monkeypatch.undo()
         want = eala_forward_quadratic(q, center_keys(k)[0], v, res.thetas)
         assert np.array_equal(res.output, want)
+
+    def test_quadratic_forward_takes_matching_scores_only(self):
+        q, k, v = random_instance(6, 4, 1270)
+        khat = center_keys(k)[0]
+        theta = np.full(6, 2.0)
+        want = eala_forward_quadratic(q, khat, v, theta)
+        assert np.array_equal(eala_forward_quadratic(q, khat, v, theta, scores=q @ khat.T), want)
+        for bad in (q[:5] @ khat.T, q @ khat[:5].T, (q @ khat.T).astype(np.float32), (q @ khat.T).tolist()):
+            with pytest.raises(ValueError, match="scores must be"):
+                eala_forward_quadratic(q, khat, v, theta, scores=bad)
+        with pytest.raises(ValueError, match="scores must be"):  # Q of 5 rows against scores of 6
+            eala_forward_quadratic(q[:5], khat, v, theta[:5], scores=q @ khat.T)
 
     def test_key_shift_invariance(self):
         q, k, v = random_instance(18, 5, 1300)
