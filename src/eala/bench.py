@@ -1,35 +1,35 @@
-"""Wall-time scaling benchmarks and an analytic peak-allocation model.
+"""Wall-time scaling benchmarks with a measured peak allocation.
 
-Memory is modeled, not measured: each mode has a closed-form byte count
-per allocation class (n^2, n*c, c^2, n, c), mirroring the buffers its
-implementation actually creates.  That keeps the O(n c + c^2) versus
-O(n^2) claim testable without OS-specific probes; the tests hold the
-eala-linear and exact models to a tracemalloc measurement.  A time is the
-fastest of repeated runs, each after a discarded warm-up, taken
-round-robin across sizes.
+A time is the fastest of repeated runs, each after a discarded warm-up,
+taken round-robin across sizes.  The peak is measured, not modeled: it is
+the tracemalloc peak of one more, untimed call per size, and counts the
+bytes that call allocates, its output included, but not its inputs.  A
+coarse bound per mode (`allocation_model`) only keeps a sweep inside its
+memory budget before anything runs.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _QUERY_BLOCK, EalaConfig, eala_attention
-from .oracle import _softmax_block_rows, exact_attention
+from .oracle import exact_attention
 from .workload import gen_workload_raw
 
 MODES = ("exact", "eala-linear", "eala-quadratic")
 
 _F8 = 8  # bytes per float64
 
-# Refuse any run whose modeled peak exceeds this (override per call).
+# Refuse any run whose bounded peak exceeds this (override per call).
 DEFAULT_MEM_LIMIT_BYTES = 4 << 30
 
 
 class BenchResourceError(RuntimeError):
-    """Modeled allocation exceeds the configured memory budget."""
+    """Bounded allocation exceeds the configured memory budget."""
 
 
 @dataclass
@@ -38,66 +38,24 @@ class BenchRecord:
     n: int
     c: int
     wall_time: float
-    analytic_peak_bytes: int
+    peak_bytes: int
 
 
 def allocation_model(mode: str, n: int, c: int) -> dict[str, int]:
-    """Peak live bytes per allocation class for one forward pass.
+    """Coarse bound on the live bytes of one forward pass: its large buffers.
 
-    exact............ exact_attention with kept weights, the materialised
-                      baseline: Q,K,V (3nc) + the n*n score buffer that
-                      becomes the returned weights + row
-                      entropies (n) + the larger of the output (nc) and the
-                      softmax kernel's one (min(n, block), n) scratch,
-                      counted under nc: it is freed before the output is
-                      made
-    eala-quadratic... Q,K,V,khat,out (5nc) + the weights of one query
-                      block, min(n, block) rows of n, counted under n2
-                      (its scores, which give S2, are freed first) + the
-                      ufunc buffer (np.getbufsize() entries, at most the
-                      weights) of dividing them by theta, under nc +
-                      entropy, theta (2n) + one block's S2 (under n) +
-                      key mean, value sum (2c); no Gram
-    eala-linear...... Q,K,V,out (4nc) + one block of min(n, block) rows
-                      of c, counted under nc: the product q M in the score
-                      moments, or the queries scaled by 1/(n theta) in the
-                      forward, which is made after q M is freed, with the
-                      ufunc buffer (at most one block) that the scaling
-                      takes; the key pass's (block, c + 1) scratch is freed
-                      before either + gram and KV (2c^2) +
-                      entropy, theta (2n) + one block's S2 and the entropy
-                      estimate's two temporaries (3 min(n, block), counted
-                      under n) + key mean, value sum (2c); no khat and no
-                      n^2 class at all
+    Q, K, V and the output go under "nc".  Under "n2", exact adds its n x n
+    weights, eala-quadratic the weights of one query block (min(n, 2048)
+    rows of n), and eala-linear nothing.  Smaller buffers are left out:
+    this only guards `bench_sweep`'s memory budget before any run, and
+    `bench_sweep` measures the peak itself.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if n < 1 or c < 1:
         raise ValueError("n and c must be at least 1")
-    if mode == "exact":
-        return {
-            "n2": _F8 * n * n,
-            "nc": _F8 * (3 * n * c + max(n * c, min(n, _softmax_block_rows(n)) * n)),
-            "c2": 0,
-            "n": _F8 * n,
-            "c": 0,
-        }
-    block = min(n, _QUERY_BLOCK)
-    if mode == "eala-quadratic":
-        return {
-            "n2": _F8 * block * n,
-            "nc": _F8 * (5 * n * c + min(block * n, np.getbufsize())),
-            "c2": 0,
-            "n": _F8 * (2 * n + block),
-            "c": _F8 * 2 * c,
-        }
-    return {
-        "n2": 0,
-        "nc": _F8 * ((4 * n + block) * c + min(block * c, np.getbufsize())),
-        "c2": _F8 * 2 * c * c,
-        "n": _F8 * (2 * n + 3 * block),
-        "c": _F8 * 2 * c,
-    }
+    rows = {"exact": n, "eala-quadratic": min(n, _QUERY_BLOCK), "eala-linear": 0}[mode]
+    return {"n2": _F8 * rows * n, "nc": _F8 * 4 * n * c}
 
 
 def _forward_fn(mode: str):
@@ -106,6 +64,25 @@ def _forward_fn(mode: str):
     path = "linear" if mode == "eala-linear" else "quadratic"
     cfg = EalaConfig(path=path)
     return lambda q, k, v: eala_attention(q, k, v, cfg)
+
+
+def _traced_peak(fn, args) -> int:
+    """Peak bytes one call allocates, by tracemalloc, above those live before.
+
+    A tracemalloc session the caller already runs is used and left running
+    (its peak is reset); otherwise one is started for the call and stopped.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def bench_sweep(mode: str, n_list, c: int, repeats: int = 5, seed: int = 0,
@@ -119,8 +96,11 @@ def bench_sweep(mode: str, n_list, c: int, repeats: int = 5, seed: int = 0,
     the first, discarded, leaves the allocator and caches as a call at the
     same size does, where a call at another size would leave them colder.
     Other load on the host only ever adds time, so the minimum, not the
-    median, is kept.  The inputs of every size are held at once; the
-    budget covers them plus the modeled peak of the call running.
+    median, is kept.  After every timed call, one more call per size runs
+    under tracemalloc for `peak_bytes`; it comes last because tracing a
+    call shifts the allocator, and so the timings, of the calls after it.
+    The inputs of every size are held at once; the budget covers them plus
+    `allocation_model`'s bound for the call running.
     Workloads are uncalibrated Gaussians: values do not affect the
     arithmetic cost being measured.
     """
@@ -132,16 +112,14 @@ def bench_sweep(mode: str, n_list, c: int, repeats: int = 5, seed: int = 0,
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     held = sum(3 * _F8 * n * c for n in sizes)
-    peaks = []
     for n in sizes:
-        peak = sum(allocation_model(mode, n, c).values())
+        bound = sum(allocation_model(mode, n, c).values())
         others = held - 3 * _F8 * n * c
-        if others + peak > mem_limit_bytes:
+        if others + bound > mem_limit_bytes:
             raise BenchResourceError(
-                f"{mode} at n={n}, c={c} models {peak} bytes plus {others} "
+                f"{mode} at n={n}, c={c} needs about {bound} bytes plus {others} "
                 f"bytes of other sizes' inputs, over the {mem_limit_bytes}-byte budget"
             )
-        peaks.append(peak)
     fn = _forward_fn(mode)
     inputs = [gen_workload_raw(n, c, seed) for n in sizes]
     times = [[] for _ in sizes]
@@ -153,8 +131,8 @@ def bench_sweep(mode: str, n_list, c: int, repeats: int = 5, seed: int = 0,
             ts.append(time.perf_counter() - t0)
     return [
         BenchRecord(mode=mode, n=n, c=c, wall_time=min(ts),
-                    analytic_peak_bytes=peak)
-        for n, ts, peak in zip(sizes, times, peaks)
+                    peak_bytes=_traced_peak(fn, args))
+        for n, args, ts in zip(sizes, inputs, times)
     ]
 
 
@@ -175,8 +153,8 @@ def fit_loglog_slope(records) -> float:
 
 
 def records_to_csv(records) -> str:
-    """Fixed-schema CSV: mode,n,c,wall_time,analytic_peak_bytes."""
-    lines = ["mode,n,c,wall_time,analytic_peak_bytes"]
+    """Fixed-schema CSV: mode,n,c,wall_time,peak_bytes."""
+    lines = ["mode,n,c,wall_time,peak_bytes"]
     for r in records:
-        lines.append(f"{r.mode},{r.n},{r.c},{r.wall_time!r},{r.analytic_peak_bytes}")
+        lines.append(f"{r.mode},{r.n},{r.c},{r.wall_time!r},{r.peak_bytes}")
     return "\n".join(lines) + "\n"

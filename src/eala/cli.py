@@ -124,7 +124,7 @@ def _run_bench(args) -> int:
             "seed": args.seed,
             "records": [
                 {"mode": r.mode, "n": r.n, "c": r.c, "wall_time": r.wall_time,
-                 "analytic_peak_bytes": r.analytic_peak_bytes}
+                 "peak_bytes": r.peak_bytes}
                 for r in records
             ],
             "loglog_slope": slope,

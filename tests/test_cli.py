@@ -111,7 +111,7 @@ class TestBench:
                            "--n-list", "32,64", "--c", "8", "--repeats", "1")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "mode,n,c,wall_time,analytic_peak_bytes"
+        assert lines[0] == "mode,n,c,wall_time,peak_bytes"
         assert len(lines) == 3
         assert lines[1].startswith("eala-linear,32,8,")
 
@@ -123,6 +123,7 @@ class TestBench:
         parsed = json.loads(out)
         assert parsed["mode"] == "eala-linear"
         assert len(parsed["records"]) == 3
+        assert all(r["peak_bytes"] >= 8 * r["n"] * 8 for r in parsed["records"])
         assert isinstance(parsed["loglog_slope"], float)
 
     def test_json_slope_null_under_three_sizes(self, capsys):

@@ -29,15 +29,3 @@ def test_fidelity_sweep():
     row = lines[1].split()
     assert row[:3] == ["16", "0.1", "0"] and len(row) == 9
 
-
-def test_scaling_bench():
-    sizes = "64,128,256"
-    lines = run_script("scaling_bench.py", "--exact-n-list", sizes, "--linear-n-list", sizes,
-                       "--repeats", "1", "--quadratic")
-    modes = ["exact", "eala-quadratic", "eala-linear"]
-    headers = [ln for ln in lines if ": sizes " in ln]
-    assert headers == [f"{m}: sizes [64, 128, 256], c=64, repeats=1" for m in modes]
-    slopes = [ln.split(": log-log slope ") for ln in lines if ": log-log slope " in ln]
-    assert [m for m, _ in slopes] == modes
-    for _, value in slopes:
-        float(value)
