@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -153,8 +153,9 @@ def fit_loglog_slope(records) -> float:
 
 
 def records_to_csv(records) -> str:
-    """Fixed-schema CSV: mode,n,c,wall_time,peak_bytes."""
-    lines = ["mode,n,c,wall_time,peak_bytes"]
+    """Fixed-schema CSV: BenchRecord's fields in order, floats by repr."""
+    lines = [",".join(f.name for f in fields(BenchRecord))]
     for r in records:
-        lines.append(f"{r.mode},{r.n},{r.c},{r.wall_time!r},{r.peak_bytes}")
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in astuple(r)))
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ fixed seed are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -122,11 +123,7 @@ def _run_bench(args) -> int:
             "c": args.c,
             "repeats": args.repeats,
             "seed": args.seed,
-            "records": [
-                {"mode": r.mode, "n": r.n, "c": r.c, "wall_time": r.wall_time,
-                 "peak_bytes": r.peak_bytes}
-                for r in records
-            ],
+            "records": [dataclasses.asdict(r) for r in records],
             "loglog_slope": slope,
         }
         text = json.dumps(jsonable(payload), indent=2) + "\n"

@@ -8,7 +8,9 @@ per-query columns are computed a block of queries at a time: one batched
 `bisection_theta` call solves a whole block, and the KL and ranking columns
 read the block's rows of the two weight matrices.  Each value has the bits
 the per-query 1-D oracle calls give.  Reports serialize to JSON and CSV
-with a fixed schema and deterministic bytes for a fixed seed.
+with deterministic bytes for a fixed seed, in a schema stated once: the
+workload echo is `WorkloadSpec`'s fields, and `PER_QUERY` and `AGGREGATES`
+name the columns and aggregates in the order both formats write them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ BISECTION_N_LIMIT = 1024
 # Queries per block of the per-query columns; scratch is O(block * n).
 _ROW_BLOCK = 64
 
+PER_QUERY = ("entropy_exact", "entropy_approx", "theta_closed",
+             "theta_bisection", "kl", "weights_valid", "argsort_match")
+AGGREGATES = ("mean_abs_entropy_err", "max_abs_entropy_err", "mean_kl",
+              "argsort_match_rate", "output_max_rel_error")
+
 
 @dataclass
 class FidelityReport:
@@ -59,57 +66,22 @@ class FidelityReport:
 
     def to_dict(self) -> dict:
         return {
-            "workload": {
-                "n": self.n,
-                "c": self.c,
-                "score_scale": self.score_scale,
-                "seed": self.seed,
-                "heads": self.heads,
-            },
+            "workload": {f.name: getattr(self, f.name)
+                         for f in dataclasses.fields(WorkloadSpec)},
             "entropy_source": self.entropy_source,
-            "per_query": {
-                "entropy_exact": self.entropy_exact,
-                "entropy_approx": self.entropy_approx,
-                "theta_closed": self.theta_closed,
-                "theta_bisection": self.theta_bisection,
-                "kl": self.kl,
-                "weights_valid": self.weights_valid,
-                "argsort_match": self.argsort_match,
-            },
-            "aggregates": {
-                "mean_abs_entropy_err": self.mean_abs_entropy_err,
-                "max_abs_entropy_err": self.max_abs_entropy_err,
-                "mean_kl": self.mean_kl,
-                "argsort_match_rate": self.argsort_match_rate,
-                "output_max_rel_error": self.output_max_rel_error,
-            },
+            "per_query": {k: getattr(self, k) for k in PER_QUERY},
+            "aggregates": {k: getattr(self, k) for k in AGGREGATES},
         }
 
     def to_json(self) -> str:
         return json.dumps(jsonable(self.to_dict()), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        header = ("query,entropy_exact,entropy_approx,theta_closed,"
-                  "theta_bisection,kl,weights_valid,argsort_match")
-        lines = [header]
-        for i in range(self.n):
-            lines.append(",".join([
-                str(i),
-                _csv_cell(self.entropy_exact[i]),
-                _csv_cell(self.entropy_approx[i]),
-                _csv_cell(self.theta_closed[i]),
-                _csv_cell(self.theta_bisection[i]),
-                _csv_cell(self.kl[i]),
-                _csv_cell(self.weights_valid[i]),
-                _csv_cell(self.argsort_match[i]),
-            ]))
-        lines.append("")
-        lines.append("aggregate,value")
-        lines.append(f"mean_abs_entropy_err,{_csv_cell(self.mean_abs_entropy_err)}")
-        lines.append(f"max_abs_entropy_err,{_csv_cell(self.max_abs_entropy_err)}")
-        lines.append(f"mean_kl,{_csv_cell(self.mean_kl)}")
-        lines.append(f"argsort_match_rate,{_csv_cell(self.argsort_match_rate)}")
-        lines.append(f"output_max_rel_error,{_csv_cell(self.output_max_rel_error)}")
+        lines = [",".join(("query",) + PER_QUERY)]
+        rows = zip(*(getattr(self, k) for k in PER_QUERY))
+        lines += [",".join([str(i), *map(_csv_cell, row)]) for i, row in enumerate(rows)]
+        lines += ["", "aggregate,value"]
+        lines += [f"{k},{_csv_cell(getattr(self, k))}" for k in AGGREGATES]
         return "\n".join(lines) + "\n"
 
 
@@ -129,17 +101,14 @@ def jsonable(value):
 
 
 def _csv_cell(value) -> str:
+    """A CSV cell: None empty, bools lower case, floats by repr, and
+    non-finite floats named as `jsonable` names them."""
+    value = jsonable(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _tied_rows(scores: np.ndarray) -> np.ndarray:
@@ -261,8 +230,7 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     out_err = float(np.max(diff / denom))
 
     return FidelityReport(
-        n=spec.n, c=spec.c, score_scale=spec.score_scale, seed=spec.seed,
-        heads=spec.heads, entropy_source=cfg.entropy_source,
+        **dataclasses.asdict(spec), entropy_source=cfg.entropy_source,
         entropy_exact=[float(h) for h in exact.entropies],
         entropy_approx=[float(h) for h in res_approx.entropies],
         theta_closed=[float(t) for t in thetas],
