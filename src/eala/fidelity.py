@@ -49,7 +49,6 @@ class FidelityReport:
     c: int
     score_scale: float
     seed: int
-    heads: int
     entropy_source: str
     entropy_exact: list
     entropy_approx: list

@@ -25,15 +25,12 @@ class WorkloadSpec:
     c: int
     score_scale: float
     seed: int
-    heads: int = 4
 
     def __post_init__(self):
         if self.n < 1 or self.c < 1:
             raise ValueError("n and c must be at least 1")
         if not (np.isfinite(self.score_scale) and self.score_scale >= 0.0):
             raise ValueError("score_scale must be finite and nonnegative")
-        if self.heads < 1:
-            raise ValueError("heads must be at least 1")
 
 
 def max_abs_score(q_mat: np.ndarray, khat: np.ndarray) -> float:

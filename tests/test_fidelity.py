@@ -23,8 +23,8 @@ def report():
 
 class TestCompareSmallScale:
     def test_workload_echo(self, report):
-        assert (report.n, report.c, report.score_scale, report.seed,
-                report.heads) == (16, 8, 0.1, 5, 4)
+        assert (report.n, report.c, report.score_scale,
+                report.seed) == (16, 8, 0.1, 5)
         assert report.entropy_source == "approx"
 
     def test_per_query_lengths(self, report):
@@ -195,7 +195,7 @@ class TestReportSerialization:
         assert list(parsed.keys()) == ["workload", "entropy_source",
                                        "per_query", "aggregates"]
         assert list(parsed["workload"].keys()) == ["n", "c", "score_scale",
-                                                   "seed", "heads"]
+                                                   "seed"]
         assert list(parsed["per_query"].keys()) == [
             "entropy_exact", "entropy_approx", "theta_closed",
             "theta_bisection", "kl", "weights_valid", "argsort_match"]
@@ -280,7 +280,7 @@ def reference_report(spec, cfg):
     denom = np.max(np.abs(exact.output), axis=1) + 1e-15
     return FidelityReport(
         n=spec.n, c=spec.c, score_scale=spec.score_scale, seed=spec.seed,
-        heads=spec.heads, entropy_source=cfg.entropy_source,
+        entropy_source=cfg.entropy_source,
         entropy_exact=exact.entropies.tolist(),
         entropy_approx=res["approx"].entropies.tolist(),
         theta_closed=selected.thetas.tolist(),

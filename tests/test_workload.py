@@ -11,7 +11,8 @@ from eala.workload import (WorkloadSpec, gen_workload, gen_workload_raw,
 class TestWorkloadSpec:
     def test_defaults_and_fields(self):
         s = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=0)
-        assert s.heads == 4
+        assert (s.n, s.c, s.score_scale, s.seed) == (64, 16, 0.1, 0)
+        assert not hasattr(s, "heads")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -22,8 +23,6 @@ class TestWorkloadSpec:
             WorkloadSpec(n=4, c=4, score_scale=-0.5, seed=0)
         with pytest.raises(ValueError):
             WorkloadSpec(n=4, c=4, score_scale=np.inf, seed=0)
-        with pytest.raises(ValueError):
-            WorkloadSpec(n=4, c=4, score_scale=0.1, seed=0, heads=0)
 
 
 class TestMaxAbsScore:
