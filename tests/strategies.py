@@ -66,3 +66,17 @@ def shifted_key_instances(draw, max_n, max_m=32, max_c=8):
         shift = 1e3 * np.linspace(0.0, 1.0, n)[:, None]
     k = gaussian_matrix(n, c, seed + 1) + shift
     return gaussian_matrix(m, c, seed), k, gaussian_matrix(n, c, seed + 2)
+
+
+@st.composite
+def low_rank_key_instances(draw, max_n, max_m=32, max_c=8):
+    """(Q, K, V) from seeded Gaussians whose keys have rank r < c:
+    K = G(n, r) @ G(r, c) with 1 <= r < c.  Two to max_n keys and up to
+    max_m queries."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    c = draw(st.integers(min_value=2, max_value=max_c))
+    r = draw(st.integers(min_value=1, max_value=c - 1))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    k = gaussian_matrix(n, r, seed + 1) @ gaussian_matrix(r, c, seed + 3)
+    return gaussian_matrix(m, c, seed), k, gaussian_matrix(n, c, seed + 2)

@@ -97,11 +97,26 @@ class TestDegenerateWorkload:
 
     def test_zero_scale_report_serializes(self):
         r = compare(WorkloadSpec(n=4, c=3, score_scale=0.0, seed=2))
+        # scale 0 gives inf thetas; -inf and nan are planted in a per-query
+        # column and in an aggregate
+        r.kl[1], r.entropy_approx[2] = -np.inf, np.nan
+        r.mean_kl, r.output_max_rel_error = -np.inf, np.nan
         parsed = json.loads(r.to_json())
         assert parsed["per_query"]["theta_closed"] == ["inf"] * 4
         assert parsed["per_query"]["theta_bisection"] == [None] * 4
-        csv_text = r.to_csv()
-        assert ",inf," in csv_text
+        assert parsed["per_query"]["kl"][1] == "-inf"
+        assert parsed["per_query"]["entropy_approx"][2] == "nan"
+        assert parsed["aggregates"]["mean_kl"] == "-inf"
+        assert parsed["aggregates"]["output_max_rel_error"] == "nan"
+        # the CSV names every non-finite cell as the JSON does
+        lines = r.to_csv().split("\n")
+        columns = dict(zip(lines[0].split(","), zip(*(row.split(",") for row in lines[1:5]))))
+        aggregates = dict(row.split(",") for row in lines[7:-1])
+        for key, col in parsed["per_query"].items():
+            for cell, v in zip(columns[key], col):
+                assert cell == v or not isinstance(v, str)
+        for key, v in parsed["aggregates"].items():
+            assert aggregates[key] == v or not isinstance(v, str)
 
     def test_bisection_skipped_above_limit(self):
         r = compare(WorkloadSpec(n=BISECTION_N_LIMIT + 1, c=4,
