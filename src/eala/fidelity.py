@@ -100,8 +100,7 @@ def jsonable(value):
 
 
 def _csv_cell(value) -> str:
-    """A CSV cell: None empty, bools lower case, floats by repr, and
-    non-finite floats named as `jsonable` names them."""
+    """One CSV cell; non-finite floats are named as `jsonable` names them."""
     value = jsonable(value)
     if value is None:
         return ""

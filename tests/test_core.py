@@ -840,12 +840,12 @@ class TestEalaAttention:
         # the key pass: both by one rule for the mean, across key blocks too.
         # Keys of rank below c give a singular Gram, which nothing inverts.
         res_q = eala_attention(*qkv, EalaConfig(path="quadratic"))
-        out_l = eala_attention(*qkv, EalaConfig(path="linear")).output
         out_q = res_q.output
+        out_l = eala_attention(*qkv, EalaConfig(path="linear")).output
         denom = max(float(np.max(np.abs(out_q))), 1e-300)
         assert float(np.max(np.abs(out_q - out_l))) / denom <= 1e-9
         assert np.isfinite(out_q).all() and np.isfinite(out_l).all()
-        # one key centres to zero, a degenerate row whose theta is inf
+        # a single key centres to zero, which makes every theta inf
         assert np.isfinite(res_q.thetas).all() or qkv[1].shape[0] == 1
 
     def test_quadratic_branch_takes_s2_from_its_scores(self):
