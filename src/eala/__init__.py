@@ -15,12 +15,10 @@ from .core import (EalaConfig, KeyMoments, approx_entropy, center_keys,
                    theta_star)
 from .fidelity import FidelityReport, compare
 from .mha import MhaParams, mha_forward, mha_init
-from .numerics import (gaussian_matrix, prng_next, prng_stream, softmax_row,
-                       uniform_stream)
+from .numerics import gaussian_matrix, prng_stream, uniform_stream
 from .oracle import (AttnResult, KlDecomposition, bisection_theta,
                      entropy_from_scores, exact_attention, kl_decomposition,
-                     kl_divergence, linear_family_entropy, shannon_entropy,
-                     strict_concavity_check)
+                     kl_divergence, linear_family_entropy, strict_concavity_check)
 from .tensorio import (TensorFileError, TensorMagicError, TensorRows,
                        TensorTruncationError, TensorVersionError, read_tensor,
                        write_tensor)
@@ -38,8 +36,7 @@ __all__ = [
     "eala_forward_quadratic", "eala_weights", "entropy_from_scores",
     "exact_attention", "fit_loglog_slope", "gaussian_matrix", "gen_workload",
     "gen_workload_raw", "key_moments", "kl_decomposition", "kl_divergence",
-    "linear_family_entropy", "mha_forward", "mha_init", "prng_next",
-    "prng_stream", "read_tensor", "score_moments", "select_path",
-    "shannon_entropy", "softmax_row", "strict_concavity_check", "theta_star",
-    "uniform_stream", "write_tensor",
+    "linear_family_entropy", "mha_forward", "mha_init", "prng_stream",
+    "read_tensor", "score_moments", "select_path", "strict_concavity_check",
+    "theta_star", "uniform_stream", "write_tensor",
 ]

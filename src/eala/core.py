@@ -200,13 +200,14 @@ def _score_moments(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def approx_entropy(s2, n: int) -> np.ndarray:
-    """Second-order entropy estimate per query from its score moment S2.
+    """Entropy estimate per query from its score moment S2.
 
         Hhat = log n - S2 / n
 
-    is the expansion of the softmax entropy around uniform for centred
-    keys, whose first score moment is zero.  The estimate overshoots low
-    for peaked rows, so it is clipped into the feasible range [0, log n].
+    For centred keys, whose first score moment is zero, the second-order
+    expansion of the softmax entropy around uniform is log n - S2 / (2 n):
+    the estimate has twice its curvature.  It overshoots low for peaked
+    rows, so it is clipped into the feasible range [0, log n].
     """
     if n < 1:
         raise ValueError("n must be at least 1")

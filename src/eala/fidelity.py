@@ -45,10 +45,7 @@ AGGREGATES = ("mean_abs_entropy_err", "max_abs_entropy_err", "mean_kl",
 
 @dataclass
 class FidelityReport:
-    n: int
-    c: int
-    score_scale: float
-    seed: int
+    workload: WorkloadSpec
     entropy_source: str
     entropy_exact: list
     entropy_approx: list
@@ -65,8 +62,7 @@ class FidelityReport:
 
     def to_dict(self) -> dict:
         return {
-            "workload": {f.name: getattr(self, f.name)
-                         for f in dataclasses.fields(WorkloadSpec)},
+            "workload": dataclasses.asdict(self.workload),
             "entropy_source": self.entropy_source,
             "per_query": {k: getattr(self, k) for k in PER_QUERY},
             "aggregates": {k: getattr(self, k) for k in AGGREGATES},
@@ -228,7 +224,7 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
     out_err = float(np.max(diff / denom))
 
     return FidelityReport(
-        **dataclasses.asdict(spec), entropy_source=cfg.entropy_source,
+        workload=spec, entropy_source=cfg.entropy_source,
         entropy_exact=[float(h) for h in exact.entropies],
         entropy_approx=[float(h) for h in res_approx.entropies],
         theta_closed=[float(t) for t in thetas],

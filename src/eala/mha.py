@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EalaConfig, eala_attention
+from .core import eala_attention
 from .numerics import gaussian_matrix, prng_stream
 from .oracle import exact_attention
 
@@ -33,7 +33,6 @@ class MhaParams:
     w_key: np.ndarray
     w_value: np.ndarray
     w_output: np.ndarray
-    seed: int
 
 
 def mha_init(model_dim: int, heads: int, seed: int) -> MhaParams:
@@ -57,16 +56,15 @@ def mha_init(model_dim: int, heads: int, seed: int) -> MhaParams:
         w_key=mats[1],
         w_value=mats[2],
         w_output=mats[3],
-        seed=seed,
     )
 
 
-def mha_forward(params: MhaParams, x_mat, mode: str = "exact",
-                cfg: EalaConfig | None = None) -> np.ndarray:
+def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
     """Self-attention over rows of x: project, split heads, attend, merge.
 
     mode "exact" runs softmax attention per head; "eala" runs the
-    entropy-matched linear kernel.  Output shape equals input shape.
+    entropy-matched linear kernel with eala_attention's default
+    configuration.  Output shape equals input shape.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -85,6 +83,6 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact",
         if mode == "exact":
             merged[:, sl] = exact_attention(q[:, sl], k[:, sl], v[:, sl]).output
         else:
-            eala_attention(q[:, sl], k[:, sl], v[:, sl], cfg, out=merged[:, sl])
+            eala_attention(q[:, sl], k[:, sl], v[:, sl], out=merged[:, sl])
     del q, k, v
     return merged @ params.w_output

@@ -1,4 +1,4 @@
-"""A reference softmax and a deterministic counter-based random stream.
+"""A deterministic counter-based random stream and gaussians drawn from it.
 
 Everything in this module is pure: the same inputs produce bit-identical
 outputs on every call, on every platform that implements IEEE-754 doubles.
@@ -23,40 +23,12 @@ _INV_2_53 = 1.0 / 9007199254740992.0
 _GAUSSIAN_BLOCK = 8192
 
 
-def softmax_row(x) -> np.ndarray:
-    """Softmax of a nonempty 1-D array of finite scores.
-
-    Output entries are strictly positive and sum to 1 up to rounding.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("softmax_row expects a nonempty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("softmax_row requires finite scores")
-    e = np.exp(x - np.max(x))
-    return e / np.sum(e)
-
-
-def prng_next(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 stream.
-
-    Returns (output, new_state), both 64-bit unsigned.  The update is a
-    fixed odd increment followed by a two-round multiply-xorshift finalizer.
-    """
-    state = (state + _GAMMA) & U64_MASK
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & U64_MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & U64_MASK
-    z = z ^ (z >> 31)
-    return z, state
-
-
 def prng_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of the seeded stream as a uint64 array.
+    """First `count` outputs of the seeded splitmix64 stream as a uint64 array.
 
     The k-th output depends only on (seed, k), so the whole block is
-    produced at once from a counter; the result matches `count` repeated
-    calls to prng_next bit for bit.
+    produced at once from a counter, with the bits of stepping the
+    generator `count` times.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")

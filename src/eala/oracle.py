@@ -37,6 +37,11 @@ _MIN_QUERY_ROWS = 64
 # Probability vectors must sum to 1 within this before we trust them.
 SIMPLEX_TOL = 1e-12
 
+# bisection_theta returns the first theta whose family entropy lies within
+# _THETA_TOL of the target, and raises after _MAX_STEPS evaluations.
+_THETA_TOL = 1e-10
+_MAX_STEPS = 200
+
 
 @dataclass
 class AttnResult:
@@ -80,12 +85,6 @@ def _entropy_unchecked(p: np.ndarray) -> float:
     mask = p > 0.0
     q = p[mask]
     return float(-np.sum(q * np.log(q)))
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy in nats; zero entries contribute zero."""
-    p = _check_prob_vector(p)
-    return _entropy_unchecked(p)
 
 
 def entropy_from_scores(scores) -> float:
@@ -440,8 +439,7 @@ def linear_family_entropy(a, theta) -> tuple[float | np.ndarray, bool | np.ndarr
     return float(h[0]), bool(valid[0])
 
 
-def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bisect_rows(a: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The solve of bisection_theta, run on every row of `a` at once.
 
     Returns (theta, code, h_lo) per row: code is 0 or the rejection the 1-D
@@ -500,7 +498,7 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
         scaled = np.divide(rows, peak[:, None], out=w_buf)
         t = peak * np.sqrt(np.sum(np.multiply(scaled, scaled, out=scaled), axis=1)
                            / (2 * n * (log_n - target)))
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         if act.size == 0:
             break
         k = act.size
@@ -509,7 +507,7 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
         t = np.where((lo < t) & (t < hi), t, mid)
         h, _, tilt = _family_entropy(rows, t, np.ones(k, dtype=bool),
                                      w_buf[:k], log_buf[:k])
-        done = np.abs(h - target) <= tol
+        done = np.abs(h - target) <= _THETA_TOL
         below = h < target
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -527,8 +525,7 @@ def _bisect_rows(a: np.ndarray, targets: np.ndarray, tol: float,
     return theta, code, h_lo
 
 
-def bisection_theta(a, target_entropy, tol: float = 1e-10,
-                    max_iter: int = 200) -> float | np.ndarray:
+def bisection_theta(a, target_entropy) -> float | np.ndarray:
     """Solve H(w(theta)) = target_entropy for the affine family.
 
     The family entropy increases strictly with theta on the all-positive
@@ -552,9 +549,10 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
     reaches such a root in a few steps, where halving theta from
     1e9 max|a| would take about thirty.  It stops at the first theta where
     the computed family entropy, with the bits linear_family_entropy gives,
-    lies within tol of the target, and raises RuntimeError when max_iter
-    evaluations find none.  The slope only steers the iterates, so its
-    rounding can cost steps but never makes a returned theta miss tol.
+    lies within _THETA_TOL = 1e-10 of the target, and raises RuntimeError
+    when _MAX_STEPS = 200 evaluations find none.  The slope only steers the
+    iterates: its rounding can cost steps, but a returned theta always meets
+    the tolerance.
 
     A 2-D `a` is a stack of m score rows with one target per row, and the
     result is an (m,) array.  All rows are solved together, and each row
@@ -574,11 +572,10 @@ def bisection_theta(a, target_entropy, tol: float = 1e-10,
             raise ValueError("target_entropy must hold one entry per row of a")
         if arr.shape[1] < 2:
             return np.full(arr.shape[0], np.nan)
-        return _bisect_rows(arr, targets, tol, max_iter)[0]
+        return _bisect_rows(arr, targets)[0]
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("a must be a 1-D array with at least two entries")
-    theta, code, h_lo = _bisect_rows(
-        arr[None, :], np.full(1, target_entropy, dtype=np.float64), tol, max_iter)
+    theta, code, h_lo = _bisect_rows(arr[None, :], np.full(1, target_entropy, dtype=np.float64))
     log_n = float(np.log(arr.size))
     if code[0] == _OUT_OF_RANGE:
         raise ValueError(

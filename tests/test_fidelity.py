@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
-from eala.fidelity import (BISECTION_N_LIMIT, TIE_TOL, FidelityReport,
-                           _rank_comparison, _tied_rows, compare)
+from eala.fidelity import (AGGREGATES, BISECTION_N_LIMIT, PER_QUERY, TIE_TOL,
+                           FidelityReport, _rank_comparison, _tied_rows, compare)
 from eala.numerics import gaussian_matrix
 from eala.oracle import bisection_theta, exact_attention, kl_divergence
 from eala.workload import WorkloadSpec, gen_workload
@@ -23,8 +23,7 @@ def report():
 
 class TestCompareSmallScale:
     def test_workload_echo(self, report):
-        assert (report.n, report.c, report.score_scale,
-                report.seed) == (16, 8, 0.1, 5)
+        assert report.workload == SPEC
         assert report.entropy_source == "approx"
 
     def test_per_query_lengths(self, report):
@@ -204,6 +203,11 @@ class TestRankComparison:
 
 
 class TestReportSerialization:
+    def test_fields_are_the_workload_and_the_schema_lists(self):
+        # the workload is one WorkloadSpec field, not a copy of its fields
+        assert [f.name for f in dataclasses.fields(FidelityReport)] == [
+            "workload", "entropy_source", *PER_QUERY, *AGGREGATES]
+
     def test_json_shape_and_key_order(self, report):
         text = report.to_json()
         parsed = json.loads(text)
@@ -294,8 +298,7 @@ def reference_report(spec, cfg):
     diff = np.max(np.abs(selected.output - exact.output), axis=1)
     denom = np.max(np.abs(exact.output), axis=1) + 1e-15
     return FidelityReport(
-        n=spec.n, c=spec.c, score_scale=spec.score_scale, seed=spec.seed,
-        entropy_source=cfg.entropy_source,
+        workload=spec, entropy_source=cfg.entropy_source,
         entropy_exact=exact.entropies.tolist(),
         entropy_approx=res["approx"].entropies.tolist(),
         theta_closed=selected.thetas.tolist(),
@@ -326,8 +329,8 @@ class TestBlockedColumnsMatchPerQueryCalls:
     def test_specs_cover_mixed_and_rejected_blocks(self):
         # scale 3: valid and invalid rows, solved and rejected, in one block
         r = compare(MIXED_SPECS[0])
-        assert 0 < sum(r.weights_valid) < r.n
-        assert 0 < sum(t is None for t in r.theta_bisection) < r.n
+        assert 0 < sum(r.weights_valid) < r.workload.n
+        assert 0 < sum(t is None for t in r.theta_bisection) < r.workload.n
         # scale 30: every row of every block is rejected
         r = compare(MIXED_SPECS[1])
         assert not any(r.weights_valid)

@@ -5,13 +5,27 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eala.numerics import (_GAUSSIAN_BLOCK, _INV_2_53, gaussian_matrix, prng_next,
-                           prng_stream, softmax_row, uniform_stream)
-from strategies import score_vectors
+from eala.numerics import (_GAMMA, _GAUSSIAN_BLOCK, _INV_2_53, _MIX1, _MIX2, U64_MASK,
+                           gaussian_matrix, prng_stream, uniform_stream)
+from strategies import score_vectors, softmax_row
 
 # First three outputs of the seed-0 stream, from the generator's published
 # reference implementation.
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+
+def prng_next(state: int) -> tuple[int, int]:
+    """One step of scalar splitmix64, the reference for prng_stream.
+
+    Returns (output, new_state), both 64-bit unsigned.  The update is a
+    fixed odd increment followed by a two-round multiply-xorshift finalizer.
+    """
+    state = (state + _GAMMA) & U64_MASK
+    z = state
+    z = ((z ^ (z >> 30)) * _MIX1) & U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & U64_MASK
+    z = z ^ (z >> 31)
+    return z, state
 
 
 class TestPrng:
@@ -118,6 +132,8 @@ class TestGaussianMatrix:
 
 
 class TestSoftmaxRow:
+    """The scalar reference that exact_attention's weight rows are held to."""
+
     def test_uniform_cases(self):
         np.testing.assert_allclose(softmax_row(np.zeros(4)), 0.25, atol=1e-15)
         np.testing.assert_allclose(softmax_row(np.full(7, 3.25)), 1.0 / 7.0, atol=1e-15)

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eala.numerics import gaussian_matrix, softmax_row, uniform_stream
+from eala.numerics import gaussian_matrix, uniform_stream
 from eala.oracle import (_query_rows, bisection_theta, entropy_from_scores,
                          exact_attention, kl_decomposition, kl_divergence,
-                         linear_family_entropy, shannon_entropy, strict_concavity_check)
+                         linear_family_entropy, strict_concavity_check)
 from eala.workload import gen_workload_raw
-from strategies import score_vectors, simplex_pairs, simplex_vectors
+from strategies import (score_vectors, shannon_entropy, simplex_pairs,
+                        simplex_vectors, softmax_row)
 
 WORKED_SCORES = np.array([0.1, -0.1])
 WORKED_ENTROPY = 0.6881720699  # softmax entropy of scores (0.1, -0.1)
 
 
 class TestShannonEntropy:
+    """The scalar reference that exact_attention's entropies are held to."""
+
     def test_uniform_and_onehot(self):
         assert abs(shannon_entropy(np.full(4, 0.25)) - np.log(4.0)) <= 1e-12
         assert shannon_entropy(np.array([0.0, 1.0, 0.0])) == 0.0

@@ -381,13 +381,14 @@ class TestBisectionRows:
         got = bisection_theta(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         assert np.isnan(got).all()
 
-    def test_nonconvergence_still_raises(self):
+    def test_nonconvergence_still_raises(self, monkeypatch):
         a = centered([0.5, -0.1, 0.2, -0.6])
         target = 0.5 * (ref_family_entropy(a, 0.6 * (1.0 + 1e-9))[0] + np.log(4.0))
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 3)
         with pytest.raises(RuntimeError):
-            bisection_theta(np.tile(a, (2, 1)), np.full(2, target), max_iter=3)
+            bisection_theta(np.tile(a, (2, 1)), np.full(2, target))
         with pytest.raises(RuntimeError):
-            bisection_theta(a, target, max_iter=3)
+            bisection_theta(a, target)
 
     def test_target_shape_must_match(self):
         with pytest.raises(ValueError):
