@@ -35,13 +35,12 @@ def moments(k):
 
 
 def forced_branches(q, k, v):
-    """The quadratic branch's result, and the largest gap of the linear
-    branch's output from its output, relative to its largest entry.  Both
-    outputs must be finite, and theta must be finite but for the uniform
-    sentinel on rows whose S2 / n is at most DENOM_FLOOR (within a factor
-    of 2 for the rounding of the entropy gap): all of them when there is
-    one key, which centres to zero.  Also returns each query's S2 from its
-    scores."""
+    """Runs both forced branches and returns the quadratic result, the
+    largest gap between the two outputs over the largest quadratic entry,
+    and each query's S2 from its scores.  Both outputs must be finite, and
+    theta finite but for the uniform sentinel on rows whose S2 / n is at
+    most DENOM_FLOOR (within a factor of 2 for the rounding of the entropy
+    gap): all rows when there is one key, which centres to zero."""
     res_q = eala_attention(q, k, v, EalaConfig(path="quadratic"))
     out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
     assert np.isfinite(res_q.output).all() and np.isfinite(out_l).all()
