@@ -15,7 +15,6 @@ Typical run:
 import argparse
 import sys
 
-from eala.core import EalaConfig
 from eala.fidelity import compare
 from eala.workload import WorkloadSpec
 
@@ -51,14 +50,13 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="also write rows as CSV")
     args = ap.parse_args(argv)
 
-    cfg = EalaConfig(entropy_source=args.entropy_source)
     rows = []
     print(HEADER)
     for n in args.sizes:
         for scale in args.scales:
             for seed in args.seeds:
                 spec = WorkloadSpec(n=n, c=args.c, score_scale=scale, seed=seed)
-                rep = compare(spec, cfg)
+                rep = compare(spec, args.entropy_source)
                 gap = theta_gap(rep)
                 mean_kl = rep.mean_kl if rep.mean_kl is not None else float("nan")
                 rows.append((n, scale, seed, rep.mean_abs_entropy_err,

@@ -136,7 +136,6 @@ def entropy_approximation():
 
 
 def theta_star_fidelity():
-    cfg = EalaConfig(entropy_source="exact")
     # worked two-key case: scores (0.1, -0.1), exact entropy target
     a = np.array([0.1, -0.1])
     h2 = entropy_from_scores(a)
@@ -155,7 +154,7 @@ def theta_star_fidelity():
     for n in (8, 64, 256, 1024):
         for seed in (0, 1):
             spec = WorkloadSpec(n=n, c=16, score_scale=0.1, seed=seed)
-            rep = compare(spec, cfg)
+            rep = compare(spec, "exact")
             for i, (tc, tb) in enumerate(zip(rep.theta_closed, rep.theta_bisection)):
                 if tb is None:
                     return False, f"no bisection theta for query {i} at n={n} seed={seed}"
@@ -173,7 +172,7 @@ def ranking_preservation():
     for source in ("approx", "exact"):
         for seed in range(5):
             spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
-            rep = compare(spec, EalaConfig(entropy_source=source))
+            rep = compare(spec, source)
             for m in rep.argsort_match:
                 if m is None:
                     ties += 1
@@ -190,12 +189,11 @@ def ranking_preservation():
 
 
 def distribution_fidelity():
-    cfg = EalaConfig(entropy_source="exact")
     worst_mean_kl = 0.0
     invalid = 0
     for seed in (0, 1, 2):
         spec = WorkloadSpec(n=64, c=16, score_scale=0.1, seed=seed)
-        rep = compare(spec, cfg)
+        rep = compare(spec, "exact")
         invalid += sum(1 for v in rep.weights_valid if not v)
         if rep.mean_kl is None:
             return False, f"seed {seed}: no query has a defined KL"

@@ -104,8 +104,7 @@ def _run_check(_args) -> int:
 
 def _run_compare(args) -> int:
     spec = WorkloadSpec(n=args.n, c=args.c, score_scale=args.scale, seed=args.seed)
-    cfg = EalaConfig(entropy_source=args.entropy_source)
-    report = compare(spec, cfg)
+    report = compare(spec, args.entropy_source)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     return 0

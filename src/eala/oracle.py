@@ -110,6 +110,17 @@ def _query_rows(n: int) -> int:
     return max(_MIN_QUERY_ROWS, _softmax_block_rows(n))
 
 
+def _query_block_edges(m: int, n: int) -> list:
+    """Edges of equal blocks of m query rows over n keys.
+
+    Each block is about the softmax pass's block, but none has fewer than
+    64 rows unless m has: a GEMM of a few rows may take another BLAS kernel,
+    with other bits, than the product over all rows.
+    """
+    blocks = max(1, min(-(-m // _query_rows(n)), m // _MIN_QUERY_ROWS))
+    return [i * m // blocks for i in range(blocks + 1)]
+
+
 def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool,
                           e_buf: np.ndarray | None = None) -> np.ndarray:
     """Row softmax entropies of a score matrix, one row block at a time.
@@ -217,12 +228,8 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
         else:
             scores = None
             m, n = q.shape[0], k.shape[0]
-            # equal blocks of at most the softmax block's rows, but none of
-            # fewer than 64: a GEMM of a few rows may also take another
-            # BLAS kernel, with other bits, than the kept path's product
-            blocks = max(1, min(-(-m // _query_rows(n)), m // _MIN_QUERY_ROWS))
-            edges = [i * m // blocks for i in range(blocks + 1)]
-            rows = -(-m // blocks)
+            edges = _query_block_edges(m, n)
+            rows = -(-m // (len(edges) - 1))
             ent = np.empty(m)
             out = np.empty((m, v.shape[1]))
             s_buf = np.empty((rows, n))

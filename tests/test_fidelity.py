@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
 from eala.fidelity import (AGGREGATES, BISECTION_N_LIMIT, PER_QUERY, TIE_TOL,
                            FidelityReport, _rank_comparison, _tied_rows, compare)
 from eala.numerics import gaussian_matrix
-from eala.oracle import bisection_theta, exact_attention, kl_divergence
+from eala.oracle import _query_block_edges, bisection_theta, exact_attention, kl_divergence
 from eala.workload import WorkloadSpec, gen_workload
 
 SPEC = WorkloadSpec(n=16, c=8, score_scale=0.1, seed=5)
@@ -70,7 +71,7 @@ class TestCompareSmallScale:
 
 class TestEntropySourceSelection:
     def test_exact_source_changes_thetas_not_entropy_columns(self, report):
-        rx = compare(SPEC, EalaConfig(entropy_source="exact"))
+        rx = compare(SPEC, "exact")
         assert rx.entropy_source == "exact"
         assert rx.entropy_exact == report.entropy_exact
         assert rx.entropy_approx == report.entropy_approx
@@ -78,9 +79,13 @@ class TestEntropySourceSelection:
 
     def test_exact_source_bisection_gap_shrinks(self):
         # feeding the true entropy leaves only the closed-form model error
-        rx = compare(SPEC, EalaConfig(entropy_source="exact"))
+        rx = compare(SPEC, "exact")
         for tc, tb in zip(rx.theta_closed, rx.theta_bisection):
             assert abs(tc - tb) / tb <= 0.05
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ValueError, match="entropy_source must be one of"):
+            compare(SPEC, "bisection")
 
 
 class TestDegenerateWorkload:
@@ -263,13 +268,13 @@ class TestGolden:
         assert report.to_csv() == golden
 
 
-def reference_report(spec, cfg):
+def reference_report(spec, source):
     """The report built one query at a time from the 1-D oracle calls."""
     q, k, v = gen_workload(spec)
     exact = exact_attention(q, k, v, keep_weights=True)
-    res = {src: eala_attention(q, k, v, dataclasses.replace(cfg, entropy_source=src))
+    res = {src: eala_attention(q, k, v, EalaConfig(entropy_source=src))
            for src in ("approx", "exact")}
-    selected = res[cfg.entropy_source]
+    selected = res[source]
     khat, _ = center_keys(k)
     eala_w = eala_weights(q, khat, selected.thetas)
     scores = q @ k.T
@@ -298,7 +303,7 @@ def reference_report(spec, cfg):
     diff = np.max(np.abs(selected.output - exact.output), axis=1)
     denom = np.max(np.abs(exact.output), axis=1) + 1e-15
     return FidelityReport(
-        workload=spec, entropy_source=cfg.entropy_source,
+        workload=spec, entropy_source=source,
         entropy_exact=exact.entropies.tolist(),
         entropy_approx=res["approx"].entropies.tolist(),
         theta_closed=selected.thetas.tolist(),
@@ -321,8 +326,7 @@ class TestBlockedColumnsMatchPerQueryCalls:
     @pytest.mark.parametrize("spec", MIXED_SPECS,
                              ids=lambda s: f"n{s.n}-c{s.c}-s{s.score_scale}")
     def test_report_bytes(self, spec, source):
-        cfg = EalaConfig(entropy_source=source)
-        got, want = compare(spec, cfg), reference_report(spec, cfg)
+        got, want = compare(spec, source), reference_report(spec, source)
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
 
@@ -335,3 +339,37 @@ class TestBlockedColumnsMatchPerQueryCalls:
         r = compare(MIXED_SPECS[1])
         assert not any(r.weights_valid)
         assert all(t is None for t in r.theta_bisection)
+
+
+def _cells(report):
+    return ([(k, i, v) for k in PER_QUERY for i, v in enumerate(getattr(report, k))]
+            + [(k, None, getattr(report, k)) for k in AGGREGATES])
+
+
+class TestMultiBlockReports:
+    # equal blocks of about 128 and 83 queries: a block's GEMMs may take
+    # another BLAS kernel than the products over all queries, so the last
+    # bits of the exact weights, eala weights and outputs may move
+    @pytest.mark.parametrize("source", ["approx", "exact"])
+    @pytest.mark.parametrize("spec", [WorkloadSpec(1024, 4, 0.1, 3), WorkloadSpec(1500, 32, 0.1, 3)],
+                             ids=lambda s: f"n{s.n}-c{s.c}")
+    def test_cells_match_per_query_calls_to_1e9(self, spec, source):
+        assert len(_query_block_edges(spec.n, spec.n)) > 2
+        got, want = compare(spec, source), reference_report(spec, source)
+        for (name, i, g), (_, _, w) in zip(_cells(got), _cells(want), strict=True):
+            if isinstance(w, float):
+                assert isinstance(g, float) and (g == w or abs(g - w) <= 1e-9 * abs(w)), (name, i, g, w)
+            else:
+                assert g == w and type(g) is type(w), (name, i, g, w)
+
+    def test_peak_stays_under_two_n_by_n_matrices(self):
+        # measured 11.6 MiB: the exact-source pass's n x n scores and its
+        # scratch; no n x n matrix of compare's own is alive beside them
+        spec = WorkloadSpec(1024, 32, 0.1, 3)
+        tracemalloc.start()
+        try:
+            compare(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * spec.n ** 2

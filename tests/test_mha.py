@@ -146,6 +146,16 @@ class TestMhaForward:
             mha_forward(p, x, mode=mode)
 
     @pytest.mark.parametrize("mode", ["exact", "eala"])
+    @pytest.mark.parametrize("field", ["w_query", "w_key", "w_value", "w_output"])
+    def test_nonfinite_weight_is_named(self, mode, field):
+        # checked before any head runs: NaN in w_key once failed in a head
+        # as "K holds NaN or inf", and NaN in w_output went unreported
+        p = mha_init(8, 2, seed=23)
+        getattr(p, field)[2, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^{field} holds NaN or inf$"):
+            mha_forward(p, gaussian_matrix(6, 8, 24), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "eala"])
     def test_overflow_of_finite_x_is_left_to_the_heads(self, mode):
         # x's sum of squares overflows, but x itself is finite: the entry
         # check names only NaN or inf, and the head names the overflow
