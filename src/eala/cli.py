@@ -138,6 +138,7 @@ def _run_attend(args) -> int:
     # row readers and a row writer: the linear path streams the files in row
     # blocks.  The rows go to a new file beside --out, which replaces --out
     # only once all of them are in, so a failure leaves --out as it was.
+    # Nothing reads the entropies, so certified blocks skip S2.
     q, k, v = map(TensorRows, paths)
     path = {"eala": "auto", "eala-linear": "linear",
             "eala-quadratic": "quadratic"}[args.mode]
@@ -146,7 +147,7 @@ def _run_attend(args) -> int:
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     out = TensorRowWriter(tmp, (q.shape[0], v.shape[1]))
     try:
-        eala_attention(q, k, v, cfg, out=out)
+        eala_attention(q, k, v, cfg, out=out, entropies=False)
         os.replace(tmp, args.out)
     except BaseException:
         os.remove(tmp)

@@ -243,7 +243,8 @@ class TestAttend:
 
 class TestStreamedAttend:
     """The eala modes stream their inputs through row readers: the output
-    is the in-memory pipeline's, bit for bit, and no input is held whole.
+    is the in-memory pipeline's with no entropies, bit for bit, and no
+    input is held whole.
     The exact mode reads its inputs whole but holds no n x n buffer."""
 
     def write_inputs(self, tmp_path, n, c=16, dtype="f64"):
@@ -265,8 +266,19 @@ class TestStreamedAttend:
         paths = self.write_inputs(tmp_path, n, dtype=dtype)
         out = tmp_path / "out.bin"
         assert self.attend(paths, out, "--mode", mode) == 0
-        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), EalaConfig(path=path))
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), EalaConfig(path=path),
+                              entropies=False)
         assert np.array_equal(read_tensor(out), want.output)
+
+    @pytest.mark.parametrize("mode", ["eala", "eala-linear"])
+    def test_output_tracks_the_default_call(self, tmp_path, mode):
+        # calibrated queries: every block is certified, and skips S2
+        paths = self.write_inputs(tmp_path, 5000)
+        out = tmp_path / "out.bin"
+        assert self.attend(paths, out, "--mode", mode) == 0
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv")).output
+        got = read_tensor(out)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", ["q", "k", "v"])
     def test_nan_in_the_last_row_exits_three_before_any_output(self, capsys, tmp_path, name):
@@ -301,18 +313,18 @@ class TestStreamedAttend:
     def test_output_over_an_input_is_the_in_memory_bits(self, tmp_path, name):
         n = 2 * _QUERY_BLOCK + 1
         paths = self.write_inputs(tmp_path, n)
-        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv")).output
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), entropies=False).output
         assert self.attend(paths, paths[name]) == 0
         assert np.array_equal(read_tensor(paths[name]), want)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "q.bin", "v.bin"]
 
     def test_peak_holds_no_output_sized_buffer(self, tmp_path):
-        # at 65536 x 64 the output is 32 MiB.  The per-query entropies and
-        # temperatures are held whole, and three (2048, 64) blocks at once:
-        # a Q block, its rows scaled by 1/(n theta) and the output block
-        # they make; a fourth block's room covers the per-block vectors and
-        # the ufunc buffer.  Holding a written output block through the
-        # next block would pass it.
+        # at 65536 x 64 the output is 32 MiB.  The temperatures are held
+        # whole, and every block is certified, so two (2048, 64) blocks at
+        # once: a Q block and the output block it makes, 2.7 MiB in all.
+        # A third block's room is the headroom.  A Q block scaled by
+        # 1/(n theta), or a written output block held through the next
+        # block, would fail it, as the S2 path's 4.1 MiB does.
         n, c = 65536, 64
         paths = self.write_inputs(tmp_path, n, c)
         out = tmp_path / "out.bin"
@@ -323,7 +335,7 @@ class TestStreamedAttend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (2 * n + 4 * _QUERY_BLOCK * c)
+        assert peak <= 8 * (n + 3 * _QUERY_BLOCK * c)
 
     def test_peak_holds_the_output_and_a_few_blocks(self, tmp_path):
         n, c, d = 16384, 64, 64

@@ -979,3 +979,118 @@ class TestEalaAttention:
         with pytest.raises(ValueError):
             eala_attention(gaussian_matrix(4, 3, 1), gaussian_matrix(4, 3, 1),
                            gaussian_matrix(5, 3, 1))
+
+
+class TestCertifiedBlocks:
+    """With entropies=False the linear branch with approximate entropies
+    gives a block whose S2 the Gram's eigenvalues put above the sentinel's
+    floor and below the entropy clip the constant theta, with no S2;
+    every other block keeps the default call's bits."""
+
+    LINEAR = EalaConfig(path="linear")
+    N = 2 * _QUERY_BLOCK + 3
+
+    # about 30 examples of each key set, or the deep profile's count
+    @settings(max_examples=max(150, settings.default.max_examples))
+    @given(qkv=st.one_of(*(keys(max_n=2 * _QUERY_BLOCK + 3, max_m=2 * _QUERY_BLOCK + 3) for keys in (
+        shifted_key_instances, low_rank_key_instances, heavy_tailed_key_instances,
+        clustered_key_instances, outlier_key_instances))),
+           scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans())
+    def test_certified_rows_lie_inside_the_clip(self, qkv, scale, zero_rows):
+        q, k, v = qkv
+        q = q * scale
+        if zero_rows:
+            q[:_QUERY_BLOCK:3] = 0.0  # S2 = 0 in the first block
+        n = len(k)
+        res = eala_attention(q, k, v, self.LINEAR, entropies=False)
+        want = eala_attention(q, k, v, self.LINEAR)
+        assert res.entropies is None
+        bounds = core._certified_norms(key_moments(k, v).gram, n, np.log(n))
+        khat = center_keys(k)[0]
+        for lo in range(0, len(q), _QUERY_BLOCK):
+            rows = slice(lo, lo + _QUERY_BLOCK)
+            if bounds is not None and core._block_certified(q[rows], bounds):
+                scores = q[rows] @ khat.T
+                s2 = np.einsum("ij,ij->i", scores, scores)
+                assert np.all(s2 <= n * np.log(n)) and np.all(s2 / n > DENOM_FLOOR)
+                assert np.all(res.thetas[rows] == core._THETA_UNCLIPPED)
+            else:
+                assert np.array_equal(res.output[rows], want.output[rows])
+                assert np.array_equal(res.thetas[rows], want.thetas[rows])
+
+    @pytest.mark.parametrize("cfg", [EalaConfig(), LINEAR])
+    @pytest.mark.parametrize("case", ["no queries", "no features", "one key",
+                                      "identical keys", "more features than keys"])
+    def test_degenerate_inputs_certify_nothing(self, case, cfg):
+        q, k, v = {
+            "no queries": (np.zeros((0, 5)), gaussian_matrix(6, 5, 1), gaussian_matrix(6, 2, 2)),
+            "no features": (np.zeros((_QUERY_BLOCK + 5, 0)), np.zeros((6, 0)), gaussian_matrix(6, 2, 3)),
+            "one key": (gaussian_matrix(_QUERY_BLOCK + 5, 3, 4), gaussian_matrix(1, 3, 5),
+                        gaussian_matrix(1, 2, 6)),
+            "identical keys": (gaussian_matrix(10, 3, 7), np.tile([[1.0, 2.0, 3.0]], (10, 1)),
+                               gaussian_matrix(10, 3, 8)),
+            "more features than keys": random_instance(8, 12, 9, 0.05),
+        }[case]
+        res = eala_attention(q, k, v, cfg, entropies=False)
+        want = eala_attention(q, k, v, cfg)
+        assert res.entropies is None
+        assert np.array_equal(res.output, want.output)
+        assert np.array_equal(res.thetas, want.thetas)
+        if len(q):
+            assert core._certified_norms(key_moments(k, v).gram, len(k), np.log(len(k))) is None
+
+    def test_certified_blocks_take_no_score_moments(self, monkeypatch):
+        # calibrated Gaussians: every block is certified, and its output is
+        # the default call's to rounding
+        q, k, v = random_instance(self.N, 16, 2100, 0.05)
+        want = eala_attention(q, k, v)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("S2 computed")
+
+        monkeypatch.setattr(core, "_score_moments", refuse)
+        res = eala_attention(q, k, v, entropies=False)
+        assert np.all(res.thetas == np.sqrt(0.5) + EPSILON)
+        assert np.max(np.abs(res.output - want.output)) <= 1e-12 * np.max(np.abs(want.output))
+
+    @pytest.mark.parametrize("scale", [1e-5, 0.05])
+    def test_certified_output_tracks_long_double(self, scale):
+        # the default call's gap log n - Hhat cancels to S2 / n, which errs
+        # by ulp(log n) / (S2 / n) relative: 2.9e-11 in the output at scale
+        # 1e-5, where the certified blocks' constant theta gives 1.3e-15
+        n, c = _QUERY_BLOCK * 2 + 1, 16
+        q, k, v = gaussian_matrix(n, c, 1, scale), gaussian_matrix(n, c, 2), gaussian_matrix(n, c, 3)
+        ld = np.longdouble
+        khat = k.astype(ld) - k.astype(ld).mean(axis=0)
+        s2 = np.einsum("ij,jk,ik->i", q.astype(ld), khat.T @ khat, q.astype(ld))
+        theta = np.sqrt(s2 / (2 * n * np.minimum(s2 / n, np.log(ld(n))))) + EPSILON
+        want = (v.sum(axis=0, dtype=ld) + (q / theta[:, None]) @ (khat.T @ v)) / n
+        err = [np.max(np.abs(eala_attention(q, k, v, entropies=e).output - want)) / np.max(np.abs(want))
+               for e in (False, True)]
+        assert err[0] <= 1e-12 and err[0] <= err[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    @pytest.mark.parametrize("reader", [False, True])
+    def test_bad_late_query_block_is_named(self, bad, reader):
+        q, k, v = random_instance(self.N, 8, 2200, 0.05)
+        q[-1, 0] = bad
+        if reader:
+            q, k, v = (RecordedRows(x) for x in (q, k, v))
+        match = ("^Q holds NaN or inf$" if not np.isfinite(bad)
+                 else "^the score moment S2 overflows float64 although Q is finite$")
+        with pytest.raises(ValueError, match=match):
+            eala_attention(q, k, v, entropies=False)
+
+    def test_scalar_theta_is_folded_into_kv(self):
+        q, k, v = random_instance(40, 6, 2300, 0.05)
+        m = key_moments(k, v)
+        for theta in (0.7, 3.0):
+            got = eala_forward_linear(q, m, theta)
+            want = eala_forward_linear(q, m, np.full(40, theta))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(eala_forward_linear(q, m, np.inf),
+                              eala_forward_linear(q, m, np.full(40, np.inf)))
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="theta must be positive"):
+                eala_forward_linear(q, m, bad)
