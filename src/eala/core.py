@@ -24,14 +24,25 @@ and row writers such as `tensorio.TensorRowWriter`: then on that path no
 input or output is ever held whole, memory is O(block C), and n is
 bounded by disk, not memory.
 
+On the approx path the estimate Hhat = log n - S2 / n, clipped into
+[0, log n], is an output only: the gap log n - Hhat is S2 / n below the
+clip, so theta is a closed form of S2,
+
+    theta = 1/sqrt(2) + EPSILON              where Hhat is not clipped,
+    theta = sqrt(S2 / (2 n log n)) + EPSILON  where it is (S2 / n >= log n),
+
+and the sentinel inf where S2 or the gap is at most DENOM_FLOOR.  These
+tests are monotone in S2, so a query block's least and largest S2 tell
+whether every row takes the constant; then the linear forward folds it
+into KV, one GEMM with no per-row scaling.
+
 A caller that reads no entropies passes `entropies=False`, as `eala
-attend` does.  Then the linear path with approximate entropies holds no
-entropies, and a query block whose S2 an eigenvalue bound on the Gram
-puts below the entropy clip is certified: its temperature is one
-constant, folded into KV, and the block is one GEMM with no S2 and no
-per-row scaling.  At 65536 x 64 with calibrated queries every block is
-certified, and `attend` peaks at about 2.7 MiB under tracemalloc: the
-thetas and two blocks of 2048 rows.
+attend` and `mha_forward` do.  Then a linear block whose S2 an eigenvalue
+bound on the Gram puts inside the constant's range is certified: it takes
+the constant with no S2.  So `entropies=False` changes a call's cost,
+never its output or thetas.  At 65536 x 64 with calibrated queries every
+block is certified, and `attend` peaks at about 2.7 MiB under
+tracemalloc: the thetas and two blocks of 2048 rows.
 """
 
 from __future__ import annotations
@@ -241,9 +252,10 @@ def theta_star(s2, entropy, n: int) -> np.ndarray:
 
     Where S2 or the entropy gap is at most DENOM_FLOOR the family target is
     (indistinguishable from) uniform and the sentinel +inf is returned;
-    downstream forwards treat 1/theta as 0.  Where `approx_entropy` gives
-    the entropy and is not clipped at 0, the gap is S2 / n, so theta* is
-    1/sqrt(2) + EPSILON.
+    downstream forwards treat 1/theta as 0.  Fed `approx_entropy` below
+    its clip, theta* is 1/sqrt(2) + EPSILON to about ulp(log n) / (S2 / n)
+    relative, as the gap log n - Hhat cancels; `eala_attention` takes the
+    closed form of the module docstring instead.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -278,14 +290,30 @@ def _theta_star(s2: np.ndarray, gap: np.ndarray, n: int) -> np.ndarray:
 _THETA_UNCLIPPED = math.sqrt(0.5) + EPSILON
 
 
+def _approx_theta(s2: np.ndarray, n: int, log_n):
+    """The closed-form temperatures of a nonempty block of finite S2 >= 0:
+    the scalar _THETA_UNCLIPPED when every row takes it, else one per row.
+    The sentinel and clip tests round as `_approx_entropy` and
+    `_theta_star` do, so the sentinel rows and clipped thetas keep their
+    bits."""
+    lo, hi = np.minimum.reduce(s2), np.maximum.reduce(s2)
+    if hi / n < log_n and min(lo, log_n - (log_n - lo / n)) > DENOM_FLOOR:
+        return _THETA_UNCLIPPED
+    h = _approx_entropy(s2, n, log_n)
+    theta = _theta_star(s2, log_n - h, n)  # the clipped rows' theta and the sentinel
+    theta[(h > 0.0) & (theta < np.inf)] = _THETA_UNCLIPPED
+    return theta
+
+
 def _certified_norms(gram: np.ndarray, n: int, log_n) -> tuple[float, float] | None:
     """Bounds (lo, hi) on a query's squared norm within which the approx
     temperature is certainly _THETA_UNCLIPPED, or None if no query's is.
 
     lambda_min |q|^2 <= S2 = q M q^T <= lambda_max |q|^2, so |q|^2 in
-    (lo, hi] puts S2 in (n (DENOM_FLOOR + 4 ulp(log n)), n log n]: the
-    entropy is not clipped at 0, and the gap log n - Hhat, which rounds to
-    within an ulp of log n of S2 / n, clears DENOM_FLOOR.  One eigvalsh of
+    (lo, hi] puts S2 in (n (DENOM_FLOOR + 4 ulp(log n)),
+    n (log n - 4 ulp(log n))]: S2 / n rounds below log n, so the entropy
+    is not clipped at 0, and the gap log n - Hhat, which rounds to within
+    an ulp of log n of S2 / n, clears DENOM_FLOOR.  One eigvalsh of
     the C x C Gram gives both eigenvalues; each is widened by
     4 C eps lambda_max, which covers eigvalsh's error and the rounding of
     q M q^T and of |q|^2.  A Gram that is singular, or nearly so, or not
@@ -299,7 +327,8 @@ def _certified_norms(gram: np.ndarray, n: int, log_n) -> tuple[float, float] | N
     lam_min, lam_max = float(lam[0]) - margin, float(lam[-1]) + margin
     if not lam_min > 0.0:
         return None
-    return n * (DENOM_FLOOR + 4 * math.ulp(log_n)) / lam_min, n * log_n / lam_max
+    ulps = 4 * math.ulp(log_n)
+    return n * (DENOM_FLOOR + ulps) / lam_min, n * (log_n - ulps) / lam_max
 
 
 def _block_certified(qb: np.ndarray, bounds: tuple[float, float]) -> bool:
@@ -409,9 +438,9 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
                    entropies: bool = True) -> AttnResult:
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
-    Returns the output matrix along with the per-query entropy estimates
-    that fed the temperature solve and the temperatures themselves.  NaN or
-    inf in Q, K or V raises ValueError naming the input.
+    Returns the output matrix along with the per-query entropies (the
+    estimate, or the exact ones that feed `theta_star`) and temperatures.
+    NaN or inf in Q, K or V raises ValueError naming the input.
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
     in numpy, receives the output and is returned as it: a (rows, D) array,
@@ -420,21 +449,17 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     block through S2, the entropy, the temperature and the branch's
     forward, into its rows of `out`, so no n x D buffer is made.
     The steps are the kernels of `score_moments`, `approx_entropy` and
-    `theta_star`, which the public functions wrap with checks of their
-    input that this pipeline makes once at its entry.  The quadratic
-    branch and the exact entropy source read K and V whole to centre K
+    (for the exact entropy source) `theta_star`, which the public functions
+    wrap with checks of their input that this pipeline makes once at its
+    entry; the approx path's theta is the module docstring's closed form.
+    The quadratic branch and the exact entropy source read K and V whole to centre K
     into khat, and take S2 as the row sums of squares of each block's
     scores q khat^T; the quadratic branch builds no key moments, and turns
     those scores into its weights in place.
 
     With `entropies=False` the result's `entropies` is None, and the
-    linear branch with approximate entropies skips S2 where it can: one
-    eigvalsh of the Gram bounds S2 by each query's squared norm, and a
-    block whose bounds all lie below the entropy clip and above the
-    sentinel's floor is certified.  Its temperature is the constant
-    1/sqrt(2) + EPSILON, folded into KV, so the block is one GEMM, with
-    no S2 and no per-row scaling.  Its output is within rounding of the
-    default call's; other blocks, and the other branches, keep its bits.
+    linear branch with approximate entropies skips S2 on certified blocks
+    (see `_certified_norms`); the output and thetas keep their bits.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -516,26 +541,27 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
         (qb, scores, s2, finite), pending = pending, None
         if not finite:
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        if s2 is None:  # certified: one temperature, folded into KV
-            th = theta[lo:hi] = _THETA_UNCLIPPED
+        if s2 is None:  # certified
+            h, th = None, _THETA_UNCLIPPED
+        elif approx:
+            h = _approx_entropy(s2, n, log_n) if entropies else None
+            th = _approx_theta(s2, n, log_n)
         else:
-            if approx:
-                h = _approx_entropy(s2, n, log_n)
-                th = _theta_star(s2, log_n - h, n)
-            else:
-                h = score_row_entropies(scores)
-                th = _theta_star(s2, log_n - np.minimum(h, log_n), n)
-            if own:
-                ent, theta = h if entropies else None, th
-            else:  # copied into the call's arrays; the block's own are freed before the forward
-                if entropies:
-                    ent[lo:hi] = h
-                theta[lo:hi] = th
-                s2 = h = None
+            h = score_row_entropies(scores)
+            th = _theta_star(s2, log_n - np.minimum(h, log_n), n)
+        per_row = isinstance(th, np.ndarray)  # else one temperature, folded into KV
+        if own:
+            ent, theta = h if entropies else None, th if per_row else np.full(rows, th)
+        else:  # copied into the call's arrays; the block's own are freed before the forward
+            if entropies:
+                ent[lo:hi] = h
+            theta[lo:hi] = th
+            s2 = h = None
+            if per_row:
                 th = theta[lo:hi]
         dest = out[lo:hi] if isinstance(out, np.ndarray) else None
         if quadratic:
-            block = eala_forward_quadratic(qb, khat, v, th, out=dest, scores=scores)
+            block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest, scores=scores)
         else:
             scores = None  # so the exact source's scores are freed before the forward
             block = eala_forward_linear(qb, m, th, out=dest)

@@ -75,10 +75,11 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
 
     mode "exact" runs softmax attention per head; "eala" runs the
     entropy-matched linear kernel with eala_attention's default
-    configuration.  Output shape equals input shape.  Parameters whose
-    heads do not split model_dim, or whose weights are not model_dim x
-    model_dim, raise ValueError, and so does NaN or inf in x or in a weight,
-    which the error names.
+    configuration and `entropies=False`, since it reads none; that call
+    has the default call's bits.  Output shape equals input shape.
+    Parameters whose heads do not split model_dim, or whose weights are
+    not model_dim x model_dim, raise ValueError, and so does NaN or inf in
+    x or in a weight, which the error names.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -108,7 +109,7 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
         if mode == "exact":
             merged[:, sl] = exact_attention(q, k, v).output
         else:
-            eala_attention(q, k, v, out=merged[:, sl])
+            eala_attention(q, k, v, out=merged[:, sl], entropies=False)
         del qkv, q, k, v  # before the next head's projection is made
     # each output row reads only its own merged row, so the projection
     # overwrites merged one row block at a time

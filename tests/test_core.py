@@ -451,6 +451,30 @@ class TestForwardPaths:
             assert float(np.max(np.abs(w.sum(axis=1) - 1.0))) <= 1e-9
 
 
+THETA0 = np.sqrt(0.5) + EPSILON
+
+
+def closed_form_theta(s2, n):
+    """The approx path's theta of each S2 >= 0: THETA0 where Hhat is not
+    clipped, sqrt(S2 / (2 n log n)) + EPSILON where it is, and the
+    sentinel where S2 or the gap log n - Hhat is at most DENOM_FLOOR."""
+    log_n = np.log(float(n))
+    h = approx_entropy(s2, n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 1: every row is the sentinel
+        theta = np.where(h > 0.0, THETA0, np.sqrt(s2 / (log_n * (2.0 * n))) + EPSILON)
+    theta[np.fmin(s2, log_n - h) <= DENOM_FLOOR] = np.inf
+    return theta
+
+
+def folded_rows(theta):
+    """Per row, whether every theta of its query block is THETA0, which
+    the linear branch folds into KV in place of scaling the rows."""
+    folded = np.empty(len(theta), dtype=bool)
+    for lo in range(0, len(theta), _QUERY_BLOCK):
+        folded[lo:lo + _QUERY_BLOCK] = np.all(theta[lo:lo + _QUERY_BLOCK] == THETA0)
+    return folded
+
+
 def whole_matrix_linear_path(q, k, v):
     """The linear path with every query-side product over all rows at once:
     the reference for the row-blocked score moments and forward."""
@@ -459,10 +483,11 @@ def whole_matrix_linear_path(q, k, v):
     s2 = np.einsum("ij,ij->i", q @ (khat.T @ khat), q)
     np.maximum(s2, 0.0, out=s2)
     ent = approx_entropy(s2, n)
-    theta = theta_star(s2, ent, n)
+    theta = closed_form_theta(s2, n)
     # one GEMM gives khat^T V and, through a column of ones, the value sum
     kv_sum = np.hstack([khat, np.ones((n, 1))]).T @ v
-    out = (q * (1.0 / (n * theta))[:, None]) @ kv_sum[:c] + kv_sum[c] / n
+    out = np.where(folded_rows(theta)[:, None], q @ (kv_sum[:c] / (n * THETA0)),
+                   (q * (1.0 / (n * theta))[:, None]) @ kv_sum[:c]) + kv_sum[c] / n
     return out, ent, theta
 
 
@@ -669,7 +694,9 @@ class TestRowReaders:
 def pipeline_chain(q, k, v, cfg):
     """eala_attention spelled out with the public functions, one query
     block of _QUERY_BLOCK rows at a time: the key pass (or the centred
-    keys), S2, the entropy, theta and the branch's forward."""
+    keys), S2, the entropy, theta and the branch's forward.  The approx
+    path's theta is the closed form, and a linear block whose thetas are
+    all THETA0 folds it into KV."""
     n = len(k)
     quadratic = select_path(cfg.path, n, q.shape[1]) == "quadratic"
     approx = cfg.entropy_source == "approx"
@@ -685,9 +712,10 @@ def pipeline_chain(q, k, v, cfg):
         s2 = (score_moments(qb, m) if approx and not quadratic
               else np.einsum("ij,ij->i", scores, scores))
         ent = approx_entropy(s2, n) if approx else score_row_entropies(scores)
-        theta = theta_star(s2, ent, n)
+        theta = closed_form_theta(s2, n) if approx else theta_star(s2, ent, n)
+        fold = approx and np.all(theta == THETA0)
         outs.append(eala_forward_quadratic(qb, khat, v, theta) if quadratic
-                    else eala_forward_linear(qb, m, theta))
+                    else eala_forward_linear(qb, m, THETA0 if fold else theta))
         ents.append(ent)
         thetas.append(theta)
     return np.vstack(outs), np.concatenate(ents), np.concatenate(thetas)
@@ -905,7 +933,7 @@ class TestEalaAttention:
         s2 = np.einsum("ij,ij->i", scores, scores)
         res = eala_attention(q, k, v)
         assert np.array_equal(res.entropies, approx_entropy(s2, 24))
-        assert np.array_equal(res.thetas, theta_star(s2, res.entropies, 24))
+        assert np.array_equal(res.thetas, closed_form_theta(s2, 24))
 
     def test_quadratic_branch_forms_the_scores_once(self, monkeypatch):
         # C > N: the block's scores that gave S2 become the weights in place,
@@ -984,8 +1012,9 @@ class TestEalaAttention:
 class TestCertifiedBlocks:
     """With entropies=False the linear branch with approximate entropies
     gives a block whose S2 the Gram's eigenvalues put above the sentinel's
-    floor and below the entropy clip the constant theta, with no S2;
-    every other block keeps the default call's bits."""
+    floor and below the entropy clip the constant theta, with no S2.  That
+    is the theta the default call finds for the block, which it folds into
+    KV too, so both calls give the same bits on every block."""
 
     LINEAR = EalaConfig(path="linear")
     N = 2 * _QUERY_BLOCK + 3
@@ -995,16 +1024,20 @@ class TestCertifiedBlocks:
     @given(qkv=st.one_of(*(keys(max_n=2 * _QUERY_BLOCK + 3, max_m=2 * _QUERY_BLOCK + 3) for keys in (
         shifted_key_instances, low_rank_key_instances, heavy_tailed_key_instances,
         clustered_key_instances, outlier_key_instances))),
-           scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans())
-    def test_certified_rows_lie_inside_the_clip(self, qkv, scale, zero_rows):
+           scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans(),
+           path=st.sampled_from(["auto", "linear"]))
+    def test_certified_rows_lie_inside_the_clip(self, qkv, scale, zero_rows, path):
         q, k, v = qkv
         q = q * scale
         if zero_rows:
             q[:_QUERY_BLOCK:3] = 0.0  # S2 = 0 in the first block
         n = len(k)
-        res = eala_attention(q, k, v, self.LINEAR, entropies=False)
-        want = eala_attention(q, k, v, self.LINEAR)
+        cfg = EalaConfig(path=path)
+        res = eala_attention(q, k, v, cfg, entropies=False)
+        want = eala_attention(q, k, v, cfg)
         assert res.entropies is None
+        assert np.array_equal(res.output, want.output)
+        assert np.array_equal(res.thetas, want.thetas)
         bounds = core._certified_norms(key_moments(k, v).gram, n, np.log(n))
         khat = center_keys(k)[0]
         for lo in range(0, len(q), _QUERY_BLOCK):
@@ -1013,10 +1046,7 @@ class TestCertifiedBlocks:
                 scores = q[rows] @ khat.T
                 s2 = np.einsum("ij,ij->i", scores, scores)
                 assert np.all(s2 <= n * np.log(n)) and np.all(s2 / n > DENOM_FLOOR)
-                assert np.all(res.thetas[rows] == core._THETA_UNCLIPPED)
-            else:
-                assert np.array_equal(res.output[rows], want.output[rows])
-                assert np.array_equal(res.thetas[rows], want.thetas[rows])
+                assert np.all(res.thetas[rows] == THETA0)
 
     @pytest.mark.parametrize("cfg", [EalaConfig(), LINEAR])
     @pytest.mark.parametrize("case", ["no queries", "no features", "one key",
@@ -1041,7 +1071,7 @@ class TestCertifiedBlocks:
 
     def test_certified_blocks_take_no_score_moments(self, monkeypatch):
         # calibrated Gaussians: every block is certified, and its output is
-        # the default call's to rounding
+        # the default call's
         q, k, v = random_instance(self.N, 16, 2100, 0.05)
         want = eala_attention(q, k, v)
 
@@ -1050,14 +1080,14 @@ class TestCertifiedBlocks:
 
         monkeypatch.setattr(core, "_score_moments", refuse)
         res = eala_attention(q, k, v, entropies=False)
-        assert np.all(res.thetas == np.sqrt(0.5) + EPSILON)
-        assert np.max(np.abs(res.output - want.output)) <= 1e-12 * np.max(np.abs(want.output))
+        assert np.all(res.thetas == THETA0)
+        assert np.array_equal(res.output, want.output)
 
     @pytest.mark.parametrize("scale", [1e-5, 0.05])
     def test_certified_output_tracks_long_double(self, scale):
-        # the default call's gap log n - Hhat cancels to S2 / n, which errs
-        # by ulp(log n) / (S2 / n) relative: 2.9e-11 in the output at scale
-        # 1e-5, where the certified blocks' constant theta gives 1.3e-15
+        # theta through the gap log n - Hhat, which cancels to S2 / n,
+        # would err by ulp(log n) / (S2 / n) relative: 3e-11 in the output
+        # at scale 1e-5, where the constant theta gives about 2e-15
         n, c = _QUERY_BLOCK * 2 + 1, 16
         q, k, v = gaussian_matrix(n, c, 1, scale), gaussian_matrix(n, c, 2), gaussian_matrix(n, c, 3)
         ld = np.longdouble
@@ -1065,9 +1095,23 @@ class TestCertifiedBlocks:
         s2 = np.einsum("ij,jk,ik->i", q.astype(ld), khat.T @ khat, q.astype(ld))
         theta = np.sqrt(s2 / (2 * n * np.minimum(s2 / n, np.log(ld(n))))) + EPSILON
         want = (v.sum(axis=0, dtype=ld) + (q / theta[:, None]) @ (khat.T @ v)) / n
-        err = [np.max(np.abs(eala_attention(q, k, v, entropies=e).output - want)) / np.max(np.abs(want))
-               for e in (False, True)]
-        assert err[0] <= 1e-12 and err[0] <= err[1]
+        for e in (False, True):
+            err = np.max(np.abs(eala_attention(q, k, v, entropies=e).output - want)) / np.max(np.abs(want))
+            assert err <= 1e-13
+
+    def test_unclipped_thetas_are_the_constant_at_vanishing_s2(self):
+        # one feature, 65536 keys: the smallest queries put S2 / n near
+        # DENOM_FLOOR, where the gap log n - Hhat keeps only a few digits
+        # of S2 / n (theta* 1.9e-4 off), but theta is the constant exactly.
+        # A zero query gives its block the sentinel, and that block per-row
+        # temperatures.
+        n = 65536
+        q, k, v = gaussian_matrix(n, 1, 1, 0.05), gaussian_matrix(n, 1, 2), gaussian_matrix(n, 1, 3)
+        q[5] = 0.0
+        res = eala_attention(q, k, v)
+        live = np.isfinite(res.thetas) & (res.entropies > 0.0)
+        assert res.thetas[5] == np.inf and live.sum() >= n - 3 and np.min(q[live] ** 2) < 1e-10
+        assert np.all(res.thetas[live] == THETA0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])

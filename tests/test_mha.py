@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eala import mha
 from eala.core import eala_attention
 from eala.mha import _OUT_ROWS, MhaParams, mha_forward, mha_init
 from eala.numerics import gaussian_matrix
@@ -180,7 +182,9 @@ class TestMhaProperty:
     # n below head_dim takes eala's quadratic branch; the bit pin is
     # TestMhaBuffers at 2048 x 256.  At a few columns the BLAS may sum a
     # projection's tail columns in another order, so an entry that cancels
-    # far below the output's scale is held to that scale, not its own
+    # far below the output's scale is held to that scale, not its own.
+    # Each head's call asks for no entropies, and gives the bits of the
+    # default call on the same head.
     @given(heads=st.integers(min_value=1, max_value=4),
            head_dim=st.integers(min_value=1, max_value=8),
            n=st.integers(min_value=1, max_value=300),
@@ -189,10 +193,21 @@ class TestMhaProperty:
     def test_matches_the_full_projection(self, heads, head_dim, n, scale, seed):
         p = mha_init(heads * head_dim, heads, seed)
         x = gaussian_matrix(n, heads * head_dim, seed + 1, scale)
+        heads_seen = []
+
+        def default_bits(q, k, v, **kwargs):
+            res = eala_attention(q, k, v, **kwargs)
+            assert res.entropies is None
+            assert np.array_equal(res.output, eala_attention(q, k, v).output)
+            heads_seen.append(kwargs)
+            return res
+
         for mode in ("exact", "eala"):
             want = _full_projection(p, x, mode)
-            np.testing.assert_allclose(mha_forward(p, x, mode=mode), want, rtol=1e-12,
-                                       atol=1e-12 * np.max(np.abs(want)))
+            with mock.patch.object(mha, "eala_attention", default_bits):
+                got = mha_forward(p, x, mode=mode)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        assert len(heads_seen) == heads
 
 
 def _peak(fn, *args, **kwargs):
@@ -245,7 +260,7 @@ class TestMhaBuffers:
         if mode == "exact":
             head = max(_peak(exact_attention, *qkv) for _, qkv in self.heads(layer))
         else:
-            head = max(_peak(eala_attention, *qkv, out=merged[:, sl])
+            head = max(_peak(eala_attention, *qkv, out=merged[:, sl], entropies=False)
                        for sl, qkv in self.heads(layer))
         # the merged buffer, one head's (n, 3 head_dim) projection, one
         # head's scratch, one output row block, and 4 KiB for the Python
