@@ -27,8 +27,7 @@ from .checks import CRITERIA, run_criterion
 from .core import EalaConfig, eala_attention
 from .fidelity import compare, jsonable
 from .oracle import exact_attention
-from .tensorio import (TensorFileError, TensorRows, TensorRowWriter, read_tensor,
-                       write_tensor)
+from .tensorio import TensorFileError, TensorRows, TensorRowWriter, read_tensor
 from .workload import WorkloadSpec
 
 _ATTEND_MODES = ("exact", "eala", "eala-linear", "eala-quadratic")
@@ -131,23 +130,24 @@ def _run_bench(args) -> int:
 
 
 def _run_attend(args) -> int:
+    # The rows go to a new file beside --out, which replaces --out only once
+    # all of them are in, so a failure leaves --out as it was.  The exact
+    # mode reads its inputs whole; the eala modes hand eala_attention row
+    # readers and the row writer, and the linear path streams the files in
+    # row blocks.  Nothing reads the entropies, so certified blocks skip S2.
     paths = (args.q, args.k, args.v)
-    if args.mode == "exact":
-        write_tensor(args.out, exact_attention(*map(read_tensor, paths)).output, "f64")
-        return 0
-    # row readers and a row writer: the linear path streams the files in row
-    # blocks.  The rows go to a new file beside --out, which replaces --out
-    # only once all of them are in, so a failure leaves --out as it was.
-    # Nothing reads the entropies, so certified blocks skip S2.
-    q, k, v = map(TensorRows, paths)
-    path = {"eala": "auto", "eala-linear": "linear",
-            "eala-quadratic": "quadratic"}[args.mode]
-    cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
+    q, k, v = map(read_tensor if args.mode == "exact" else TensorRows, paths)
     head, tail = os.path.split(os.path.abspath(args.out))
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     out = TensorRowWriter(tmp, (q.shape[0], v.shape[1]))
     try:
-        eala_attention(q, k, v, cfg, out=out, entropies=False)
+        if args.mode == "exact":
+            out[:] = exact_attention(q, k, v).output
+        else:
+            path = {"eala": "auto", "eala-linear": "linear",
+                    "eala-quadratic": "quadratic"}[args.mode]
+            cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
+            eala_attention(q, k, v, cfg, out=out, entropies=False)
         os.replace(tmp, args.out)
     except BaseException:
         os.remove(tmp)

@@ -6,12 +6,13 @@ temperature against an independent bisection solve, the KL divergence from
 the softmax weights to the linear weights, and ranking agreement.  After
 the two `eala_attention` passes it makes one pass over equal blocks of
 queries, of at least 64 rows as in `exact_attention`: each block solves
-its temperatures with one batched `bisection_theta` call, takes its tie
-flags from its raw scores, and forms its exact and eala weight rows, which
-the KL and ranking columns read and which are dropped before the next
-block.  No n x n matrix of its own is alive, and a report at n = 1024,
-c = 32 peaks at 11.6 MiB under tracemalloc, the exact-source pass's n x n
-scores and their scratch.  The bisection, KL and ranking values have the
+its temperatures with one batched `bisection_theta` call and forms its
+exact and eala weight rows, which the KL and ranking columns read and
+which are dropped before the next block; one argsort of its raw scores
+gives the ranking column both its tie flags and its sort.  No n x n
+matrix of its own is alive, and a report at n = 1024, c = 32 peaks at
+11.6 MiB under tracemalloc, the exact-source pass's n x n scores and
+their scratch.  The bisection, KL and ranking values have the
 bits of the per-query 1-D oracle calls on the block's rows.  Reports
 serialize to JSON and CSV with deterministic bytes for a fixed seed, in a
 schema stated once: the workload echo is `WorkloadSpec`'s fields, and
@@ -108,21 +109,14 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _tied_rows(scores: np.ndarray) -> np.ndarray:
-    """Rows whose sorted scores have an adjacent gap at or below TIE_TOL.
-
-    Ties are detected on the raw score rows: both weight families are
-    strictly monotone in the scores, so an ambiguous ranking can only come
-    from near-equal scores, not from the weight transforms.
-    """
-    if scores.shape[1] < 2:
-        return np.zeros(scores.shape[0], dtype=bool)
-    return np.min(np.diff(np.sort(scores, axis=1), axis=1), axis=1) <= TIE_TOL
-
-
-def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
+def _rank_comparison(scores: np.ndarray, exact_weights: np.ndarray,
                      eala_w: np.ndarray) -> list:
     """Per-query argsort agreement of two weight rows; None where tied.
+
+    A query is tied when its sorted raw scores have an adjacent gap at or
+    below TIE_TOL: both weight families are strictly monotone in the
+    scores, so an ambiguous ranking can only come from near-equal scores,
+    not from the weight transforms.
 
     The stable argsort pi of a row y is the one permutation along which the
     pairs (y[pi_i], pi_i) increase strictly.  So one sort of the exact row
@@ -131,20 +125,29 @@ def _rank_comparison(tied: np.ndarray, exact_weights: np.ndarray,
     This needs eala weights free of NaN, which the finite scores and
     positive thetas of compare give.
 
-    Where the exact row gathered along numpy's default argsort increases
-    strictly, that order is the only sorting permutation, so it is the
-    stable one; only rows with equal weights (exp underflowing to 0, say)
-    are sorted again with kind="stable".
+    One default argsort of the scores gives both the tie flags, from the
+    scores gathered along it, and that sort: where the exact row gathered
+    along it increases strictly, it is the row's only sorting permutation,
+    so the stable one.  Only other rows (equal weights from exp
+    underflowing to 0, say) are sorted again with kind="stable".  The
+    gathers index the flattened block; flat indices of one row keep its
+    order, so they stand in for the permutation.
     """
-    order = np.argsort(exact_weights, axis=1)
-    x = np.take_along_axis(exact_weights, order, axis=1)
+    rows, n = scores.shape
+    idx = np.argsort(scores, axis=1)
+    idx += np.arange(0, rows * n, n)[:, None]
+    s = np.take(scores, idx)
+    tied = np.any(s[:, 1:] - s[:, :-1] <= TIE_TOL, axis=1)
+    del s  # so that no more than two (rows, n) arrays of our own are alive
+    x = np.take(exact_weights, idx)
     redo = np.flatnonzero(~np.all(x[:, :-1] < x[:, 1:], axis=1))
-    del x  # so that no more than two (rows, n) arrays are alive at once
+    del x
     if redo.size:
-        order[redo] = np.argsort(exact_weights[redo], axis=1, kind="stable")
-    y = np.take_along_axis(eala_w, order, axis=1)
+        idx[redo] = np.argsort(exact_weights[redo], axis=1, kind="stable")
+        idx[redo] += redo[:, None] * n
+    y = np.take(eala_w, idx)
     step = np.less(y[:, :-1], y[:, 1:])
-    step |= (y[:, :-1] == y[:, 1:]) & (order[:, :-1] < order[:, 1:])
+    step |= (y[:, :-1] == y[:, 1:]) & (idx[:, :-1] < idx[:, 1:])
     same = np.all(step, axis=1)
     return [None if t else bool(s) for t, s in zip(tied, same)]
 
@@ -187,14 +190,13 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
             bis = bisection_theta(rows, selected.entropies[blk])
             bis_col += [None if math.isnan(t) else t for t in bis.tolist()]
             del rows
-        tied = _tied_rows(q_mat[blk] @ k_mat.T)
         exact = exact_attention(q_mat[blk], k_mat, v_mat, keep_weights=True)
         eala_w = eala_weights(q_mat[blk], khat, thetas[blk])
         kl = kl_divergence(exact.weights, eala_w)
         valid = (np.min(eala_w, axis=1) > 0.0) & ~np.isnan(kl)
         kl_col += [v if ok else None for v, ok in zip(kl.tolist(), valid)]
         valid_col += valid.tolist()
-        match_col += _rank_comparison(tied, exact.weights, eala_w)
+        match_col += _rank_comparison(q_mat[blk] @ k_mat.T, exact.weights, eala_w)
         entropy_exact[blk] = exact.entropies
         diff = np.max(np.abs(selected.output[blk] - exact.output), axis=1)
         out_err[blk] = diff / (np.max(np.abs(exact.output), axis=1) + 1e-15)

@@ -15,6 +15,15 @@ hands out row blocks of one file on demand, so a caller can stream a
 payload larger than memory.  The writers mirror them: `write_tensor`
 writes a whole file or overwrites a range of an existing file's rows, and
 `TensorRowWriter` creates a file and takes its rows a block at a time.
+
+Both writers preallocate the file they make, header and payload, with
+`posix_fallocate` before writing any of it.  ext4's `auto_da_alloc`
+starts a synchronous writeback of a file's delayed-allocation blocks
+when it replaces another file by rename, or when a truncated file is
+written again and closed; a file whose blocks are already allocated has
+none to flush.  Where the filesystem lacks fallocate, glibc emulates it
+by writing zeros; where `os` has no `posix_fallocate`, the file is sized
+with `truncate`.  A full disk fails there, before any row is written.
 """
 
 from __future__ import annotations
@@ -72,13 +81,28 @@ def _header(code: int, shape: tuple[int, int]) -> bytes:
     return MAGIC + struct.pack("<BBH2Q", VERSION, code, 2, *shape)
 
 
+def _allocate(fh, size: int) -> None:
+    """Size the regular file open as `fh` to `size` bytes, blocks allocated.
+
+    A pipe or device is left alone: it has no blocks.  Errors such as
+    ENOSPC propagate.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return
+    if hasattr(os, "posix_fallocate"):
+        os.posix_fallocate(fh.fileno(), 0, size)
+    else:
+        fh.truncate(size)
+
+
 def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
     """Write a 2-D float matrix; dtype is "f32" or "f64".
 
     The payload goes from the array's own buffer to the file: a C-contiguous
     float64 matrix written as f64 is not copied.  NaN or inf raises
     ValueError before the file is opened, and so do values that are finite
-    in float64 but beyond the float32 range for "f32".
+    in float64 but beyond the float32 range for "f32".  A whole write
+    preallocates the file before writing it, as the module docstring says.
 
     `rows`, a pair (lo, hi), writes `mat` over rows lo:hi of the existing
     file at `path` instead, the mirror of read_tensor(rows=): its header is
@@ -97,8 +121,10 @@ def write_tensor(path, mat, dtype: str = "f64", rows=None) -> None:
     if rows is None:
         code = _CODE_FOR_NAME[dtype]
         payload = _payload(m, _DTYPE_CODES[code])
+        header = _header(code, m.shape)
         with open(path, "wb") as fh:
-            fh.write(_header(code, m.shape))
+            _allocate(fh, len(header) + payload.nbytes)
+            fh.write(header)
             fh.write(payload)
         return
     lo, hi = map(operator.index, rows)
@@ -236,11 +262,13 @@ class TensorRowWriter:
     """A new f64 tensor file whose rows are written a block at a time.
 
     Making the writer creates the file at `path`, which must not exist yet,
-    with the header of a (rows, cols) float64 matrix and a payload of that
-    size (its rows read as zeros until written).  `w[lo:hi] = block`
-    writes those rows through `write_tensor(path, block, rows=(lo, hi))`,
-    so each block is checked as a whole write is, and the header is
-    validated again.  Nothing beyond the block is held.
+    with the header of a (rows, cols) float64 matrix and a preallocated
+    payload of that size (its rows read as zeros until written); if the
+    file cannot be made that size, it is removed and the error raised.
+    `w[lo:hi] = block` writes those rows through
+    `write_tensor(path, block, rows=(lo, hi))`, so each block is checked as
+    a whole write is, and the header is validated again.  Nothing beyond
+    the block is held.
     """
 
     def __init__(self, path, shape):
@@ -250,8 +278,8 @@ class TensorRowWriter:
         header = _header(code, self.shape)
         with open(path, "xb") as fh:
             try:
+                _allocate(fh, len(header) + rows * cols * _DTYPE_CODES[code].itemsize)
                 fh.write(header)
-                fh.truncate(len(header) + rows * cols * _DTYPE_CODES[code].itemsize)
             except BaseException:
                 os.remove(path)
                 raise

@@ -1,16 +1,22 @@
+import errno
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eala import cli
+from eala import cli, tensorio
 from eala.cli import cli_main
 from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
 from eala.numerics import gaussian_matrix
 from eala.oracle import _query_rows, exact_attention
 from eala.tensorio import read_tensor, write_tensor
+
+
+def full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def run(capsys, *argv):
@@ -317,6 +323,51 @@ class TestStreamedAttend:
         assert self.attend(paths, paths[name]) == 0
         assert np.array_equal(read_tensor(paths[name]), want)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "q.bin", "v.bin"]
+
+    @pytest.mark.parametrize("mode", ["exact", "eala"])
+    def test_a_second_output_is_allocated_with_the_same_bits(self, tmp_path, mode):
+        # the file that replaces --out has its blocks allocated, so the
+        # rename over the first output leaves no delayed allocation to flush
+        paths = self.write_inputs(tmp_path, 2 * _QUERY_BLOCK + 1)
+        out = tmp_path / "out.bin"
+        for _ in range(2):
+            assert self.attend(paths, out, "--mode", mode) == 0
+        q, k, v = (read_tensor(paths[x]) for x in "qkv")
+        want = (exact_attention(q, k, v) if mode == "exact"
+                else eala_attention(q, k, v, entropies=False)).output
+        assert np.array_equal(read_tensor(out), want)
+        if hasattr(os, "posix_fallocate"):
+            assert out.stat().st_blocks * 512 >= out.stat().st_size
+
+    @pytest.mark.parametrize("mode", ["exact", "eala", "eala-quadratic"])
+    def test_a_full_disk_exits_three_before_any_compute(self, capsys, tmp_path, monkeypatch,
+                                                        mode):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed although the output could not be made")
+
+        paths = self.write_inputs(tmp_path, 300)
+        out = tmp_path / "out.bin"
+        write_tensor(out, gaussian_matrix(3, 2, 71))
+        before = out.read_bytes()
+        monkeypatch.setattr(os, "posix_fallocate", full_disk, raising=False)
+        monkeypatch.setattr(cli, "eala_attention", unreachable)
+        monkeypatch.setattr(cli, "exact_attention", unreachable)
+        assert self.attend(paths, out, "--mode", mode) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "out.bin", "q.bin", "v.bin"]
+
+    def test_a_failed_exact_write_leaves_the_output_as_it_was(self, capsys, tmp_path,
+                                                              monkeypatch):
+        paths = self.write_inputs(tmp_path, 300)
+        out = tmp_path / "out.bin"
+        write_tensor(out, gaussian_matrix(3, 2, 72))
+        before = out.read_bytes()
+        monkeypatch.setattr(tensorio, "write_tensor", full_disk)
+        assert self.attend(paths, out, "--mode", "exact") == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.bin", "out.bin", "q.bin", "v.bin"]
 
     def test_peak_holds_no_output_sized_buffer(self, tmp_path):
         # at 65536 x 64 the output is 32 MiB.  The temperatures are held

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
 from eala.fidelity import (AGGREGATES, BISECTION_N_LIMIT, PER_QUERY, TIE_TOL,
-                           FidelityReport, _rank_comparison, _tied_rows, compare)
+                           FidelityReport, _rank_comparison, compare)
 from eala.numerics import gaussian_matrix
 from eala.oracle import _query_block_edges, bisection_theta, exact_attention, kl_divergence
 from eala.workload import WorkloadSpec, gen_workload
@@ -152,12 +152,13 @@ def weight_stacks(draw, max_rows=6, max_n=12):
 
 @st.composite
 def underflow_stacks(draw, max_rows=6, max_n=12):
-    """(exact, eala): softmax rows of scores spread over more than 745, so
-    that exp underflows to 0 and the exact weights tie where the scores do
-    not; the eala row is affine in the scores, reversed, or the exact row."""
+    """(scores, exact, eala): softmax rows of scores spread over more than
+    745, so that exp underflows to 0 and the exact weights tie where the
+    scores do not; the eala row is affine in the scores, reversed, or the
+    exact row."""
     n = draw(st.integers(min_value=3, max_value=max_n))
     m = draw(st.integers(min_value=1, max_value=max_rows))
-    xs, ys = [], []
+    ss, xs, ys = [], [], []
     for _ in range(m):
         near = draw(st.lists(st.floats(min_value=-700.0, max_value=0.0),
                              min_size=n - 2, max_size=n - 2))
@@ -168,42 +169,57 @@ def underflow_stacks(draw, max_rows=6, max_n=12):
         x = np.exp(s) / np.sum(np.exp(s))
         kind = draw(st.sampled_from(("affine", "reversed", "same")))
         y = {"affine": (1.0 + s / 4000.0) / n, "reversed": -s, "same": x}[kind]
+        ss.append(s)
         xs.append(x)
         ys.append(y)
-    return np.array(xs), np.array(ys)
+    return np.array(ss), np.array(xs), np.array(ys)
+
+
+def two_argsorts(scores, exact_w, eala_w) -> list:
+    """The ranking column by its definition: None where the sorted scores
+    have an adjacent gap at or below TIE_TOL, else whether the two weight
+    rows have the same stable argsort."""
+    return [None if len(s) > 1 and np.min(np.diff(np.sort(s))) <= TIE_TOL
+            else bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
+            for s, x, y in zip(scores, exact_w, eala_w)]
 
 
 class TestRankComparison:
-    @given(weight_stacks())
-    def test_one_sort_matches_two_argsorts(self, stack):
+    @given(weight_stacks(), st.data())
+    def test_one_sort_matches_two_argsorts(self, stack, data):
+        # the scores' sort is checked against the exact rows, so any untied
+        # scores give the definition's answer: the exact rows' stable ranks,
+        # whose sort is the one wanted, or a shuffle, which sorts them again
         exact_w, eala_w = stack
-        want = [bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
-                for x, y in zip(exact_w, eala_w)]
-        assert _rank_comparison(np.zeros(len(want), dtype=bool), exact_w, eala_w) == want
+        n = exact_w.shape[1]
+        if data.draw(st.booleans()):
+            ranks = np.argsort(np.argsort(exact_w, axis=1, kind="stable"), axis=1)
+        else:
+            ranks = [data.draw(st.permutations(range(n))) for _ in exact_w]
+        scores = np.asarray(ranks, dtype=float)
+        want = two_argsorts(scores, exact_w, eala_w)
+        assert None not in want
+        assert _rank_comparison(scores, exact_w, eala_w) == want
 
     @given(underflow_stacks())
     def test_underflowed_weights_match_two_argsorts(self, stack):
-        exact_w, eala_w = stack
+        scores, exact_w, eala_w = stack
         assert (np.sum(exact_w == 0.0, axis=1) >= 2).all()
-        want = [bool(np.array_equal(np.argsort(x, kind="stable"), np.argsort(y, kind="stable")))
-                for x, y in zip(exact_w, eala_w)]
-        assert _rank_comparison(np.zeros(len(want), dtype=bool), exact_w, eala_w) == want
+        assert _rank_comparison(scores, exact_w, eala_w) == two_argsorts(scores, exact_w, eala_w)
 
     def test_tied_scores_are_excluded(self):
         scores = np.array([[1.0, 1.0 + TIE_TOL / 2, 3.0], [1.0, 2.0, 3.0]])
         w = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
-        got = _rank_comparison(_tied_rows(scores), w, w)
-        assert got == [None, True]
+        assert _rank_comparison(scores, w, w) == [None, True]
 
     def test_disagreement_detected(self):
         scores = np.array([[1.0, 2.0, 3.0]])
         exact_w = np.array([[0.1, 0.3, 0.6]])
         flipped = np.array([[0.6, 0.3, 0.1]])
-        assert _rank_comparison(_tied_rows(scores), exact_w, flipped) == [False]
+        assert _rank_comparison(scores, exact_w, flipped) == [False]
 
     def test_single_column_never_ties(self):
-        got = _rank_comparison(_tied_rows(np.array([[2.5]])), np.array([[1.0]]),
-                               np.array([[1.0]]))
+        got = _rank_comparison(np.array([[2.5]]), np.array([[1.0]]), np.array([[1.0]]))
         assert got == [True]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import os
 import struct
 import threading
@@ -348,6 +349,52 @@ class TestTensorRowWriter:
             w[2:6] = np.ones((4, 2))  # clamped to 2:4, as a numpy slice is
         with pytest.raises(ValueError, match="contiguous"):
             w[0:4:2] = np.ones((2, 2))
+
+
+def write_both(tmp_path, mat, tag):
+    """A whole write of mat and a row writer holding its first rows, the
+    rest left as zeros; returns the two paths."""
+    whole, rowwise = tmp_path / f"whole{tag}.bin", tmp_path / f"rows{tag}.bin"
+    write_tensor(whole, mat)
+    w = TensorRowWriter(rowwise, mat.shape)
+    w[0:3] = mat[0:3]
+    return whole, rowwise
+
+
+class TestPreallocation:
+    """Both writers allocate the blocks of the file they make before they
+    write it: an overwrite or a rename over another file then leaves no
+    delayed allocation to flush."""
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no posix_fallocate")
+    def test_files_are_not_sparse(self, tmp_path):
+        mat = gaussian_matrix(1024, 64, 62)
+        for p in write_both(tmp_path, mat, ""):
+            st = p.stat()
+            assert st.st_size == 24 + 8 * mat.size
+            assert st.st_blocks * 512 >= st.st_size, p.name
+
+    def test_without_fallocate_the_bytes_are_the_same(self, tmp_path, monkeypatch):
+        mat = gaussian_matrix(1024, 64, 63)
+        allocated = write_both(tmp_path, mat, "a")
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        truncated = write_both(tmp_path, mat, "t")
+        for a, t in zip(allocated, truncated):
+            assert a.read_bytes() == t.read_bytes()
+        assert np.array_equal(read_tensor(truncated[0]), mat)
+
+    def test_a_full_disk_removes_the_new_file(self, tmp_path, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError) as info:
+            TensorRowWriter(tmp_path / "w.bin", (9, 5))
+        assert info.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_device_is_written_unallocated(self):
+        write_tensor(os.devnull, gaussian_matrix(3, 2, 64))
 
 
 class TestWriteValidation:
