@@ -11,10 +11,10 @@ buffer, freed before the next head's, and writes its output into its own
 columns of one (n, model_dim) buffer.  The output projection then
 overwrites that buffer one block of rows at a time.  So the layer's peak
 is that buffer, one head's projection and one head's scratch: at
-2048 x 512 with 8 heads, 12.2 MiB in eala mode and 14.1 MiB in exact
+2048 x 512 with 8 heads, 12.2 MiB in eala mode and 13.1 MiB in exact
 mode, where projecting q, k and v whole took 33.2 and 35.1 MiB.  The
-exact mode keeps no weight matrix, so a head's scratch is O(block n),
-not n^2.
+exact mode keeps no weight matrix and asks for no entropies, so a
+head's scratch is one (block, n) buffer, not n^2.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def mha_init(model_dim: int, heads: int, seed: int) -> MhaParams:
 def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
     """Self-attention over rows of x: project, split heads, attend, merge.
 
-    mode "exact" runs softmax attention per head; "eala" runs the
+    mode "exact" runs exact_attention per head; "eala" runs the
     entropy-matched linear kernel with eala_attention's default
-    configuration and `entropies=False`, since it reads none; that call
-    has the default call's bits.  Output shape equals input shape.
+    configuration.  Both pass `entropies=False`, since the layer reads
+    none; each call has the default call's bits.  Output shape equals input shape.
     Parameters whose heads do not split model_dim, or whose weights are
     not model_dim x model_dim, raise ValueError, and so does NaN or inf in
     x or in a weight, which the error names.
@@ -107,7 +107,7 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
         qkv = x @ np.concatenate([w[:, sl] for w in weights[:3]], axis=1)
         q, k, v = (qkv[:, i * head_dim:(i + 1) * head_dim] for i in range(3))
         if mode == "exact":
-            merged[:, sl] = exact_attention(q, k, v).output
+            merged[:, sl] = exact_attention(q, k, v, entropies=False).output
         else:
             eala_attention(q, k, v, out=merged[:, sl], entropies=False)
         del qkv, q, k, v  # before the next head's projection is made

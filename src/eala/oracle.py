@@ -14,9 +14,12 @@ bits; a row the 1-D form rejects with ValueError gives nan.  The solver
 runs the family's checks on a row only at its bracket; its steps then only
 evaluate the family, into two scratch buffers reused across them.
 
-`exact_attention` keeps the O(m n) weight matrix only when asked for it.
-Otherwise it runs over blocks of query rows, since softmax rows do not
-depend on each other, and its scratch is O(block n) beside the output.
+`exact_attention` runs over blocks of query rows, since softmax rows do
+not depend on each other.  It divides each output row by its row's sum of
+exponentials after the product with V, as FlashAttention does, so no pass
+divides the n^2 weights unless they are kept.  It keeps the O(m n) weight
+matrix only when asked for it; otherwise its scratch is O(block n) beside
+the output.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 # stays in L2, and the only n^2 buffer alive is the score matrix itself.
 _SOFTMAX_BLOCK_ENTRIES = 1 << 17
 
-# Fewest query rows per block of exact_attention without kept weights:
-# thinner blocks make the two GEMMs per block too narrow to run at speed.
+# Fewest query rows per block of exact_attention: thinner blocks make the
+# two GEMMs per block too narrow to run at speed.
 _MIN_QUERY_ROWS = 64
 
 # Probability vectors must sum to 1 within this before we trust them.
@@ -106,7 +109,7 @@ def _softmax_block_rows(n: int) -> int:
 
 
 def _query_rows(n: int) -> int:
-    """Rows per query block of exact_attention without kept weights."""
+    """Rows per query block of exact_attention."""
     return max(_MIN_QUERY_ROWS, _softmax_block_rows(n))
 
 
@@ -121,36 +124,45 @@ def _query_block_edges(m: int, n: int) -> list:
     return [i * m // blocks for i in range(blocks + 1)]
 
 
-def _softmax_entropy_rows(scores: np.ndarray, to_weights: bool,
-                          e_buf: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax entropies of a score matrix, one row block at a time.
+def _exp_rows(scores: np.ndarray, ent: np.ndarray | None = None,
+              z_buf: np.ndarray | None = None, keep_scores: bool = False) -> np.ndarray:
+    """Row sums T of the exponentials e = exp(z), z = s - max s, of the rows
+    of a score matrix, taken one row block at a time.
 
-    With `to_weights` each row of `scores` is overwritten by its softmax,
-    so `scores` stays the only n^2-sized buffer, and one (block, n) scratch
-    holds the exponentials; otherwise `scores` is left as it is and a
-    second scratch holds the shifted scores.  Every step writes in place.
-    `e_buf`, when given, is that exponential scratch, of at least
-    min(m, block) rows of n, so a caller's loop can reuse it.
+    Each row of `scores` is overwritten by its e, unless `keep_scores`,
+    when a (block, n) scratch takes them and `scores` is left as it is.
+    `ent`, when given, takes the row entropies log T - sum(e z) / T, and a
+    second scratch holds z; `z_buf`, when given, is that scratch, of at
+    least min(m, block) rows of n, so a caller's loop can reuse it.
+    Without `ent` the shifted scores are exponentiated in place, with no
+    scratch.  Then T is nan on a row with a shifted score of -inf, two
+    finite scores whose difference overflows, as its entropy would be:
+    e = 0 there, where e z is 0 * -inf.
     """
     m, n = scores.shape
     rows = _softmax_block_rows(n)
-    ent = np.empty(m, dtype=np.float64)
-    if e_buf is None:
-        e_buf = np.empty((min(m, rows), n))
-    z_buf = None if to_weights else np.empty_like(e_buf)
+    total = np.empty(m)
+    if ent is not None and z_buf is None:
+        z_buf = np.empty((min(m, rows), n))
+    e_buf = np.empty((min(m, rows), n)) if keep_scores else None
     for lo in range(0, m, rows):
         blk = scores[lo : lo + rows]
         k = blk.shape[0]
-        z = np.subtract(blk, np.max(blk, axis=1, keepdims=True),
-                        out=blk if to_weights else z_buf[:k])
-        e = np.exp(z, out=e_buf[:k])
-        total = np.sum(e, axis=1)
-        ez = np.multiply(e, z, out=z)
-        ent[lo : lo + k] = np.log(total) - np.sum(ez, axis=1) / total
-        if to_weights:
-            np.divide(e, total[:, None], out=blk)
-    np.maximum(ent, 0.0, out=ent)
-    return ent
+        t = total[lo : lo + k]
+        peak = np.max(blk, axis=1, keepdims=True)
+        if ent is None:
+            z = np.subtract(blk, peak, out=blk)
+            low = np.min(z, axis=1)
+            np.sum(np.exp(z, out=z), axis=1, out=t)
+            t[low == -np.inf] = np.nan
+        else:
+            z = np.subtract(blk, peak, out=z_buf[:k])
+            e = np.exp(z, out=blk if e_buf is None else e_buf[:k])
+            np.sum(e, axis=1, out=t)
+            ent[lo : lo + k] = np.log(t) - np.sum(np.multiply(e, z, out=z), axis=1) / t
+    if ent is not None:
+        np.maximum(ent, 0.0, out=ent)
+    return total
 
 
 def score_row_entropies(scores) -> np.ndarray:
@@ -161,7 +173,9 @@ def score_row_entropies(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.size == 0:
         raise ValueError("score_row_entropies expects a nonempty 2-D array")
-    return _softmax_entropy_rows(s, to_weights=False)
+    ent = np.empty(s.shape[0])
+    _exp_rows(s, ent, keep_scores=True)
+    return ent
 
 
 def _name_nonfinite(checks) -> None:
@@ -188,21 +202,60 @@ def _name_nonfinite(checks) -> None:
         raise ValueError(overflow)
 
 
-def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResult:
+def _softmax_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_weights: bool,
+                    ent: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """exact_attention's pass over blocks of query rows: the output
+    (E V) / T, the weights E / T when kept, and the row sums T."""
+    m, n = q.shape[0], k.shape[0]
+    edges = _query_block_edges(m, n)
+    blocks = list(zip(edges, edges[1:]))
+    if keep_weights:
+        scores = np.empty((m, n))
+        for lo, hi in blocks:
+            np.matmul(q[lo:hi], k.T, out=scores[lo:hi])
+        # the softmax pass's scratch is freed before the output is made
+        total = _exp_rows(scores, ent)
+        out = np.empty((m, v.shape[1]))
+        for lo, hi in blocks:
+            e, t = scores[lo:hi], total[lo:hi, None]
+            np.divide(np.matmul(e, v, out=out[lo:hi]), t, out=out[lo:hi])
+            np.divide(e, t, out=e)
+        return out, scores, total
+    rows = -(-m // len(blocks))
+    s_buf = np.empty((rows, n))
+    z_buf = None if ent is None else np.empty((min(rows, _softmax_block_rows(n)), n))
+    total = np.empty(m)
+    out = np.empty((m, v.shape[1]))
+    for lo, hi in blocks:
+        e = np.matmul(q[lo:hi], k.T, out=s_buf[:hi - lo])
+        total[lo:hi] = _exp_rows(e, None if ent is None else ent[lo:hi], z_buf)
+        np.divide(np.matmul(e, v, out=out[lo:hi]), total[lo:hi, None], out=out[lo:hi])
+    return out, None, total
+
+
+def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False, *,
+                    entropies: bool = True) -> AttnResult:
     """Dense softmax attention, the quadratic reference implementation.
 
     q_mat (m, c), k_mat (n, c), v_mat (n, d).  The scores are the raw dot
-    products; pass q / sqrt(c) for scaled ones.  With `keep_weights` the
-    m x n score matrix becomes the returned weight matrix, and the output
-    is W V.  Without it one pass over equal blocks of query rows, each
-    about the softmax pass's block but none under 64 rows unless m is,
-    scores each block into one reused (rows, n) buffer, turns it into
-    weights in place and writes the block's rows of the output, so the
-    scratch beside the output is two (rows, n) buffers and O(m).  The
-    two forms agree to rounding, and bit for bit wherever the BLAS sums
-    each row of a block's GEMMs as it does in the whole products.  NaN
-    or inf in Q, K or V raises ValueError naming the input, with no
-    queries too.
+    products; pass q / sqrt(c) for scaled ones.  One pass over equal
+    blocks of query rows, each about the softmax pass's block but none
+    under 64 rows unless m is, scores each block, turns each row's scores
+    s into their exponentials e = exp(s - max s) in place, and writes the
+    block's output rows as (E V) / T, with T the row sums of e: the
+    division is of the m x d output, not of the weights.  With
+    `keep_weights` the blocks are rows of the m x n score matrix, which
+    becomes the returned weight matrix E / T after the products; without
+    it they share one reused (rows, n) buffer, so the scratch beside the
+    output is O(rows n + m).  Both forms run the same GEMMs on the same
+    blocks, so they give the same output bits.
+
+    `entropies=False` changes the cost of a call, never its output bits:
+    the result's `entropies` is None, the shifted scores are exponentiated
+    in place with no scratch, and no entropy pass runs.  Every form raises
+    on the same inputs.  NaN or inf in Q, K or V raises ValueError naming
+    the input, with no queries too; a score or an output that overflows
+    although the inputs are finite is told apart.
     """
     q = np.asarray(q_mat, dtype=np.float64)
     k = np.asarray(k_mat, dtype=np.float64)
@@ -218,31 +271,28 @@ def exact_attention(q_mat, k_mat, v_mat, keep_weights: bool = False) -> AttnResu
     if q.shape[0] == 0:
         # no entropy or output entry reads K or V, so they are scanned here
         _name_nonfinite([("K", k, k, None), ("V", v, v, None)])
-    # NaN or inf in Q or K reaches a row entropy, and in V the output, so
-    # the inputs are scanned only when the summed squares are not finite
+    ent = np.empty(q.shape[0]) if entropies else None
+    # NaN or inf in Q or K reaches a row entropy or row sum, and in V the
+    # output, so the inputs are scanned only when the summed squares are
+    # not finite
     with np.errstate(invalid="ignore", over="ignore"):
-        if keep_weights:
-            scores = q @ k.T
-            ent = _softmax_entropy_rows(scores, to_weights=True)
-            out = scores @ v
-        else:
-            scores = None
-            m, n = q.shape[0], k.shape[0]
-            edges = _query_block_edges(m, n)
-            rows = -(-m // (len(edges) - 1))
-            ent = np.empty(m)
-            out = np.empty((m, v.shape[1]))
-            s_buf = np.empty((rows, n))
-            e_buf = np.empty((min(rows, _softmax_block_rows(n)), n))
-            for lo, hi in zip(edges, edges[1:]):
-                w = np.matmul(q[lo:hi], k.T, out=s_buf[:hi - lo])
-                ent[lo:hi] = _softmax_entropy_rows(w, True, e_buf)
-                np.matmul(w, v, out=out[lo:hi])
+        out, scores, total = _softmax_blocks(q, k, v, keep_weights, ent)
+        rowwise = total if ent is None else ent
         flat = out.reshape(-1)
-        finite = math.isfinite(ent @ ent + flat @ flat)
+        finite = math.isfinite(rowwise @ rowwise + flat @ flat)
+        if not finite and np.isfinite(rowwise).all() and np.isfinite(v).all():
+            # a row of E V sums up to n exponentials of at most 1 times V, so
+            # it may overflow where W V does not: V is scaled by 2^-(b + 1),
+            # 2^b > n, which is exact for normal entries, and the output back
+            grow = 2.0 ** (k.shape[0].bit_length() + 1)
+            out = scores = None
+            out, scores, total = _softmax_blocks(q, k, v / grow, keep_weights, ent)
+            out *= grow
+            flat = out.reshape(-1)
+            finite = math.isfinite(flat @ flat)
     if not finite:
         bad_scores = "a score overflows float64 although Q and K are finite"
-        _name_nonfinite([("Q", q, ent, bad_scores), ("K", k, ent, bad_scores),
+        _name_nonfinite([("Q", q, rowwise, bad_scores), ("K", k, rowwise, bad_scores),
                          ("V", v, out, "the output overflows float64 although V is finite")])
     return AttnResult(
         output=out,
@@ -271,11 +321,13 @@ def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
           & ~np.any(mass & (p == 0.0), axis=1))
     full = np.all(mass, axis=1)
     out = np.full(q.shape[0], np.nan)
-    # rows with no zero in q sum every term, as the 1-D mask keeps them all
+    # rows with no zero in q sum every term, as the 1-D mask keeps them all;
+    # when every row is such a row, q and p are read in place, not copied
     dense = np.flatnonzero(ok & full)
     if dense.size:
-        qd = q[dense]
-        terms = qd / p[dense]
+        rows = slice(None) if dense.size == q.shape[0] else dense
+        qd = q[rows]
+        terms = np.divide(qd, p[rows], out=np.empty(qd.shape))
         np.log(terms, out=terms)
         terms *= qd
         out[dense] = np.sum(terms, axis=1)

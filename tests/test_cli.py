@@ -276,6 +276,23 @@ class TestStreamedAttend:
                               entropies=False)
         assert np.array_equal(read_tensor(out), want.output)
 
+    def test_exact_mode_asks_for_no_entropies(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(q, k, v, *args, **kwargs):
+            calls.append((args, kwargs))
+            res = exact_attention(q, k, v, *args, **kwargs)
+            assert res.entropies is None
+            return res
+
+        paths = self.write_inputs(tmp_path, 300)
+        out = tmp_path / "out.bin"
+        monkeypatch.setattr(cli, "exact_attention", spy)
+        assert self.attend(paths, out, "--mode", "exact") == 0
+        assert calls == [((), {"entropies": False})]
+        q, k, v = (read_tensor(paths[x]) for x in "qkv")
+        assert np.array_equal(read_tensor(out), exact_attention(q, k, v).output)
+
     @pytest.mark.parametrize("mode", ["eala", "eala-linear"])
     def test_output_tracks_the_default_call(self, tmp_path, mode):
         # calibrated queries: every block is certified, and skips S2
@@ -402,9 +419,9 @@ class TestStreamedAttend:
         assert peak <= 8 * (n * d + 4 * _QUERY_BLOCK * c + 8 * n)
 
     def test_exact_mode_holds_no_n2_buffer(self, tmp_path):
-        # the inputs, read whole, the output, exact_attention's two blocks
-        # of query rows by n keys and a few n-long vectors; the n x n
-        # scores alone would be 128 MiB
+        # the inputs, read whole, the output, exact_attention's one block
+        # of query rows by n keys, as it asks for no entropies, and a few
+        # n-long vectors; the n x n scores alone would be 128 MiB
         n, c = 4096, 16
         paths = self.write_inputs(tmp_path, n, c)
         out = tmp_path / "out.bin"
@@ -415,7 +432,7 @@ class TestStreamedAttend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (4 * n * c + 2 * _query_rows(n) * n + 8 * n)
+        assert peak <= 8 * (4 * n * c + _query_rows(n) * n + 8 * n)
 
 
 class TestModuleEntryPoint:

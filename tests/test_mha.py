@@ -99,6 +99,23 @@ class TestMhaForward:
             alt = mha_forward(swapped, x, mode=mode)
             np.testing.assert_allclose(alt, base, atol=1e-10)
 
+    def test_exact_heads_ask_for_no_entropies(self):
+        p = mha_init(8, 2, seed=27)
+        x = gaussian_matrix(70, 8, 28)
+        calls = []
+
+        def spy(q, k, v, *args, **kwargs):
+            calls.append((args, kwargs))
+            res = exact_attention(q, k, v, *args, **kwargs)
+            assert res.entropies is None
+            assert np.array_equal(res.output, exact_attention(q, k, v).output)
+            return res
+
+        with mock.patch.object(mha, "exact_attention", spy):
+            got = mha_forward(p, x, mode="exact")
+        assert calls == [((), {"entropies": False})] * 2
+        assert np.array_equal(got, mha_forward(p, x, mode="exact"))
+
     def test_modes_agree_at_small_projection_scale(self):
         p = mha_init(8, 2, seed=9)
         x = gaussian_matrix(16, 8, 10) * 0.05
@@ -258,7 +275,7 @@ class TestMhaBuffers:
         p, x = layer[:2]
         merged = np.empty((self.N, self.DIM))
         if mode == "exact":
-            head = max(_peak(exact_attention, *qkv) for _, qkv in self.heads(layer))
+            head = max(_peak(exact_attention, *qkv, entropies=False) for _, qkv in self.heads(layer))
         else:
             head = max(_peak(eala_attention, *qkv, out=merged[:, sl], entropies=False)
                        for sl, qkv in self.heads(layer))

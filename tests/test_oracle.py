@@ -6,15 +6,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eala.numerics import gaussian_matrix, uniform_stream
-from eala.oracle import (_query_rows, bisection_theta, entropy_from_scores,
-                         exact_attention, kl_decomposition, kl_divergence,
-                         linear_family_entropy, strict_concavity_check)
+from eala.oracle import (_query_block_edges, _query_rows, _softmax_block_rows,
+                         bisection_theta, entropy_from_scores, exact_attention,
+                         kl_decomposition, kl_divergence, linear_family_entropy,
+                         strict_concavity_check)
 from eala.workload import gen_workload_raw
 from strategies import (score_vectors, shannon_entropy, simplex_pairs,
                         simplex_vectors, softmax_row)
 
 WORKED_SCORES = np.array([0.1, -0.1])
 WORKED_ENTROPY = 0.6881720699  # softmax entropy of scores (0.1, -0.1)
+
+# exact_attention's call forms: kept weights or not, entropies or not
+FORMS = [{}, {"keep_weights": True}, {"entropies": False},
+         {"keep_weights": True, "entropies": False}]
+
+
+def weights_first(scores):
+    """Softmax weights and entropies of a score matrix by the pass that
+    divides each row of exponentials by its sum before the product W V.
+    exact_attention divides the output instead; its kept weights and its
+    entropies are pinned to this pass's bits."""
+    w = np.array(scores, dtype=np.float64)
+    m, n = w.shape
+    rows = _softmax_block_rows(n)
+    ent = np.empty(m)
+    e_buf = np.empty((min(m, rows), n))
+    for lo in range(0, m, rows):
+        blk = w[lo : lo + rows]
+        k = blk.shape[0]
+        z = np.subtract(blk, np.max(blk, axis=1, keepdims=True), out=blk)
+        e = np.exp(z, out=e_buf[:k])
+        total = np.sum(e, axis=1)
+        ez = np.multiply(e, z, out=z)
+        ent[lo : lo + k] = np.log(total) - np.sum(ez, axis=1) / total
+        np.divide(e, total[:, None], out=blk)
+    np.maximum(ent, 0.0, out=ent)
+    return w, ent
 
 
 class TestShannonEntropy:
@@ -147,6 +175,93 @@ class TestExactAttention:
         assert res.output[0, 0] > 0.0 > res.output[1, 0]
 
 
+class TestExactForms:
+    """exact_attention's output bits do not depend on `keep_weights` or
+    `entropies`, and every form raises on the same inputs."""
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (40, 300), (197, 2048), (300, 5000)])
+    def test_weights_and_entropies_keep_the_weights_first_bits(self, m, n):
+        q = gaussian_matrix(m, 16, 51, 0.5)
+        k = gaussian_matrix(n, 16, 52)
+        v = gaussian_matrix(n, 8, 53)
+        edges = _query_block_edges(m, n)
+        w, h = weights_first(np.concatenate([q[lo:hi] @ k.T for lo, hi in zip(edges, edges[1:])]))
+        kept = exact_attention(q, k, v, keep_weights=True)
+        assert np.array_equal(kept.weights, w)
+        assert np.array_equal(kept.entropies, h)
+        assert np.array_equal(exact_attention(q, k, v).entropies, h)
+        assert np.array_equal(exact_attention(q, k, v, keep_weights=True,
+                                              entropies=False).weights, w)
+        # (E V) / T and W V differ by rounding only
+        np.testing.assert_allclose(kept.output, w @ v, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_no_entropies_gives_none(self, m):
+        q = gaussian_matrix(m, 4, 54) if m else np.zeros((0, 4))
+        k, v = gaussian_matrix(9, 4, 55), gaussian_matrix(9, 3, 56)
+        for keep in (False, True):
+            res = exact_attention(q, k, v, keep, entropies=False)
+            assert res.entropies is None
+            assert res.output.shape == (m, 3)
+            assert np.array_equal(res.output, exact_attention(q, k, v).output)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["Q", "K", "V"])
+    def test_nonfinite_input_is_named(self, name, bad, form):
+        inputs = {"Q": gaussian_matrix(7, 4, 31), "K": gaussian_matrix(9, 4, 32),
+                  "V": gaussian_matrix(9, 3, 33)}
+        inputs[name][2, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf$"):
+            exact_attention(*inputs.values(), **form)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("q, k", [
+        # a score of +inf, whose row's shifted scores are nan
+        (np.full((3, 2), 1e200), np.full((4, 2), 1e200)),
+        # a score of -inf beside a finite row maximum: e = 0 there, so the
+        # row sum stays finite, where the entropy takes 0 * -inf
+        (np.array([[1e200, 0.0]]), np.array([[-1e200, 0.0], [0.0, 0.0]])),
+        # two finite scores whose difference overflows to -inf
+        (np.array([[1e154, 1e154]]), np.array([[-1e154, -1e154], [1e154, 1e154]])),
+    ])
+    def test_score_overflow_is_told_apart(self, q, k, form):
+        with pytest.raises(ValueError, match="^a score overflows float64 although Q and K are finite$"):
+            exact_attention(q, k, np.ones((k.shape[0], 2)), **form)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 4, 1000])
+    def test_values_near_the_float64_limit_pass(self, n):
+        # equal scores weight every key 1/n, so the output is V's column
+        # mean; the exponentials' sum of n V rows would overflow, and V is
+        # scaled by a power of two for the product
+        q, k = gaussian_matrix(70, 3, 57), np.ones((n, 3))
+        v = np.full((n, 2), 1.5e308)
+        v[:, 1] = -1.7e308
+        outs = [exact_attention(q, k, v, **form).output for form in FORMS]
+        for out in outs:
+            assert np.array_equal(out, outs[0])
+        np.testing.assert_allclose(outs[0], np.tile([1.5e308, -1.7e308], (70, 1)), rtol=1e-13)
+
+    @given(m=st.integers(min_value=0, max_value=300),
+           n=st.sampled_from([1, 2, 7, 63, 64, 65, 200, 601, 2048, 2100]),
+           c=st.integers(min_value=1, max_value=16),
+           d=st.integers(min_value=1, max_value=9),
+           scale=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+           seed=st.integers(min_value=0, max_value=1 << 30))
+    def test_output_bits_do_not_depend_on_the_form(self, m, n, c, d, scale, seed):
+        q = gaussian_matrix(m, c, seed, scale) if m else np.zeros((0, c))
+        k = gaussian_matrix(n, c, seed + 1)
+        v = gaussian_matrix(n, d, seed + 2)
+        res = [exact_attention(q, k, v, **form) for form in FORMS]
+        for r in res[1:]:
+            assert np.array_equal(r.output, res[0].output)
+        assert np.array_equal(res[1].entropies, res[0].entropies)
+        assert np.array_equal(res[3].weights, res[1].weights)
+
+
 class TestExactQueryBlocks:
     """Without kept weights exact_attention runs over blocks of query rows."""
 
@@ -167,6 +282,20 @@ class TestExactQueryBlocks:
         # that size, and a few m-long vectors; the scores alone are 32 MiB
         assert peak <= 8 * (m * d + 2 * self.ROWS * n + 8 * m)
 
+    def test_no_entropies_hold_one_block_of_scratch(self):
+        # the shifted scores are exponentiated in place, so beside the
+        # output there is one block's scores and a few m-long vectors
+        q, k, v = gen_workload_raw(self.N, self.C, 0)
+        m, n, d = q.shape[0], k.shape[0], v.shape[1]
+        exact_attention(q, k, v, entropies=False)  # warm-up
+        tracemalloc.start()
+        try:
+            exact_attention(q, k, v, entropies=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (m * d + self.ROWS * n + 8 * m)
+
     @pytest.mark.parametrize("m", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
     def test_kept_and_unkept_give_the_same_bits(self, m):
         # every block has at least 64 rows, so the BLAS runs the GEMM kernel
@@ -180,6 +309,16 @@ class TestExactQueryBlocks:
         assert unkept.weights is None
         assert np.array_equal(unkept.output, kept.output)
         assert np.array_equal(unkept.entropies, kept.entropies)
+
+    @pytest.mark.parametrize("m", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    def test_no_entropies_give_the_same_bits(self, m):
+        q = gaussian_matrix(m, self.C, 41, 0.1)
+        k = gaussian_matrix(self.N, self.C, 42)
+        v = gaussian_matrix(self.N, self.C, 43)
+        want = exact_attention(q, k, v).output
+        for keep in (False, True):
+            assert np.array_equal(exact_attention(q, k, v, keep, entropies=False).output, want)
+        assert np.array_equal(exact_attention(q, k, v, keep_weights=True).output, want)
 
 
 class TestKlDivergence:
