@@ -129,11 +129,11 @@ def _exp_rows(scores: np.ndarray, ent: np.ndarray | None = None,
     """Row sums T of the exponentials e = exp(z), z = s - max s, of the rows
     of a score matrix, taken one row block at a time.
 
-    Each row of `scores` is overwritten by its e, unless `keep_scores`,
-    when a (block, n) scratch takes them and `scores` is left as it is.
-    `ent`, when given, takes the row entropies log T - sum(e z) / T, and a
-    second scratch holds z; `z_buf`, when given, is that scratch, of at
-    least min(m, block) rows of n, so a caller's loop can reuse it.
+    Each row of `scores` is overwritten by its e.  `ent`, when given,
+    takes the row entropies log T - sum(e z) / T, and a (block, n) scratch
+    holds z; `z_buf`, when given, is that scratch, of at least
+    min(m, block) rows of n, so a caller's loop can reuse it.  With `ent`,
+    `keep_scores` leaves `scores` as it is and one more scratch takes e.
     Without `ent` the shifted scores are exponentiated in place, with no
     scratch.  Then T is nan on a row with a shifted score of -inf, two
     finite scores whose difference overflows, as its entropy would be:
