@@ -76,7 +76,8 @@ def mha_forward(params: MhaParams, x_mat, mode: str = "exact") -> np.ndarray:
     mode "exact" runs exact_attention per head; "eala" runs the
     entropy-matched linear kernel with eala_attention's default
     configuration.  Both pass `entropies=False`, since the layer reads
-    none; each call has the default call's bits.  Output shape equals input shape.
+    none; each call has the default call's bits.  Output shape equals
+    input shape.
     Parameters whose heads do not split model_dim, or whose weights are
     not model_dim x model_dim, raise ValueError, and so does NaN or inf in
     x or in a weight, which the error names.

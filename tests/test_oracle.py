@@ -225,7 +225,7 @@ class TestExactForms:
         # row sum stays finite, where the entropy takes 0 * -inf
         (np.array([[1e200, 0.0]]), np.array([[-1e200, 0.0], [0.0, 0.0]])),
         # two finite scores whose difference overflows to -inf
-        (np.array([[1e154, 1e154]]), np.array([[-1e154, -1e154], [1e154, 1e154]])),
+        (np.array([[1.0]]), np.array([[-1.5e308], [1.5e308]])),
     ])
     def test_score_overflow_is_told_apart(self, q, k, form):
         with pytest.raises(ValueError, match="^a score overflows float64 although Q and K are finite$"):
