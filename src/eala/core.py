@@ -95,7 +95,7 @@ class KeyMoments:
     """Key and value summaries from one O(N C^2) pass over (K, V).
 
     mean      : column mean of the keys, the centre of every khat_j
-    gram      : C x C matrix M with q M q^T = sum_j (q . khat_j)^2
+    gram      : symmetric C x C matrix M with q M q^T = sum_j (q . khat_j)^2
     kv        : C x D matrix khat^T V, read by the linear forward
     value_sum : sum of the value rows
     count     : number of keys n
@@ -118,6 +118,11 @@ def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     sum of raw keys in khat.  The key pass gives its shift s to centre one
     row block at a time into its scratch `out`.
     """
+    return _center_keys(k_mat, mean, out)
+
+
+def _center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """`center_keys`' kernel, with which `mha_forward`'s key pass centres."""
     k = np.asarray(k_mat, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] == 0:
         raise ValueError("center_keys expects a nonempty 2-D key matrix")
@@ -170,6 +175,14 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     would cancel it away, and no rounded sum of raw keys biases khat.
     Nothing n x C is kept.
     """
+    return _key_moments(k_mat, v_mat, center_keys)
+
+
+def _key_moments(k_mat, v_mat, center) -> KeyMoments:
+    """`key_moments`' kernel, which centres each block with `center`.
+    `mha_forward` runs it on x with a zero-width V and `_center_keys`, for
+    x's mean and centred Gram: it calls the kernels, not the public
+    functions, so the public calls under it are its heads' alone."""
     k = _rows_source(k_mat)
     v = _rows_source(v_mat)
     if len(k.shape) != 2 or k.shape[0] == 0 or len(v.shape) != 2:
@@ -183,7 +196,7 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
     gram = kv_sum = shift = None
     for lo, hi in _row_blocks(n):
         block = scratch[: hi - lo]
-        shift = center_keys(k[lo:hi], shift, out=block[:, :c])[1]
+        shift = center(k[lo:hi], shift, out=block[:, :c])[1]
         kb = block[:, :cols]
         if gram is None:  # the first block's GEMMs are the sums so far
             gram, kv_sum = kb.T @ kb, block.T @ v[lo:hi]  # kb.T @ kb takes numpy's syrk path
@@ -425,6 +438,30 @@ def _weights_from_scores(w: np.ndarray, th: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
+def _given_moments(q, m: KeyMoments, v_mat, cfg: EalaConfig) -> KeyMoments:
+    """The float64 arrays of key moments passed in K's place, checked
+    against Q's features and the config; ValueError if they do not fit."""
+    if v_mat is not None:
+        raise ValueError("V must be None when K is given as its key moments")
+    for field, value, need in (("path", cfg.path, "quadratic"),
+                               ("entropy_source", cfg.entropy_source, "exact")):
+        if value == need:
+            raise ValueError(f"{field}={need!r} needs K, not its key moments")
+    if len(q.shape) != 2:
+        raise ValueError("Q must be 2-D")
+    arrays = [np.asarray(a, dtype=np.float64) for a in (m.mean, m.gram, m.kv, m.value_sum)]
+    c, d = q.shape[1], (arrays[2].shape[1] if arrays[2].ndim == 2 else None)
+    shapes = [a.shape for a in arrays]
+    if shapes != [(c,), (c, c), (c, d), (d,)]:
+        raise ValueError(f"key moments of shapes {shapes} (mean, gram, kv, value_sum) "
+                         f"do not match Q of shape {q.shape}")
+    if not (isinstance(m.count, (int, np.integer)) and m.count >= 1):
+        raise ValueError(f"the key moments must count at least one key, not {m.count!r}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("the key moments hold NaN or inf")
+    return KeyMoments(*arrays, count=int(m.count))
+
+
 def select_path(path: str, n: int, c: int) -> str:
     """Resolve the forward branch: quadratic exactly when C > N under auto."""
     if path == "auto":
@@ -460,20 +497,36 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     With `entropies=False` the result's `entropies` is None, and the
     linear branch with approximate entropies skips S2 on certified blocks
     (see `_certified_norms`); the output and thetas keep their bits.
+
+    K may instead be a `KeyMoments`, with V None, as `mha_forward` passes
+    each head's: then the call runs the linear branch's query pass on
+    those moments, with no key pass, and its cost does not depend on n.
+    Given `key_moments(K, V)`, it has the bits of the call on K and V
+    wherever that takes the linear branch.  The quadratic path and the
+    exact entropy source read K itself, so they raise ValueError, as do
+    moments whose shapes do not match Q, whose count is below 1, or that
+    hold NaN or inf; "auto" takes the linear branch whatever n and C are.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
-    q, k, v = _rows_source(q_mat), _rows_source(k_mat), _rows_source(v_mat)
-    if len(q.shape) != 2 or len(k.shape) != 2 or len(v.shape) != 2:
-        raise ValueError("Q, K, V must be 2-D")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
-    n = k.shape[0]
-    if n == 0:
-        raise ValueError("K must be nonempty: there is no key to attend to")
-    if v.shape[0] != n:
-        raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    rows, d = q.shape[0], v.shape[1]
+    q = _rows_source(q_mat)
+    given = isinstance(k_mat, KeyMoments)  # K and V come as their key moments
+    if given:
+        m = k = _given_moments(q, k_mat, v_mat, cfg)
+        v = None
+        n, d = m.count, m.kv.shape[1]
+    else:
+        k, v = _rows_source(k_mat), _rows_source(v_mat)
+        if len(q.shape) != 2 or len(k.shape) != 2 or len(v.shape) != 2:
+            raise ValueError("Q, K, V must be 2-D")
+        if q.shape[1] != k.shape[1]:
+            raise ValueError(f"feature dims differ: Q {q.shape} vs K {k.shape}")
+        n, d = k.shape[0], v.shape[1]
+        if n == 0:
+            raise ValueError("K must be nonempty: there is no key to attend to")
+        if v.shape[0] != n:
+            raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
+    rows = q.shape[0]
     if out is not None and tuple(out.shape) != (rows, d):
         raise ValueError(f"out of shape {tuple(out.shape)} is not the output's {(rows, d)}")
     if isinstance(out, np.ndarray) and any(
@@ -482,7 +535,7 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
         res = eala_attention(q, k, v, cfg, entropies=entropies)
         out[...] = res.output
         return AttnResult(output=out, entropies=res.entropies, thetas=res.thetas)
-    quadratic = select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
+    quadratic = not given and select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
     approx = cfg.entropy_source == "approx"
     scored = quadratic or not approx  # the branch forms the scores q khat^T
     certify = approx and not quadratic and not entropies  # blocks may skip S2
@@ -504,14 +557,14 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     # query block takes its S2 under the key pass's errstate.  A certified
     # block's squared norms are not finite when Q's are not, and fail the
     # certificate, so such a block takes its S2 as any other.
-    pending = None
+    pending, sums = None, []  # given moments were checked whole
     with np.errstate(invalid="ignore", over="ignore"):
         if scored:
             k, v = k[0:n], v[0:n]
         if quadratic:
             khat, mean = center_keys(k)
             sums = [mean, np.add.reduce(v, axis=0)]
-        else:
+        elif not given:
             m = key_moments(k, v)
             sums = [m.mean, m.value_sum, m.kv]
             if scored:

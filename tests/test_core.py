@@ -1138,3 +1138,87 @@ class TestCertifiedBlocks:
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="theta must be positive"):
                 eala_forward_linear(q, m, bad)
+
+
+class TestGivenMoments:
+    """eala_attention with key_moments(K, V) in K's place and V None runs
+    the linear branch's query pass on those moments: the bits of the call
+    on K and V that takes the linear branch, certified blocks or not."""
+
+    @given(m=PIPELINE_SIZES, n=PIPELINE_SIZES, c=st.integers(min_value=1, max_value=24),
+           d=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=10_000),
+           scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans(),
+           entropies=st.booleans(), path=st.sampled_from(["auto", "linear"]))
+    def test_matches_the_call_on_k_and_v(self, m, n, c, d, seed, scale, zero_rows, entropies, path):
+        q = gaussian_matrix(m, c, seed, scale)
+        if zero_rows:
+            q[::3] = 0.0  # S2 = 0: the sentinel theta, and no certified block
+        k, v = gaussian_matrix(n, c, seed + 1, scale), gaussian_matrix(n, d, seed + 2)
+        got = eala_attention(q, key_moments(k, v), None, EalaConfig(path=path), entropies=entropies)
+        want = eala_attention(q, k, v, EalaConfig(path="linear"), entropies=entropies)
+        assert np.array_equal(got.output, want.output)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert (got.entropies is None) == (not entropies)
+        assert got.entropies is None or np.array_equal(got.entropies, want.entropies)
+
+    def test_certified_and_uncertified_blocks(self):
+        # three query blocks: the first and last certified, the middle one
+        # not, for one row far beyond the entropy clip
+        n = 2 * _QUERY_BLOCK + 3
+        q, k, v = random_instance(n, 16, 2400, 0.05)
+        q[_QUERY_BLOCK + 7] *= 1e3
+        m = key_moments(k, v)
+        bounds = core._certified_norms(m.gram, n, np.log(n))
+        certified = [core._block_certified(q[lo:lo + _QUERY_BLOCK], bounds)
+                     for lo in range(0, n, _QUERY_BLOCK)]
+        assert certified == [True, False, True]
+        for e in (False, True):
+            got = eala_attention(q, m, None, entropies=e)
+            want = eala_attention(q, k, v, entropies=e)
+            assert np.array_equal(got.output, want.output)
+            assert np.array_equal(got.thetas, want.thetas)
+        assert got.thetas[_QUERY_BLOCK + 7] > THETA0
+
+    @pytest.mark.parametrize("cfg, match", [
+        (EalaConfig(path="quadratic"), "^path='quadratic' needs K, not its key moments$"),
+        (EalaConfig(entropy_source="exact"), "^entropy_source='exact' needs K, not its key moments$"),
+    ])
+    def test_branches_that_read_k_refuse_moments(self, cfg, match):
+        q, k, v = random_instance(20, 4, 2500, 0.05)
+        with pytest.raises(ValueError, match=match):
+            eala_attention(q, key_moments(k, v), None, cfg)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"mean": np.zeros(5)}, "do not match Q"),
+        ({"gram": np.zeros((4, 5))}, "do not match Q"),
+        ({"kv": np.zeros(4)}, "do not match Q"),
+        ({"kv": np.zeros((4, 2))}, "do not match Q"),
+        ({"value_sum": np.zeros(3)}, "do not match Q"),
+        ({"count": 0}, "count at least one key"),
+        ({"count": -3}, "count at least one key"),
+        ({"count": 2.5}, "count at least one key"),
+    ])
+    def test_moments_that_do_not_fit_are_refused(self, change, match):
+        q, k, v = random_instance(20, 4, 2600, 0.05)
+        m = dataclasses.replace(key_moments(k, v), **change)
+        with pytest.raises(ValueError, match=match):
+            eala_attention(q, m, None)
+
+    def test_queries_and_values_must_fit(self):
+        q, k, v = random_instance(20, 4, 2700, 0.05)
+        m = key_moments(k, v)
+        with pytest.raises(ValueError, match="do not match Q"):
+            eala_attention(q[:, :3], m, None)
+        with pytest.raises(ValueError, match="^Q must be 2-D$"):
+            eala_attention(q[0], m, None)
+        with pytest.raises(ValueError, match="^V must be None"):
+            eala_attention(q, m, v)
+
+    @pytest.mark.parametrize("field", ["mean", "gram", "kv", "value_sum"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_moments_are_named(self, field, bad):
+        q, k, v = random_instance(20, 4, 2800, 0.05)
+        m = key_moments(k, v)
+        getattr(m, field).flat[-1] = bad
+        with pytest.raises(ValueError, match="^the key moments hold NaN or inf$"):
+            eala_attention(q, m, None)

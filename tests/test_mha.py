@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eala import mha
-from eala.core import eala_attention
+from eala.core import EPSILON, KeyMoments, eala_attention, key_moments
 from eala.mha import _OUT_ROWS, MhaParams, mha_forward, mha_init
 from eala.numerics import gaussian_matrix
 from eala.oracle import exact_attention
@@ -132,6 +132,9 @@ class TestMhaForward:
             mha_forward(p, np.zeros(8))
         with pytest.raises(ValueError):
             mha_forward(p, gaussian_matrix(5, 8, 18), mode="softmax")
+        for mode in ("exact", "eala"):
+            with pytest.raises(ValueError, match="^x has no rows"):
+                mha_forward(p, np.zeros((0, 8)), mode=mode)
 
     @pytest.mark.parametrize("heads, field, shape", [
         (0, None, None),
@@ -177,12 +180,46 @@ class TestMhaForward:
     @pytest.mark.parametrize("mode", ["exact", "eala"])
     def test_overflow_of_finite_x_is_left_to_the_heads(self, mode):
         # x's sum of squares overflows, but x itself is finite: the entry
-        # check names only NaN or inf, and the head names the overflow
+        # check names only NaN or inf, and the exact head, or the eala
+        # mode's moment pass over x, names the overflow
         p = mha_init(8, 2, seed=25)
         x = gaussian_matrix(6, 8, 26)
         x[0, 0] = 1e160
         with pytest.raises(ValueError, match="overflows float64 although"):
             mha_forward(p, x, mode=mode)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, scale", [("x", 1e160), ("w_key", 1e200)])
+    def test_overflow_of_the_moments_is_named(self, field, scale):
+        # x's Gram, or a head's projection of it, overflows
+        p = mha_init(8, 2, seed=25)
+        x = gaussian_matrix(6, 8, 26)
+        if field == "x":
+            x[0, 0] = scale
+        else:
+            getattr(p, field)[:] *= scale
+        with pytest.raises(ValueError, match="^the moment pass over x overflows float64 although x is finite$"):
+            mha_forward(p, x, mode="eala")
+
+    @pytest.mark.parametrize("offset, bound", [(1e3, 1e-12), (1e6, 1e-10)])
+    def test_offset_x_tracks_long_double(self, offset, bound):
+        # the eala heads' moments come from x centred by its key pass, so an
+        # offset of x keeps its spread.  Heads on K projected from x before
+        # centring erred by 4.9e-11 and 4.5e-8 here, as K's rounding
+        # cancelled the spread; the moments err by 1.5e-14 and 2.3e-11.
+        p = mha_init(32, 4, seed=31)
+        x = gaussian_matrix(300, 32, 32, 0.05) + offset
+        ld, n, hd = np.longdouble, len(x), 8
+        q, k, v = (x.astype(ld) @ w.astype(ld) for w in (p.w_query, p.w_key, p.w_value))
+        cols = []
+        for sl in (slice(h * hd, (h + 1) * hd) for h in range(4)):
+            khat = k[:, sl] - k[:, sl].mean(axis=0)
+            s2 = np.einsum("ij,jk,ik->i", q[:, sl], khat.T @ khat, q[:, sl])
+            theta = np.sqrt(s2 / (2 * n * np.minimum(s2 / n, np.log(ld(n))))) + EPSILON
+            cols.append((q[:, sl] / theta[:, None]) @ (khat.T @ v[:, sl]) / n + v[:, sl].mean(axis=0))
+        want = np.concatenate(cols, axis=1) @ p.w_output.astype(ld)
+        got = mha_forward(p, x, mode="eala")
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def _full_projection(p, x, mode):
@@ -196,12 +233,14 @@ def _full_projection(p, x, mode):
 
 
 class TestMhaProperty:
-    # n below head_dim takes eala's quadratic branch; the bit pin is
-    # TestMhaBuffers at 2048 x 256.  At a few columns the BLAS may sum a
+    # Each eala head gets its key moments, projected from x's, in K's
+    # place, so n below head_dim, where eala_attention on K and V takes the
+    # quadratic branch, takes the linear branch on the moments; the bit pin
+    # is TestMhaBuffers at 2048 x 256.  At a few columns the BLAS may sum a
     # projection's tail columns in another order, so an entry that cancels
     # far below the output's scale is held to that scale, not its own.
     # Each head's call asks for no entropies, and gives the bits of the
-    # default call on the same head.
+    # default call on the same moments.
     @given(heads=st.integers(min_value=1, max_value=4),
            head_dim=st.integers(min_value=1, max_value=8),
            n=st.integers(min_value=1, max_value=300),
@@ -213,6 +252,7 @@ class TestMhaProperty:
         heads_seen = []
 
         def default_bits(q, k, v, **kwargs):
+            assert isinstance(k, KeyMoments) and v is None
             res = eala_attention(q, k, v, **kwargs)
             assert res.entropies is None
             assert np.array_equal(res.output, eala_attention(q, k, v).output)
@@ -237,14 +277,32 @@ def _peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def _projected_moments(p, x):
+    """Each eala head's columns and key moments, projected from x's mean
+    and centred Gram as mha_forward projects them."""
+    xm = key_moments(x, x[:, :0])
+    hd = p.model_dim // p.heads
+    means, value_sums = xm.mean @ p.w_key, xm.count * (xm.mean @ p.w_value)
+    for h in range(p.heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        w_key = p.w_key[:, sl]
+        prod = w_key.T @ (xm.gram @ np.concatenate((w_key, p.w_value[:, sl]), axis=1))
+        gram = (prod[:, :hd] + prod[:, :hd].T) * 0.5
+        yield sl, KeyMoments(mean=means[sl], gram=gram, kv=prod[:, hd:], value_sum=value_sums[sl],
+                             count=len(x))
+
+
 class TestMhaBuffers:
-    """Each head projects its own q, k and v from x into one (n, 3 head_dim)
-    buffer and writes its output into its columns of one (n, model_dim)
-    buffer, which the output projection overwrites one row block at a time.
-    At 2048 x 256 with 4 heads one head's projection (3 MiB) is smaller than
-    one n x model_dim buffer (4 MiB), so the peak bound sees a full q, k or
-    v, a list of head outputs or a concatenation kept through the head
-    loop: each adds one such buffer."""
+    """The exact mode projects each head's q, k and v from x into one
+    (n, 3 head_dim) buffer.  The eala mode projects Q for every head into
+    one (n, model_dim) buffer, after one key pass over x, and gives each
+    head the key moments that it projects from x's.  Each head writes its
+    output into its columns of that buffer, which the output projection
+    overwrites one row block at a time.  At 2048 x 256 with 4 heads one
+    head's projection (3 MiB) and the key pass's scratch (4 MiB) are at
+    most about one n x model_dim buffer (4 MiB), so the peak bound sees a
+    full q, k or v, a list of head outputs or a concatenation kept through
+    the head loop: each adds one such buffer."""
 
     N, DIM, HEADS = 2048, 256, 4
 
@@ -264,24 +322,45 @@ class TestMhaBuffers:
 
     @pytest.mark.parametrize("mode", ["exact", "eala"])
     def test_output_is_the_per_head_calls_joined(self, layer, mode):
-        p, x = layer[:2]
-        attend = exact_attention if mode == "exact" else eala_attention
-        cols = [attend(*qkv).output for _, qkv in self.heads(layer)]
+        p, x, q = layer[:3]
+        if mode == "exact":
+            cols = [exact_attention(*qkv).output for _, qkv in self.heads(layer)]
+        else:
+            cols = [eala_attention(q[:, sl], m, None).output for sl, m in _projected_moments(p, x)]
         want = np.concatenate(cols, axis=1) @ p.w_output
         assert np.array_equal(mha_forward(p, x, mode=mode), want)
 
+    def test_eala_mode_tracks_the_full_projection(self, layer):
+        # the heads' moments, projected from x's, against heads on K and V
+        # projected whole
+        p, x = layer[:2]
+        want = _full_projection(p, x, "eala")
+        np.testing.assert_allclose(mha_forward(p, x, mode="eala"), want,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("mode", ["exact", "eala"])
     def test_peak_is_the_merged_buffer_one_head_and_one_row_block(self, layer, mode):
-        p, x = layer[:2]
-        merged = np.empty((self.N, self.DIM))
+        p, x, q = layer[:3]
+        hd = self.DIM // self.HEADS
+        merged = 8 * self.N * self.DIM
+        row_block = 8 * _OUT_ROWS * self.DIM
         if mode == "exact":
             head = max(_peak(exact_attention, *qkv, entropies=False) for _, qkv in self.heads(layer))
+            # the merged buffer, one head's (n, 3 head_dim) projection, one
+            # head's scratch and one output row block
+            bound = merged + 8 * self.N * 3 * hd + head + row_block
         else:
-            head = max(_peak(eala_attention, *qkv, out=merged[:, sl], entropies=False)
-                       for sl, qkv in self.heads(layer))
-        # the merged buffer, one head's (n, 3 head_dim) projection, one
-        # head's scratch, one output row block, and 4 KiB for the Python
-        # objects of the loop
-        buffers = 8 * self.N * self.DIM + 8 * self.N * 3 * (self.DIM // self.HEADS)
-        row_block = 8 * _OUT_ROWS * self.DIM
-        assert _peak(mha_forward, p, x, mode) <= buffers + head + row_block + 4096
+            head = max(_peak(eala_attention, q[:, sl], m, None, entropies=False)
+                       for sl, m in _projected_moments(p, x))
+            # x's Gram, and x's mean beside every head's mean and value sum
+            gram = 8 * self.DIM * self.DIM + 8 * 3 * self.DIM
+            # before merged is made: the key pass's scratch, one block of
+            # (n, model_dim + 1), and those
+            key_pass = 8 * self.N * (self.DIM + 1) + gram
+            # in a head: its moments (W_k^T C [W_k | W_v] and the symmetrised
+            # Gram) beside [W_k | W_v] and C [W_k | W_v], or beside its call
+            per_head = 8 * hd * 3 * hd + max(2 * 8 * self.DIM * 2 * hd, head)
+            # x's moments are freed before the output projection
+            bound = max(key_pass, merged + gram + per_head, merged + row_block)
+        # and 4 KiB for the Python objects of the loop
+        assert _peak(mha_forward, p, x, mode) <= bound + 4096
