@@ -25,7 +25,7 @@ from .bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchResourceError,
                     bench_sweep, fit_loglog_slope, records_to_csv)
 from .checks import CRITERIA, run_criterion
 from .core import EalaConfig, eala_attention
-from .fidelity import compare, jsonable
+from .fidelity import ENTROPY_SOURCES, compare, jsonable
 from .oracle import exact_attention
 from .tensorio import TensorFileError, TensorRows, TensorRowWriter, read_tensor
 from .workload import WorkloadSpec
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--c", type=int, default=16)
     cmp_p.add_argument("--scale", type=float, default=0.1)
     cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--entropy-source", choices=("approx", "exact"), default="approx")
+    cmp_p.add_argument("--entropy-source", choices=ENTROPY_SOURCES, default="approx")
     cmp_p.add_argument("--format", choices=("json", "csv"), default="json")
     cmp_p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     att_p.add_argument("--k", required=True)
     att_p.add_argument("--v", required=True)
     att_p.add_argument("--mode", choices=_ATTEND_MODES, default="eala")
-    att_p.add_argument("--entropy-source", choices=("approx", "exact"), default="approx")
     att_p.add_argument("--out", required=True)
     return parser
 
@@ -146,8 +145,7 @@ def _run_attend(args) -> int:
         else:
             path = {"eala": "auto", "eala-linear": "linear",
                     "eala-quadratic": "quadratic"}[args.mode]
-            cfg = EalaConfig(entropy_source=args.entropy_source, path=path)
-            eala_attention(q, k, v, cfg, out=out, entropies=False)
+            eala_attention(q, k, v, EalaConfig(path=path), out=out, entropies=False)
         os.replace(tmp, args.out)
     except BaseException:
         os.remove(tmp)

@@ -11,22 +11,22 @@ S2 = sum_j (q . khat_j)^2.  On the linear path every per-query quantity
 comes from key-level summaries (the C x C Gram matrix, khat^T V and the
 value sum) that `key_moments` collects in one blocked pass over the keys
 and values, so nothing there ever touches an n x n buffer or keeps an
-n x C copy of K.  The quadratic branch and the exact entropy source form
-the scores q khat^T anyway, and take S2 as their row sums of squares.
+n x C copy of K.  The quadratic branch forms the scores q khat^T anyway,
+and takes S2 as their row sums of squares.
 The centred keys sum to zero, so the first score moment sum_j q . khat_j
 is zero for every query, and no layer computes it.
 
 Every branch reads Q in row blocks, through `x[lo:hi]` and `x.shape`, and
 stores its output a row block at a time through `out[lo:hi] = block`; the
-linear path with approximate entropies reads K and V in row blocks too.
+linear path reads K and V in row blocks too.
 So besides matrices it takes row readers such as `tensorio.TensorRows`
 and row writers such as `tensorio.TensorRowWriter`: then on that path no
 input or output is ever held whole, memory is O(block C), and n is
 bounded by disk, not memory.
 
-On the approx path the estimate Hhat = log n - S2 / n, clipped into
-[0, log n], is an output only: the gap log n - Hhat is S2 / n below the
-clip, so theta is a closed form of S2,
+The estimate Hhat = log n - S2 / n, clipped into [0, log n], is an
+output only: the gap log n - Hhat is S2 / n below the clip, so theta is
+a closed form of S2,
 
     theta = 1/sqrt(2) + EPSILON              where Hhat is not clipped,
     theta = sqrt(S2 / (2 n log n)) + EPSILON  where it is (S2 / n >= log n),
@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import AttnResult, _name_nonfinite, score_row_entropies
+from .oracle import AttnResult, _name_nonfinite
 
-_ENTROPY_SOURCES = ("approx", "exact")
 _PATHS = ("auto", "quadratic", "linear")
 
 # Additive floor on finite temperatures; keeps 1/theta bounded.
@@ -72,17 +71,12 @@ _QUERY_BLOCK = 2048
 class EalaConfig:
     """Knobs for the linearized attention pipeline.
 
-    entropy_source : "approx" uses the moment-based estimate; "exact" pays
-                     O(N^2 C) for true softmax entropies (diagnostic mode)
-    path           : forward branch; "auto" picks quadratic only when C > N
+    path : forward branch; "auto" picks quadratic only when C > N
     """
 
-    entropy_source: str = "approx"
     path: str = "auto"
 
     def __post_init__(self):
-        if self.entropy_source not in _ENTROPY_SOURCES:
-            raise ValueError(f"entropy_source must be one of {_ENTROPY_SOURCES}")
         if self.path not in _PATHS:
             raise ValueError(f"path must be one of {_PATHS}")
 
@@ -443,10 +437,8 @@ def _given_moments(q, m: KeyMoments, v_mat, cfg: EalaConfig) -> KeyMoments:
     against Q's features and the config; ValueError if they do not fit."""
     if v_mat is not None:
         raise ValueError("V must be None when K is given as its key moments")
-    for field, value, need in (("path", cfg.path, "quadratic"),
-                               ("entropy_source", cfg.entropy_source, "exact")):
-        if value == need:
-            raise ValueError(f"{field}={need!r} needs K, not its key moments")
+    if cfg.path == "quadratic":
+        raise ValueError("path='quadratic' needs K, not its key moments")
     if len(q.shape) != 2:
         raise ValueError("Q must be 2-D")
     arrays = [np.asarray(a, dtype=np.float64) for a in (m.mean, m.gram, m.kv, m.value_sum)]
@@ -475,8 +467,8 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
                    entropies: bool = True) -> AttnResult:
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
-    Returns the output matrix along with the per-query entropies (the
-    estimate, or the exact ones that feed `theta_star`) and temperatures.
+    Returns the output matrix along with the per-query entropy estimates
+    and temperatures.
     NaN or inf in Q, K or V raises ValueError naming the input.
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
@@ -485,27 +477,26 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     the key summaries, one pass over row blocks of queries takes each
     block through S2, the entropy, the temperature and the branch's
     forward, into its rows of `out`, so no n x D buffer is made.
-    The steps are the kernels of `score_moments`, `approx_entropy` and
-    (for the exact entropy source) `theta_star`, which the public functions
-    wrap with checks of their input that this pipeline makes once at its
-    entry; the approx path's theta is the module docstring's closed form.
-    The quadratic branch and the exact entropy source read K and V whole to centre K
-    into khat, and take S2 as the row sums of squares of each block's
-    scores q khat^T; the quadratic branch builds no key moments, and turns
-    those scores into its weights in place.
+    The steps are the kernels of `score_moments` and `approx_entropy`,
+    which the public functions wrap with checks of their input that this
+    pipeline makes once at its entry; theta is the module docstring's
+    closed form.  The quadratic branch reads K and V whole to centre K
+    into khat, takes S2 as the row sums of squares of each block's scores
+    q khat^T, builds no key moments, and turns those scores into its
+    weights in place.
 
     With `entropies=False` the result's `entropies` is None, and the
-    linear branch with approximate entropies skips S2 on certified blocks
-    (see `_certified_norms`); the output and thetas keep their bits.
+    linear branch skips S2 on certified blocks (see `_certified_norms`);
+    the output and thetas keep their bits.
 
     K may instead be a `KeyMoments`, with V None, as `mha_forward` passes
     each head's: then the call runs the linear branch's query pass on
     those moments, with no key pass, and its cost does not depend on n.
     Given `key_moments(K, V)`, it has the bits of the call on K and V
-    wherever that takes the linear branch.  The quadratic path and the
-    exact entropy source read K itself, so they raise ValueError, as do
-    moments whose shapes do not match Q, whose count is below 1, or that
-    hold NaN or inf; "auto" takes the linear branch whatever n and C are.
+    wherever that takes the linear branch.  The quadratic path reads K
+    itself, so it raises ValueError, as do moments whose shapes do not
+    match Q, whose count is below 1, or that hold NaN or inf; "auto" takes
+    the linear branch whatever n and C are.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -536,16 +527,14 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
         out[...] = res.output
         return AttnResult(output=out, entropies=res.entropies, thetas=res.thetas)
     quadratic = not given and select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
-    approx = cfg.entropy_source == "approx"
-    scored = quadratic or not approx  # the branch forms the scores q khat^T
-    certify = approx and not quadratic and not entropies  # blocks may skip S2
+    certify = not quadratic and not entropies  # blocks may skip S2
     log_n = np.log(float(n))
 
     def block_s2(qb):
-        """Q's block qb, its scores (None if the branch forms none), its
-        S2 >= 0 and whether S2 is finite."""
-        scores = qb @ khat.T if scored else None
-        s2 = np.einsum("ij,ij->i", scores, scores) if scored else _score_moments(qb, m.gram)
+        """Q's block qb, its scores (None on the linear branch), its S2 >= 0
+        and whether S2 is finite."""
+        scores = qb @ khat.T if quadratic else None
+        s2 = np.einsum("ij,ij->i", scores, scores) if quadratic else _score_moments(qb, m.gram)
         return qb, scores, s2, math.isfinite(s2 @ s2)
 
     # NaN or inf in K or V reaches the key mean or the value sum, and in Q
@@ -559,16 +548,13 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     # certificate, so such a block takes its S2 as any other.
     pending, sums = None, []  # given moments were checked whole
     with np.errstate(invalid="ignore", over="ignore"):
-        if scored:
-            k, v = k[0:n], v[0:n]
         if quadratic:
+            k, v = k[0:n], v[0:n]
             khat, mean = center_keys(k)
             sums = [mean, np.add.reduce(v, axis=0)]
         elif not given:
             m = key_moments(k, v)
             sums = [m.mean, m.value_sum, m.kv]
-            if scored:
-                khat = center_keys(k, m.mean)[0]
         finite = math.isfinite(sum(map(np.vdot, sums, sums)))
         if finite and 0 < rows <= _QUERY_BLOCK and not certify:
             pending = block_s2(q[0:rows])
@@ -596,12 +582,9 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
             _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
         if s2 is None:  # certified
             h, th = None, _THETA_UNCLIPPED
-        elif approx:
+        else:
             h = _approx_entropy(s2, n, log_n) if entropies else None
             th = _approx_theta(s2, n, log_n)
-        else:
-            h = score_row_entropies(scores)
-            th = _theta_star(s2, log_n - np.minimum(h, log_n), n)
         per_row = isinstance(th, np.ndarray)  # else one temperature, folded into KV
         if own:
             ent, theta = h if entropies else None, th if per_row else np.full(rows, th)
@@ -616,7 +599,6 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
         if quadratic:
             block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest, scores=scores)
         else:
-            scores = None  # so the exact source's scores are freed before the forward
             block = eala_forward_linear(qb, m, th, out=dest)
         qb = scores = None  # freed before the block is written
         if dest is None:

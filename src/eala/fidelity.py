@@ -4,20 +4,20 @@
 the approximation per query: the two entropy estimates, the closed-form
 temperature against an independent bisection solve, the KL divergence from
 the softmax weights to the linear weights, and ranking agreement.  After
-the two `eala_attention` passes it makes one pass over equal blocks of
-queries, of at least 64 rows as in `exact_attention`: each block solves
-its temperatures with one batched `bisection_theta` call and forms its
-exact and eala weight rows, which the KL and ranking columns read and
-which are dropped before the next block; one argsort of its raw scores
-gives the ranking column both its tie flags and its sort.  No n x n
-matrix of its own is alive, and a report at n = 1024, c = 32 peaks at
-11.6 MiB under tracemalloc, the exact-source pass's n x n scores and
-their scratch.  The bisection, KL and ranking values have the
-bits of the per-query 1-D oracle calls on the block's rows.  Reports
-serialize to JSON and CSV with deterministic bytes for a fixed seed, in a
-schema stated once: the workload echo is `WorkloadSpec`'s fields, and
-`PER_QUERY` and `AGGREGATES` name the columns and aggregates in the order
-both formats write them.
+one `eala_attention` call it makes one pass over equal blocks of queries,
+of at least 64 rows as in `exact_attention`.  Each block forms its raw
+scores once: their softmax entropies are the exact entropy column, and
+one argsort of them gives the ranking column both its tie flags and its
+sort.  It solves its temperatures with one batched `bisection_theta`
+call and forms its exact and eala weight rows, which the KL and ranking
+columns read and which are dropped before the next block.  No n x n
+matrix is alive, and a report at n = 1024, c = 32 peaks at 9.0 MiB under
+tracemalloc, in the workload's calibration scan.  The bisection, KL and
+ranking values have the bits of the per-query 1-D oracle calls on the
+block's rows.  Reports serialize to JSON and CSV with deterministic bytes
+for a fixed seed, in a schema stated once: the workload echo is
+`WorkloadSpec`'s fields, and `PER_QUERY` and `AGGREGATES` name the
+columns and aggregates in the order both formats write them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EalaConfig, center_keys, eala_attention, eala_weights
-from .oracle import _query_block_edges, bisection_theta, exact_attention, kl_divergence
+from .core import center_keys, eala_attention, eala_weights, theta_star
+from .oracle import (_query_block_edges, bisection_theta, exact_attention, kl_divergence,
+                     score_row_entropies)
 from .workload import WorkloadSpec, gen_workload
 
 # Queries whose sorted scores have an adjacent gap at or below this are
@@ -40,6 +41,8 @@ TIE_TOL = 1e-12
 # The temperature solve costs O(n) per step for each query, a few steps to
 # converge, so O(n^2 * steps) for a report; the column is skipped beyond this n.
 BISECTION_N_LIMIT = 1024
+
+ENTROPY_SOURCES = ("approx", "exact")
 
 PER_QUERY = ("entropy_exact", "entropy_approx", "theta_closed",
              "theta_bisection", "kl", "weights_valid", "argsort_match")
@@ -157,21 +160,24 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
 
     The exact oracle and both entropy estimates always run; the reported
     temperatures, weights, KL column, and output error follow
-    `entropy_source`, "approx" or "exact" as in EalaConfig.  The bisection
+    `entropy_source`.  "approx" reports the temperatures and output of
+    `eala_attention`; "exact" feeds each query's softmax entropy H to
+    `theta_star`, with S2 the row sum of squares of its scores q khat^T,
+    and takes the output as its eala weight rows times V.  The bisection
     column solves for the same per-query entropy target the closed form
     consumed, so their gap isolates the closed-form error; it is omitted
     for n above BISECTION_N_LIMIT.
     """
-    EalaConfig(entropy_source=entropy_source)  # rejects an unknown source
+    if entropy_source not in ENTROPY_SOURCES:
+        raise ValueError(f"entropy_source must be one of {ENTROPY_SOURCES}")
+    exact_src = entropy_source == "exact"
     q_mat, k_mat, v_mat = gen_workload(spec)
-    res_approx = eala_attention(q_mat, k_mat, v_mat)
-    res_exact_src = eala_attention(q_mat, k_mat, v_mat, EalaConfig(entropy_source="exact"))
-    selected = res_exact_src if entropy_source == "exact" else res_approx
+    res = eala_attention(q_mat, k_mat, v_mat)
 
     khat, _ = center_keys(k_mat)
-    thetas = selected.thetas
     n = spec.n
     entropy_exact = np.empty(n)
+    thetas, targets = (np.empty(n), entropy_exact) if exact_src else (res.thetas, res.entropies)
     out_err = np.empty(n)
     bisect = n <= BISECTION_N_LIMIT
     bis_col: list = [] if bisect else [None] * n
@@ -181,28 +187,35 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
     edges = _query_block_edges(n, n)
     for lo, hi in zip(edges, edges[1:]):
         blk = slice(lo, hi)
+        q_blk = q_mat[blk]
+        raw = q_blk @ k_mat.T
+        entropy_exact[blk] = score_row_entropies(raw)
+        if exact_src:
+            scores = q_blk @ khat.T
+            thetas[blk] = theta_star(np.einsum("ij,ij->i", scores, scores), entropy_exact[blk], n)
+            del scores
         if bisect:
             # each score row is the product khat @ q_i of the query alone:
             # one GEMM over the block rounds some entries differently
             rows = np.empty((hi - lo, n))
             for j in range(hi - lo):
                 np.matmul(khat, q_mat[lo + j], out=rows[j])
-            bis = bisection_theta(rows, selected.entropies[blk])
+            bis = bisection_theta(rows, targets[blk])
             bis_col += [None if math.isnan(t) else t for t in bis.tolist()]
             del rows
-        exact = exact_attention(q_mat[blk], k_mat, v_mat, keep_weights=True)
-        eala_w = eala_weights(q_mat[blk], khat, thetas[blk])
+        exact = exact_attention(q_blk, k_mat, v_mat, keep_weights=True, entropies=False)
+        eala_w = eala_weights(q_blk, khat, thetas[blk])
         kl = kl_divergence(exact.weights, eala_w)
         valid = (np.min(eala_w, axis=1) > 0.0) & ~np.isnan(kl)
         kl_col += [v if ok else None for v, ok in zip(kl.tolist(), valid)]
         valid_col += valid.tolist()
-        match_col += _rank_comparison(q_mat[blk] @ k_mat.T, exact.weights, eala_w)
-        entropy_exact[blk] = exact.entropies
-        diff = np.max(np.abs(selected.output[blk] - exact.output), axis=1)
+        match_col += _rank_comparison(raw, exact.weights, eala_w)
+        output = eala_w @ v_mat if exact_src else res.output[blk]
+        diff = np.max(np.abs(output - exact.output), axis=1)
         out_err[blk] = diff / (np.max(np.abs(exact.output), axis=1) + 1e-15)
-        del exact, eala_w  # before the next block's weights are made
+        del raw, exact, eala_w, output  # before the next block's rows are made
 
-    err = np.abs(res_approx.entropies - entropy_exact)
+    err = np.abs(res.entropies - entropy_exact)
     scored = [m for m in match_col if m is not None]
     rate = (sum(scored) / len(scored)) if scored else 1.0
     valid_kls = [v for v in kl_col if v is not None]
@@ -211,7 +224,7 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
     return FidelityReport(
         workload=spec, entropy_source=entropy_source,
         entropy_exact=entropy_exact.tolist(),
-        entropy_approx=res_approx.entropies.tolist(),
+        entropy_approx=res.entropies.tolist(),
         theta_closed=thetas.tolist(),
         theta_bisection=bis_col,
         kl=kl_col,

@@ -100,6 +100,14 @@ class TestCompare:
         assert a["entropy_source"] == "approx" and x["entropy_source"] == "exact"
         assert a["per_query"]["theta_closed"] != x["per_query"]["theta_closed"]
 
+    def test_exact_source_tracks_exact_at_small_scale(self, capsys):
+        # 12 queries and keys of 4 dims at scores up to 0.5, about those of
+        # attend's small-scale inputs
+        code, out, _ = run(capsys, "compare", "--n", "12", "--c", "4", "--scale", "0.5",
+                           "--seed", "9", "--entropy-source", "exact")
+        assert code == 0
+        assert json.loads(out)["aggregates"]["output_max_rel_error"] <= 0.05
+
     def test_deterministic_stdout(self, capsys):
         argv = ("compare", "--n", "16", "--c", "8", "--seed", "7")
         _, first, _ = run(capsys, *argv)
@@ -188,17 +196,15 @@ class TestAttend:
         denom = float(np.max(np.abs(a))) + 1e-15
         assert float(np.max(np.abs(a - b))) / denom <= 1e-9
 
-    def test_eala_tracks_exact_at_small_scale(self, capsys, tmp_path):
-        paths, (q, k, v) = self.write_inputs(tmp_path, seed=9)
+    def test_entropy_source_flag_is_a_usage_error(self, capsys, tmp_path):
+        # the exact entropy source is a setting of compare alone
+        paths, _ = self.write_inputs(tmp_path)
         out_path = tmp_path / "out.bin"
-        code, _, _ = run(capsys, "attend", "--q", paths["q"], "--k", paths["k"],
-                         "--v", paths["v"], "--entropy-source", "exact",
-                         "--out", str(out_path))
-        assert code == 0
-        got = read_tensor(out_path)
-        want = exact_attention(q, k, v).output
-        denom = float(np.max(np.abs(want))) + 1e-15
-        assert float(np.max(np.abs(got - want))) / denom <= 0.05
+        code, _, err = run(capsys, "attend", "--q", paths["q"], "--k", paths["k"],
+                           "--v", paths["v"], "--entropy-source", "exact",
+                           "--out", str(out_path))
+        assert code == 2 and "--entropy-source" in err
+        assert not out_path.exists()
 
     def test_large_keys_exit_zero(self, capsys, tmp_path):
         # keys of magnitude 1e20 leave column sums far above 1 after

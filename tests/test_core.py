@@ -13,8 +13,7 @@ from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
                        eala_weights, key_moments, score_moments, select_path,
                        theta_star)
 from eala.numerics import gaussian_matrix, uniform_stream
-from eala.oracle import (bisection_theta, entropy_from_scores, exact_attention,
-                         score_row_entropies)
+from eala.oracle import entropy_from_scores, exact_attention
 from strategies import (clustered_key_instances, heavy_tailed_key_instances,
                         low_rank_key_instances, outlier_instance, outlier_key_instances,
                         shifted_key_instances)
@@ -187,17 +186,6 @@ class TestKeyPass:
         assert max_rel(m.kv, kv) <= 1e-14
         assert_value_sum(m.value_sum, v)
 
-    @pytest.mark.parametrize("n", [_QUERY_BLOCK - 1, 2 * _QUERY_BLOCK + 3])
-    def test_exact_source_forward_reads_the_key_pass(self, n):
-        # both linear variants (approx and exact entropies) read KV and the
-        # value sum from key_moments, so the exact source's output is the
-        # linear forward of its thetas, bit for bit
-        q = gaussian_matrix(n, 16, 1842, 0.05)
-        k = gaussian_matrix(n, 16, 1840) + 1e6
-        v = gaussian_matrix(n, 8, 1841)
-        res = eala_attention(q, k, v, EalaConfig(path="linear", entropy_source="exact"))
-        assert np.array_equal(res.output, eala_forward_linear(q, key_moments(k, v), res.thetas))
-
     def test_offset_keys_keep_their_gram(self):
         # centring against the mean of all keys first loses no spread
         k = gaussian_matrix(2 * _QUERY_BLOCK + 3, 16, 1820)
@@ -336,14 +324,18 @@ class TestApproxThetaClosedForm:
 
 class TestConfig:
     def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(EalaConfig)] == ["entropy_source", "path"]
-        assert CFG.entropy_source == "approx" and CFG.path == "auto"
+        assert [f.name for f in dataclasses.fields(EalaConfig)] == ["path"]
+        assert CFG.path == "auto"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EalaConfig(entropy_source="sampled")
-        with pytest.raises(ValueError):
             EalaConfig(path="diagonal")
+
+    @pytest.mark.parametrize("source", ["approx", "exact"])
+    def test_entropy_source_is_not_a_field(self, source):
+        # the exact entropy source is a setting of compare alone
+        with pytest.raises(TypeError):
+            EalaConfig(entropy_source=source)
 
 
 class TestForwardPaths:
@@ -533,10 +525,8 @@ class TestQueryBlocks:
         # named at the entry, with no queries too, on every branch and by the oracle
         for q in (np.zeros((0, 3)), gaussian_matrix(4, 3, 7)):
             for path in ("linear", "quadratic"):
-                for source in ("approx", "exact"):
-                    with pytest.raises(ValueError, match="nonempty"):
-                        eala_attention(q, np.zeros((0, 3)), np.zeros((0, 2)),
-                                       EalaConfig(entropy_source=source, path=path))
+                with pytest.raises(ValueError, match="nonempty"):
+                    eala_attention(q, np.zeros((0, 3)), np.zeros((0, 2)), EalaConfig(path=path))
             with pytest.raises(ValueError, match="nonempty"):
                 exact_attention(q, np.zeros((0, 3)), np.zeros((0, 2)))
 
@@ -597,7 +587,7 @@ class TestRowReaders:
         assert np.array_equal(out.mat, want.output)
         assert q.reads == k.reads == v.reads == self.BLOCKS
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
         q = self.readers()[0]
         k, v = self.readers(n=40)[1:]
@@ -610,7 +600,7 @@ class TestRowReaders:
         assert q.reads == out.writes == self.BLOCKS
         assert k.reads == v.reads == [(0, 40)]
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
     def test_branches_needing_khat_write_once_whole(self, cfg):
         q, k, v = self.readers(n=40)
         out = RecordedWriter((40, 8))
@@ -620,7 +610,7 @@ class TestRowReaders:
         # at 40 rows the query loop has one block
         assert out.writes == [(0, 40)]
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic"), EalaConfig(entropy_source="exact")])
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
     def test_branches_needing_khat_read_each_input_once_whole(self, cfg):
         q, k, v = self.readers(n=40)
         res = eala_attention(q, k, v, cfg)
@@ -647,8 +637,7 @@ class TestRowReaders:
             assert res.output is out
             assert np.array_equal(out, eala_attention(q, k, v, cfg).output)
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
-                                     EalaConfig(path="linear", entropy_source="exact")])
+    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic")])
     @pytest.mark.parametrize("layout", ["out is Q", "out one row past Q", "out over V"])
     def test_out_overlapping_an_input(self, cfg, layout):
         q, k, v = random_instance(self.N, 8, 2004, 0.05)
@@ -694,26 +683,26 @@ class TestRowReaders:
 def pipeline_chain(q, k, v, cfg):
     """eala_attention spelled out with the public functions, one query
     block of _QUERY_BLOCK rows at a time: the key pass (or the centred
-    keys), S2, the entropy, theta and the branch's forward.  The approx
-    path's theta is the closed form, and a linear block whose thetas are
-    all THETA0 folds it into KV."""
+    keys), S2, the entropy, theta and the branch's forward.  Theta is the
+    closed form, and a linear block whose thetas are all THETA0 folds it
+    into KV."""
     n = len(k)
     quadratic = select_path(cfg.path, n, q.shape[1]) == "quadratic"
-    approx = cfg.entropy_source == "approx"
     if quadratic:
         khat = center_keys(k)[0]
     else:
         m = key_moments(k, v)
-        khat = center_keys(k, m.mean)[0]
     outs, ents, thetas = [], [], []
     for lo in range(0, len(q), _QUERY_BLOCK):
         qb = q[lo:lo + _QUERY_BLOCK]
-        scores = qb @ khat.T
-        s2 = (score_moments(qb, m) if approx and not quadratic
-              else np.einsum("ij,ij->i", scores, scores))
-        ent = approx_entropy(s2, n) if approx else score_row_entropies(scores)
-        theta = closed_form_theta(s2, n) if approx else theta_star(s2, ent, n)
-        fold = approx and np.all(theta == THETA0)
+        if quadratic:
+            scores = qb @ khat.T
+            s2 = np.einsum("ij,ij->i", scores, scores)
+        else:
+            s2 = score_moments(qb, m)
+        ent = approx_entropy(s2, n)
+        theta = closed_form_theta(s2, n)
+        fold = np.all(theta == THETA0)
         outs.append(eala_forward_quadratic(qb, khat, v, theta) if quadratic
                     else eala_forward_linear(qb, m, THETA0 if fold else theta))
         ents.append(ent)
@@ -734,16 +723,15 @@ class TestPipelineChain:
     @given(m=PIPELINE_SIZES, n=PIPELINE_SIZES, c=st.integers(min_value=1, max_value=48),
            seed=st.integers(min_value=0, max_value=10_000),
            scale=st.sampled_from([0.05, 1.0, 8.0]), zero_rows=st.booleans(),
-           source=st.sampled_from(["approx", "exact"]),
            path=st.sampled_from(["auto", "quadratic", "linear"]))
-    def test_matches_the_public_functions(self, m, n, c, seed, scale, zero_rows, source, path):
-        assume(min(m, n) <= 40)  # one side long at a time keeps the exact source cheap
+    def test_matches_the_public_functions(self, m, n, c, seed, scale, zero_rows, path):
+        assume(min(m, n) <= 40)  # one side long at a time keeps the quadratic branch cheap
         q = gaussian_matrix(m, c, seed, scale)
         if zero_rows:
             q[::3] = 0.0  # S2 = 0: the sentinel theta
         k = gaussian_matrix(n, c, seed + 1, scale)
         v = gaussian_matrix(n, 3, seed + 2)
-        cfg = EalaConfig(entropy_source=source, path=path)
+        cfg = EalaConfig(path=path)
         res = eala_attention(q, k, v, cfg)
         for got, want in zip((res.output, res.entropies, res.thetas), pipeline_chain(q, k, v, cfg)):
             assert np.array_equal(got, want)
@@ -753,8 +741,7 @@ class TestNonFiniteInput:
     """NaN and inf are found in sums the pipeline takes anyway (the key
     mean, the value sum, S2) and named, with no RuntimeWarning on the way."""
 
-    CONFIGS = [EalaConfig(path="linear"), EalaConfig(path="quadratic"),
-               EalaConfig(entropy_source="exact")]
+    CONFIGS = [EalaConfig(path="linear"), EalaConfig(path="quadratic")]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -968,38 +955,6 @@ class TestEalaAttention:
         r1 = eala_attention(q, k + shift, v)
         assert float(np.max(np.abs(r0.output - r1.output))) <= 1e-9
 
-    def test_entropy_sources_disagree_by_curvature_factor(self):
-        # at small scores the estimate-fed temperature sits near 1/sqrt(2)
-        # while the true-entropy one sits near 1: the expansion's curvature
-        # is twice the softmax one, and both behaviors are kept visible
-        q, k, v = random_instance(32, 8, 1500, scale=1.0)
-        kh, _ = center_keys(k)
-        scale = 0.05 / float(np.max(np.abs(q @ kh.T)))
-        q = q * scale
-        res_a = eala_attention(q, k, v, EalaConfig(entropy_source="approx"))
-        res_x = eala_attention(q, k, v, EalaConfig(entropy_source="exact"))
-        ratio = np.asarray(res_a.thetas) / np.asarray(res_x.thetas)
-        assert np.all(np.abs(ratio - np.sqrt(0.5)) < 0.02)
-
-    def test_exact_source_thetas_track_bisection(self):
-        q, k, v = random_instance(48, 8, 1600)
-        kh, _ = center_keys(k)
-        scale = 0.1 / float(np.max(np.abs(q @ kh.T)))
-        q = q * scale
-        res = eala_attention(q, k, v, EalaConfig(entropy_source="exact"))
-        for i in range(48):
-            tb = bisection_theta(kh @ q[i], res.entropies[i])
-            assert abs(res.thetas[i] - tb) / tb <= 0.05
-
-    def test_output_tracks_exact_attention_at_small_scale(self):
-        q, k, v = random_instance(40, 8, 1700)
-        kh, _ = center_keys(k)
-        q = q * (0.05 / float(np.max(np.abs(q @ kh.T))))
-        res = eala_attention(q, k, v, EalaConfig(entropy_source="exact"))
-        exact = exact_attention(q, k, v)
-        diff = float(np.max(np.abs(res.output - exact.output)))
-        assert diff <= 0.05 * float(np.max(np.abs(exact.output)))
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             eala_attention(gaussian_matrix(4, 3, 1), gaussian_matrix(4, 2, 1),
@@ -1181,7 +1136,6 @@ class TestGivenMoments:
 
     @pytest.mark.parametrize("cfg, match", [
         (EalaConfig(path="quadratic"), "^path='quadratic' needs K, not its key moments$"),
-        (EalaConfig(entropy_source="exact"), "^entropy_source='exact' needs K, not its key moments$"),
     ])
     def test_branches_that_read_k_refuse_moments(self, cfg, match):
         q, k, v = random_instance(20, 4, 2500, 0.05)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eala.core import EalaConfig, center_keys, eala_attention, eala_weights
+from eala.core import center_keys, eala_attention, eala_weights, theta_star
 from eala.fidelity import (AGGREGATES, BISECTION_N_LIMIT, PER_QUERY, TIE_TOL,
                            FidelityReport, _rank_comparison, compare)
-from eala.numerics import gaussian_matrix
 from eala.oracle import _query_block_edges, bisection_theta, exact_attention, kl_divergence
-from eala.workload import WorkloadSpec, gen_workload
+from eala.workload import _SCAN_BLOCK, WorkloadSpec, gen_workload
 
 SPEC = WorkloadSpec(n=16, c=8, score_scale=0.1, seed=5)
 
@@ -86,6 +85,28 @@ class TestEntropySourceSelection:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="entropy_source must be one of"):
             compare(SPEC, "bisection")
+
+
+class TestExactSourceReport:
+    """The exact source feeds each query's softmax entropy to theta_star."""
+
+    def test_entropy_sources_disagree_by_curvature_factor(self):
+        # at small scores the estimate-fed temperature sits near 1/sqrt(2)
+        # while the true-entropy one sits near 1: the expansion's curvature
+        # is twice the softmax one, and both behaviors are kept visible
+        spec = WorkloadSpec(32, 8, 0.05, 1500)
+        approx, exact = (np.asarray(compare(spec, src).theta_closed) for src in ("approx", "exact"))
+        ratio = approx / exact
+        assert np.all(np.abs(ratio - np.sqrt(0.5)) < 0.02)
+
+    def test_exact_source_thetas_track_bisection(self):
+        rep = compare(WorkloadSpec(48, 8, 0.1, 1600), "exact")
+        for tc, tb in zip(rep.theta_closed, rep.theta_bisection):
+            assert abs(tc - tb) / tb <= 0.05
+
+    def test_output_tracks_exact_attention_at_small_scale(self):
+        rep = compare(WorkloadSpec(40, 8, 0.05, 1700), "exact")
+        assert rep.output_max_rel_error <= 0.05
 
 
 class TestDegenerateWorkload:
@@ -285,14 +306,22 @@ class TestGolden:
 
 
 def reference_report(spec, source):
-    """The report built one query at a time from the 1-D oracle calls."""
+    """The report built one query at a time from the 1-D oracle calls.  The
+    exact source's theta is theta_star of the query's S2 = |khat q|^2 and
+    softmax entropy H, and its output the eala weight rows times V."""
     q, k, v = gen_workload(spec)
     exact = exact_attention(q, k, v, keep_weights=True)
-    res = {src: eala_attention(q, k, v, EalaConfig(entropy_source=src))
-           for src in ("approx", "exact")}
-    selected = res[source]
+    approx = eala_attention(q, k, v)
     khat, _ = center_keys(k)
-    eala_w = eala_weights(q, khat, selected.thetas)
+    if source == "exact":
+        targets = exact.entropies
+        s2 = [np.einsum("j,j->", a, a) for a in q @ khat.T]
+        thetas = np.concatenate([theta_star(np.array([x]), targets[i:i + 1], spec.n)
+                                 for i, x in enumerate(s2)])
+    else:
+        targets, thetas = approx.entropies, approx.thetas
+    eala_w = eala_weights(q, khat, thetas)
+    output = eala_w @ v if source == "exact" else approx.output
     scores = q @ k.T
     kl, valid, bis, match = [], [], [], []
     for i in range(spec.n):
@@ -303,7 +332,7 @@ def reference_report(spec, source):
             kl.append(None)
         valid.append(kl[-1] is not None)
         try:
-            bis.append(bisection_theta(khat @ q[i], selected.entropies[i])
+            bis.append(bisection_theta(khat @ q[i], targets[i])
                        if spec.n <= BISECTION_N_LIMIT else None)
         except ValueError:
             bis.append(None)
@@ -313,16 +342,16 @@ def reference_report(spec, source):
         else:
             match.append(bool(np.array_equal(np.argsort(exact.weights[i], kind="stable"),
                                              np.argsort(row, kind="stable"))))
-    err = np.abs(res["approx"].entropies - exact.entropies)
+    err = np.abs(approx.entropies - exact.entropies)
     scored = [m for m in match if m is not None]
     kls = [x for x in kl if x is not None]
-    diff = np.max(np.abs(selected.output - exact.output), axis=1)
+    diff = np.max(np.abs(output - exact.output), axis=1)
     denom = np.max(np.abs(exact.output), axis=1) + 1e-15
     return FidelityReport(
         workload=spec, entropy_source=source,
         entropy_exact=exact.entropies.tolist(),
-        entropy_approx=res["approx"].entropies.tolist(),
-        theta_closed=selected.thetas.tolist(),
+        entropy_approx=approx.entropies.tolist(),
+        theta_closed=thetas.tolist(),
         theta_bisection=bis, kl=kl, weights_valid=valid, argsort_match=match,
         mean_abs_entropy_err=float(np.mean(err)),
         max_abs_entropy_err=float(np.max(err)),
@@ -379,13 +408,21 @@ class TestMultiBlockReports:
                 assert g == w and type(g) is type(w), (name, i, g, w)
 
     def test_peak_stays_under_two_n_by_n_matrices(self):
-        # measured 11.6 MiB: the exact-source pass's n x n scores and its
-        # scratch; no n x n matrix of compare's own is alive beside them
+        # measured 9.0 MiB: the workload's calibration scan, one block of
+        # _SCAN_BLOCK score rows and its absolute values.  The query loop
+        # peaks lower, at 7.5 MiB: the ranking step's three (rows, n)
+        # arrays (the argsort and the sorted scores and their steps) beside
+        # the block's raw scores, exact and eala weight rows.  Beside the
+        # larger phase, 8 (n, c) arrays bound Q, K, V, khat, the eala
+        # output and the per-query columns.
         spec = WorkloadSpec(1024, 32, 0.1, 3)
+        edges = _query_block_edges(spec.n, spec.n)
+        rows = max(b - a for a, b in zip(edges, edges[1:]))
         tracemalloc.start()
         try:
             compare(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * spec.n ** 2
+        scan, loop = 2 * _SCAN_BLOCK * spec.n, 6 * rows * spec.n
+        assert peak <= 8 * (max(scan, loop) + 8 * spec.n * spec.c)
