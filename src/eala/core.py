@@ -24,6 +24,16 @@ and row writers such as `tensorio.TensorRowWriter`: then on that path no
 input or output is ever held whole, memory is O(block C), and n is
 bounded by disk, not memory.
 
+The linear path's key and query passes take up to _QUERY_BLOCK rows as
+one block, and more as two lanes: contiguous halves of the rows, walked
+in blocks of _LANE_BLOCK rows, whose layout depends on the row count
+alone.  Each lane of the key pass sums its own moments, and lane 1's are
+added to lane 0's; each lane of the query pass writes only its own rows.
+When the inputs and output are arrays and `_WORKERS` is 2, lane 1 runs on
+a worker thread that calls only private kernels, so every public function
+runs on the calling thread.  The bits do not depend on it (see
+`_run_lanes`).
+
 The estimate Hhat = log n - S2 / n, clipped into [0, log n], is an
 output only: the gap log n - Hhat is S2 / n below the clip, so theta is
 a closed form of S2,
@@ -41,13 +51,15 @@ attend` and `mha_forward` do.  Then a linear block whose S2 an eigenvalue
 bound on the Gram puts inside the constant's range is certified: it takes
 the constant with no S2.  So `entropies=False` changes a call's cost,
 never its output or thetas.  At 65536 x 64 with calibrated queries every
-block is certified, and `attend` peaks at about 2.7 MiB under
-tracemalloc: the thetas and two blocks of 2048 rows.
+block is certified, and `attend` peaks at about 1.8 MiB under
+tracemalloc: the thetas and two blocks of _LANE_BLOCK rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +77,21 @@ DENOM_FLOOR = 1e-12
 # The linear path handles keys and queries in row blocks of this size, so
 # its temporaries are O(block C), not O(N C).
 _QUERY_BLOCK = 2048
+# A pass over more rows runs as two lanes walked in blocks of half that
+# size, so the two lanes together hold what one block holds.
+_LANE_BLOCK = _QUERY_BLOCK // 2
+
+
+def _worker_count() -> int:
+    """2 when lane 1 of a pass may run on a worker thread, else 1: the
+    process may use at least 2 CPUs and the BLAS's environment pins it to
+    one thread (with more BLAS threads, two workers ran slower)."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if (cpus or 1) >= 2 and blas.strip() == "1" else 1
+
+
+_WORKERS = _worker_count()
 
 
 @dataclass(frozen=True)
@@ -106,36 +133,73 @@ def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the key mean: khat_j = k_j - mean.  Returns (khat, mean).
 
     `mean` defaults to the key pass's mean (see `key_moments`): the column
-    mean s of the first _QUERY_BLOCK rows, and past them s + delta, where
-    delta is the column mean of k - s and khat_j = (k_j - s) - delta.  So
-    every branch centres the keys as the linear path does, with no rounded
-    sum of raw keys in khat.  The key pass gives its shift s to centre one
-    row block at a time into its scratch `out`.
+    mean of K when it has at most _QUERY_BLOCK rows, else s + delta, where
+    s is the column mean of the first _LANE_BLOCK rows, delta the column
+    mean of k - s and khat_j = (k_j - s) - delta.  So every branch centres
+    the keys as the linear path does, with no rounded sum of raw keys in
+    khat.  The key pass gives its shift s to centre one row block at a
+    time into its scratch `out`.
     """
     return _center_keys(k_mat, mean, out)
 
 
 def _center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """`center_keys`' kernel, with which `mha_forward`'s key pass centres."""
+    """`center_keys`' kernel, with which `mha_forward`'s key pass and a
+    key pass's worker lane centre."""
     k = np.asarray(k_mat, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] == 0:
         raise ValueError("center_keys expects a nonempty 2-D key matrix")
     if mean is not None:
         return np.subtract(k, mean, out=out), mean
-    first = k[:_QUERY_BLOCK]
+    first = k if len(k) <= _QUERY_BLOCK else k[:_LANE_BLOCK]
     shift = np.add.reduce(first, axis=0) / len(first)  # the bits of np.mean, without its wrappers
     khat = np.subtract(k, shift, out=out)
-    if len(k) == len(first):
+    if first is k:
         return khat, shift
     delta = np.add.reduce(khat, axis=0) / len(k)
     khat -= delta
     return khat, shift + delta
 
 
-def _row_blocks(rows: int):
-    """(lo, hi) of each row block of `rows` rows, in order."""
-    starts = range(0, rows, _QUERY_BLOCK)
-    return zip(starts, [*starts[1:], rows])
+def _row_blocks(lo: int, hi: int, step: int):
+    """(a, b) of each row block of rows lo:hi, `step` rows each, in order."""
+    starts = range(lo, hi, step)
+    return zip(starts, [*starts[1:], hi])
+
+
+def _run_lanes(lane, rows: int, worker: bool) -> tuple:
+    """(lane(lo, hi, False), lane(lo, hi, worker)) for the two lanes of a
+    pass over `rows` > _QUERY_BLOCK rows: halves cut at a _LANE_BLOCK
+    boundary, the first taking the larger.  The layout depends on `rows`
+    alone, so a lane's sums and rows have the same bits on any thread.
+
+    Lane 0 runs on the calling thread.  Lane 1 runs after it there, or,
+    with `worker`, meanwhile on one worker thread that enters the caller's
+    numpy error state (it is per thread) and is joined before this returns
+    or raises.  An error of lane 0 wins over one of lane 1, so the first
+    bad block in row order is named.
+    """
+    mid = _LANE_BLOCK * -(-rows // _QUERY_BLOCK)
+    if not worker:
+        return lane(0, mid, False), lane(mid, rows, False)
+    err, result = np.geterr(), {}
+
+    def run():
+        try:
+            with np.errstate(**err):
+                result["value"] = lane(mid, rows, True)
+        except BaseException as exc:  # re-raised on the calling thread
+            result["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        first = lane(0, mid, False)
+    finally:
+        thread.join()
+    if "error" in result:
+        raise result["error"]
+    return first, result["value"]
 
 
 def _rows_source(x):
@@ -155,25 +219,32 @@ def _rows_source(x):
 def key_moments(k_mat, v_mat) -> KeyMoments:
     """Summaries of the keys and values in one blocked pass.
 
-    K and V are matrices or row readers, read once each in row blocks of
-    _QUERY_BLOCK rows.  Every block of keys is centred against the shift s,
-    the mean of the first block, into the first C columns of one reused
-    (block, C + 1) scratch whose last column is 1.  The pass sums the GEMM
-    of the scratch's transpose with the block of V, (K - s)^T V in its
-    first C rows and the value sum in its last, and the Gram
-    G_s = (K - s)^T (K - s).  Past one block the Gram also takes the ones
-    column, t = sum_j (k_j - s); with delta = t / n the mean is s + delta,
-    M = G_s - n delta delta^T and khat^T V = (K - s)^T V - delta (sum v)^T.
-    This is the shifted-data scheme (Chan, Golub & LeVeque 1979): s sits
-    near the keys, so offset keys keep their spread, where K^T K - n mu mu^T
-    would cancel it away, and no rounded sum of raw keys biases khat.
-    Nothing n x C is kept.
+    K and V are matrices or row readers, read once each in row blocks.
+    Every block of keys is centred against a shift s into the first C
+    columns of a reused (block, C + 1) scratch whose last column is 1.  The
+    pass sums the GEMM of the scratch's transpose with the block of V,
+    (K - s)^T V in its first C rows and the value sum in its last, and the
+    Gram G_s = (K - s)^T (K - s).
+
+    Up to _QUERY_BLOCK keys are one block and s is their mean.  More keys
+    run as two lanes (see `_run_lanes`), each walked in blocks of
+    _LANE_BLOCK rows, with s the mean of the first block.  Each lane sums
+    its own Gram, which also takes the ones column, t = sum_j (k_j - s),
+    and its own (K - s)^T V; lane 1's sums are added to lane 0's.  With
+    delta = t / n the mean is s + delta, M = G_s - n delta delta^T and
+    khat^T V = (K - s)^T V - delta (sum v)^T.  This is the shifted-data,
+    pairwise scheme (Chan, Golub & LeVeque 1979): s sits near the keys, so
+    offset keys keep their spread, where K^T K - n mu mu^T would cancel it
+    away, and no rounded sum of raw keys biases khat.  Lane 1 runs on a
+    worker thread when K and V are arrays and `_WORKERS` is 2; its bits do
+    not depend on it.  Nothing n x C is kept.
     """
     return _key_moments(k_mat, v_mat, center_keys)
 
 
 def _key_moments(k_mat, v_mat, center) -> KeyMoments:
-    """`key_moments`' kernel, which centres each block with `center`.
+    """`key_moments`' kernel, which centres each block of the calling
+    thread with `center`, and each of a worker with `_center_keys`.
     `mha_forward` runs it on x with a zero-width V and `_center_keys`, for
     x's mean and centred Gram: it calls the kernels, not the public
     functions, so the public calls under it are its heads' alone."""
@@ -184,25 +255,47 @@ def _key_moments(k_mat, v_mat, center) -> KeyMoments:
     n, c = k.shape
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    scratch = np.empty((min(n, _QUERY_BLOCK), c + 1))
-    scratch[:, c] = 1.0
-    cols = c + 1 if n > _QUERY_BLOCK else c
-    gram = kv_sum = shift = None
-    for lo, hi in _row_blocks(n):
-        block = scratch[: hi - lo]
-        shift = center(k[lo:hi], shift, out=block[:, :c])[1]
-        kb = block[:, :cols]
-        if gram is None:  # the first block's GEMMs are the sums so far
-            gram, kv_sum = kb.T @ kb, block.T @ v[lo:hi]  # kb.T @ kb takes numpy's syrk path
-        else:
-            gram += kb.T @ kb
-            kv_sum += block.T @ v[lo:hi]
-    if cols == c:  # one block: s is the mean of all keys
+    if n <= _QUERY_BLOCK:  # one block: s is the mean of all keys
+        block = np.empty((n, c + 1))
+        block[:, c] = 1.0
+        shift = center(k[0:n], None, out=block[:, :c])[1]
+        kb = block[:, :c]
+        gram, kv_sum = kb.T @ kb, block.T @ v[0:n]  # kb.T @ kb takes numpy's syrk path
         return KeyMoments(mean=shift, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
+    head = _key_sums(k, v, 0, _LANE_BLOCK, None, center)
+
+    def lane(lo, hi, on_worker):
+        if lo == 0:  # lane 0 goes on from its first block
+            return _key_sums(k, v, _LANE_BLOCK, hi, head[2], center, head[:2])
+        return _key_sums(k, v, lo, hi, head[2], _center_keys if on_worker else center)
+
+    worker = _WORKERS > 1 and isinstance(k, np.ndarray) and isinstance(v, np.ndarray)
+    (gram, kv_sum, shift), (gram1, kv1, _) = _run_lanes(lane, n, worker)
+    gram += gram1
+    kv_sum += kv1
     delta = gram[:c, c] / n
     kv_sum[:c] -= np.outer(delta, kv_sum[c])
     return KeyMoments(mean=shift + delta, gram=gram[:c, :c] - n * np.outer(delta, delta),
                       kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
+
+
+def _key_sums(k, v, lo: int, hi: int, shift, center, sums=(None, None)) -> tuple:
+    """`sums` plus the Gram of [K - s | 1] and [K - s | 1]^T V over rows
+    lo:hi, in blocks of _LANE_BLOCK rows, and s: `shift`, or, if that is
+    None, the mean of the first block."""
+    c = k.shape[1]
+    scratch = np.empty((min(hi - lo, _LANE_BLOCK), c + 1))
+    scratch[:, c] = 1.0
+    gram, kv_sum = sums
+    for a, b in _row_blocks(lo, hi, _LANE_BLOCK):
+        block = scratch[: b - a]
+        shift = center(k[a:b], shift, out=block[:, :c])[1]
+        if gram is None:  # the first block's GEMMs are the sums so far
+            gram, kv_sum = block.T @ block, block.T @ v[a:b]
+        else:
+            gram += block.T @ block
+            kv_sum += block.T @ v[a:b]
+    return gram, kv_sum, shift
 
 
 def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
@@ -400,11 +493,20 @@ def eala_forward_linear(q_mat, m: KeyMoments, theta, out=None) -> np.ndarray:
     if np.ndim(theta) == 0:
         if not theta > 0.0:
             raise ValueError("theta must be positive (or the +inf sentinel)")
-        out = np.matmul(q, m.kv / (m.count * float(theta)), out=out)
+        theta = float(theta)
     else:
-        th = _check_theta(theta, q.shape[0])
+        theta = _check_theta(theta, q.shape[0])
+    return _forward_linear(q, m, theta, out)
+
+
+def _forward_linear(q: np.ndarray, m: KeyMoments, theta, out=None) -> np.ndarray:
+    """`eala_forward_linear`'s kernel, on float64 queries and a checked
+    theta, a float or one per row; a query pass's worker lane runs it."""
+    if isinstance(theta, float):
+        out = np.matmul(q, m.kv / (m.count * theta), out=out)
+    else:
         # einsum scales the rows without the 64 KiB ufunc buffer of a broadcast multiply
-        out = np.matmul(np.einsum("ij,i->ij", q, 1.0 / (m.count * th)), m.kv, out=out)
+        out = np.matmul(np.einsum("ij,i->ij", q, 1.0 / (m.count * theta)), m.kv, out=out)
     out += m.value_sum / m.count
     return out
 
@@ -476,7 +578,11 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     or a row writer with a `shape` that takes `out[lo:hi] = block`.  After
     the key summaries, one pass over row blocks of queries takes each
     block through S2, the entropy, the temperature and the branch's
-    forward, into its rows of `out`, so no n x D buffer is made.
+    forward, into its rows of `out`, so no n x D buffer is made.  On the
+    linear branch, a pass over more than _QUERY_BLOCK keys or queries runs
+    as two lanes of _LANE_BLOCK-row blocks, lane 1 on a worker thread when
+    its inputs and output are arrays and `_WORKERS` is 2 (see
+    `_run_lanes`); the result's bits do not depend on where it runs.
     The steps are the kernels of `score_moments` and `approx_entropy`,
     which the public functions wrap with checks of their input that this
     pipeline makes once at its entry; theta is the module docstring's
@@ -569,39 +675,52 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
         ent, theta = np.empty(rows) if entropies else None, np.empty(rows)
     if out is None:
         out = np.empty((rows, d))
-    for lo, hi in _row_blocks(rows):
-        if pending is None:
-            qb = q[lo:hi]
-            with np.errstate(invalid="ignore", over="ignore"):
-                if bounds is not None and _block_certified(qb, bounds):
-                    pending = qb, None, None, True
-                else:
-                    pending = block_s2(qb)
-        (qb, scores, s2, finite), pending = pending, None
-        if not finite:
-            _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
-        if s2 is None:  # certified
-            h, th = None, _THETA_UNCLIPPED
-        else:
-            h = _approx_entropy(s2, n, log_n) if entropies else None
-            th = _approx_theta(s2, n, log_n)
-        per_row = isinstance(th, np.ndarray)  # else one temperature, folded into KV
-        if own:
-            ent, theta = h if entropies else None, th if per_row else np.full(rows, th)
-        else:  # copied into the call's arrays; the block's own are freed before the forward
-            if entropies:
-                ent[lo:hi] = h
-            theta[lo:hi] = th
-            s2 = h = None
-            if per_row:
-                th = theta[lo:hi]
-        dest = out[lo:hi] if isinstance(out, np.ndarray) else None
-        if quadratic:
-            block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest, scores=scores)
-        else:
-            block = eala_forward_linear(qb, m, th, out=dest)
-        qb = scores = None  # freed before the block is written
-        if dest is None:
-            out[lo:hi] = block
-            del block  # freed before the next block's temporaries are made
+    lanes = not quadratic and rows > _QUERY_BLOCK
+
+    def run(start, stop, on_worker, pending=None):
+        """Q's rows start:stop through S2, the entropy, the temperature and
+        the branch's forward into their rows of out, ent and theta, in
+        blocks of _LANE_BLOCK rows on a lane, else of _QUERY_BLOCK.  Only
+        a call of one block sets ent and theta."""
+        nonlocal ent, theta
+        forward = _forward_linear if on_worker else eala_forward_linear
+        for lo, hi in _row_blocks(start, stop, _LANE_BLOCK if lanes else _QUERY_BLOCK):
+            if pending is None:
+                qb = q[lo:hi]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    if bounds is not None and _block_certified(qb, bounds):
+                        pending = qb, None, None, True
+                    else:
+                        pending = block_s2(qb)
+            (qb, scores, s2, finite), pending = pending, None
+            if not finite:
+                _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
+            if s2 is None:  # certified
+                h, th = None, _THETA_UNCLIPPED
+            else:
+                h = _approx_entropy(s2, n, log_n) if entropies else None
+                th = _approx_theta(s2, n, log_n)
+            per_row = isinstance(th, np.ndarray)  # else one temperature, folded into KV
+            if own:
+                ent, theta = h if entropies else None, th if per_row else np.full(rows, th)
+            else:  # copied into the call's arrays; the block's own are freed before the forward
+                if entropies:
+                    ent[lo:hi] = h
+                theta[lo:hi] = th
+                s2 = h = None
+                if per_row:
+                    th = theta[lo:hi]
+            dest = out[lo:hi] if isinstance(out, np.ndarray) else None
+            if quadratic:
+                block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest, scores=scores)
+            else:
+                block = forward(qb, m, th, out=dest)
+            qb = scores = None  # freed before the block is written
+            if dest is None:
+                out[lo:hi] = block
+                del block  # freed before the next block's temporaries are made
+    if lanes:
+        _run_lanes(run, rows, _WORKERS > 1 and isinstance(q, np.ndarray) and isinstance(out, np.ndarray))
+    else:
+        run(0, rows, False, pending)
     return AttnResult(output=out, entropies=ent, thetas=theta)

@@ -11,8 +11,8 @@ one argsort of them gives the ranking column both its tie flags and its
 sort.  It solves its temperatures with one batched `bisection_theta`
 call and forms its exact and eala weight rows, which the KL and ranking
 columns read and which are dropped before the next block.  No n x n
-matrix is alive, and a report at n = 1024, c = 32 peaks at 9.0 MiB under
-tracemalloc, in the workload's calibration scan.  The bisection, KL and
+matrix is alive, and a report at n = 1024, c = 32 peaks at 7.5 MiB under
+tracemalloc, in the ranking step.  The bisection, KL and
 ranking values have the bits of the per-query 1-D oracle calls on the
 block's rows.  Reports serialize to JSON and CSV with deterministic bytes
 for a fixed seed, in a schema stated once: the workload echo is
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import center_keys, eala_attention, eala_weights, theta_star
+from .core import _weights_from_scores, center_keys, eala_attention, eala_weights, theta_star
 from .oracle import (_query_block_edges, bisection_theta, exact_attention, kl_divergence,
                      score_row_entropies)
 from .workload import WorkloadSpec, gen_workload
@@ -163,7 +163,8 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
     `entropy_source`.  "approx" reports the temperatures and output of
     `eala_attention`; "exact" feeds each query's softmax entropy H to
     `theta_star`, with S2 the row sum of squares of its scores q khat^T,
-    and takes the output as its eala weight rows times V.  The bisection
+    which then become its eala weight rows in place, and takes the output
+    as those rows times V.  The bisection
     column solves for the same per-query entropy target the closed form
     consumed, so their gap isolates the closed-form error; it is omitted
     for n above BISECTION_N_LIMIT.
@@ -190,10 +191,6 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
         q_blk = q_mat[blk]
         raw = q_blk @ k_mat.T
         entropy_exact[blk] = score_row_entropies(raw)
-        if exact_src:
-            scores = q_blk @ khat.T
-            thetas[blk] = theta_star(np.einsum("ij,ij->i", scores, scores), entropy_exact[blk], n)
-            del scores
         if bisect:
             # each score row is the product khat @ q_i of the query alone:
             # one GEMM over the block rounds some entries differently
@@ -204,7 +201,12 @@ def compare(spec: WorkloadSpec, entropy_source: str = "approx") -> FidelityRepor
             bis_col += [None if math.isnan(t) else t for t in bis.tolist()]
             del rows
         exact = exact_attention(q_blk, k_mat, v_mat, keep_weights=True, entropies=False)
-        eala_w = eala_weights(q_blk, khat, thetas[blk])
+        if exact_src:  # the scores q khat^T give S2 and become the eala weights in place
+            eala_w = q_blk @ khat.T
+            thetas[blk] = theta_star(np.einsum("ij,ij->i", eala_w, eala_w), entropy_exact[blk], n)
+            _weights_from_scores(eala_w, thetas[blk], n)
+        else:
+            eala_w = eala_weights(q_blk, khat, thetas[blk])
         kl = kl_divergence(exact.weights, eala_w)
         valid = (np.min(eala_w, axis=1) > 0.0) & ~np.isnan(kl)
         kl_col += [v if ok else None for v, ok in zip(kl.tolist(), valid)]

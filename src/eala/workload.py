@@ -34,11 +34,18 @@ class WorkloadSpec:
 
 
 def max_abs_score(q_mat: np.ndarray, khat: np.ndarray) -> float:
-    """Largest |q_i . khat_j| over all pairs, scanned in row blocks."""
+    """Largest |q_i . khat_j| over all pairs, scanned in row blocks.
+
+    Each block of scores is made in one preallocated (block, n) buffer,
+    and its largest magnitude is max(max, -min), with no copy of |s|, so
+    the scan holds one block.
+    """
+    blk = np.empty((min(_SCAN_BLOCK, q_mat.shape[0]), khat.shape[0]))
     m = 0.0
     for lo in range(0, q_mat.shape[0], _SCAN_BLOCK):
-        s = q_mat[lo : lo + _SCAN_BLOCK] @ khat.T
-        m = max(m, float(np.max(np.abs(s))))
+        s = q_mat[lo : lo + _SCAN_BLOCK]
+        s = np.matmul(s, khat.T, out=blk[: len(s)])
+        m = max(m, float(max(s.max(), -s.min())))
     return m
 
 

@@ -77,12 +77,12 @@ def attention_instances(draw, max_n=64, max_c=16, scale=1.0):
 
 
 @st.composite
-def shifted_key_instances(draw, max_n, max_m=32, max_c=8):
+def shifted_key_instances(draw, max_n, max_m=32, max_c=8, min_n=1, min_m=1):
     """(Q, K, V) from seeded Gaussians whose keys sit far from the origin:
     a common offset of 1e6 or 1e8, or a drift down the rows from 0 to 1e3
     standard deviations.  Up to max_n keys and max_m queries."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     c = draw(st.integers(min_value=1, max_value=max_c))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     shift = draw(st.sampled_from([1e6, 1e8, "drift"]))
@@ -93,12 +93,12 @@ def shifted_key_instances(draw, max_n, max_m=32, max_c=8):
 
 
 @st.composite
-def low_rank_key_instances(draw, max_n, max_m=32, max_c=8):
+def low_rank_key_instances(draw, max_n, max_m=32, max_c=8, min_n=1, min_m=1):
     """(Q, K, V) from seeded Gaussians whose keys have rank r < c:
     K = G(n, r) @ G(r, c) with 1 <= r < c.  Two to max_n keys and up to
     max_m queries."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=max(2, min_n), max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     c = draw(st.integers(min_value=2, max_value=max_c))
     r = draw(st.integers(min_value=1, max_value=c - 1))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -107,13 +107,13 @@ def low_rank_key_instances(draw, max_n, max_m=32, max_c=8):
 
 
 @st.composite
-def heavy_tailed_key_instances(draw, max_n, max_m=32, max_c=8):
+def heavy_tailed_key_instances(draw, max_n, max_m=32, max_c=8, min_n=1, min_m=1):
     """(Q, K, V) from seeded Gaussians whose keys are Student-t with 1 to 3
     degrees of freedom: each entry a Gaussian over the root mean square of
     that many more.  One degree of freedom is the Cauchy law.  Up to max_n
     keys and max_m queries."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     c = draw(st.integers(min_value=1, max_value=max_c))
     dof = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -123,12 +123,12 @@ def heavy_tailed_key_instances(draw, max_n, max_m=32, max_c=8):
 
 
 @st.composite
-def clustered_key_instances(draw, max_n, max_m=32, max_c=8):
+def clustered_key_instances(draw, max_n, max_m=32, max_c=8, min_n=1, min_m=1):
     """(Q, K, V) from seeded Gaussians whose keys sit in 1 to 3 clusters of
     spread 1e-3 around unit Gaussian centres, dealt out to the keys in turn.
     Up to max_n keys and max_m queries."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     c = draw(st.integers(min_value=1, max_value=max_c))
     centres = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -146,11 +146,11 @@ def outlier_instance(n, m, c, row, exponent, seed):
 
 
 @st.composite
-def outlier_key_instances(draw, max_n, max_m=32, max_c=8):
+def outlier_key_instances(draw, max_n, max_m=32, max_c=8, min_n=1, min_m=1):
     """An outlier_instance with one key, at any row, scaled by 10^e for e in
     [2, 8].  Two to max_n keys and up to max_m queries."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=max(2, min_n), max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     c = draw(st.integers(min_value=1, max_value=max_c))
     row = draw(st.integers(min_value=0, max_value=n - 1))
     exponent = draw(st.floats(min_value=2.0, max_value=8.0))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eala import bench
+from eala import bench, core
 from eala.bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchRecord,
                         BenchResourceError, allocation_model, bench_sweep,
                         fit_loglog_slope, records_to_csv)
@@ -57,16 +57,19 @@ class TestAllocationModel:
 
 class TestLinearPathPeak:
     N, C = 16384, 64
+    WORKERS = 1
 
     @pytest.fixture(scope="class")
     def traced_peak(self):
         q, k, v = gen_workload_raw(self.N, self.C, 0)
-        tracemalloc.start()
-        try:
-            eala_attention(q, k, v, EalaConfig(path="linear"))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_WORKERS", self.WORKERS)
+            tracemalloc.start()
+            try:
+                eala_attention(q, k, v, EalaConfig(path="linear"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     def test_no_nc_temporary_beyond_khat_and_output(self, traced_peak):
         n, c = self.N, self.C
@@ -78,6 +81,13 @@ class TestLinearPathPeak:
         n, c = self.N, self.C
         bound = 8 * (n * c + _QUERY_BLOCK * c + 8 * n + 4 * c * c)
         assert traced_peak <= bound
+
+
+class TestLinearPathPeakTwoWorkers(TestLinearPathPeak):
+    """The same bounds with lane 1 of each pass on a worker thread: two
+    lanes of _QUERY_BLOCK // 2 rows hold what one block holds."""
+
+    WORKERS = 2
 
 
 class TestExactPathPeak:

@@ -1,17 +1,21 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eala import core
-from eala.core import (_QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
+from eala import core, tensorio
+from eala.core import (_LANE_BLOCK, _QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
                        approx_entropy, center_keys, eala_attention,
                        eala_forward_linear, eala_forward_quadratic,
                        eala_weights, key_moments, score_moments, select_path,
                        theta_star)
+from eala.mha import mha_forward, mha_init
 from eala.numerics import gaussian_matrix, uniform_stream
 from eala.oracle import entropy_from_scores, exact_attention
 from strategies import (clustered_key_instances, heavy_tailed_key_instances,
@@ -26,6 +30,18 @@ def random_instance(n, c, seed, scale=1.0):
     k = gaussian_matrix(n, c, seed + 1, scale)
     v = gaussian_matrix(n, c, seed + 2, scale)
     return q, k, v
+
+
+def linear_blocks(rows):
+    """(lo, hi) of each row block of the linear path's key and query passes,
+    in row order: one block of up to _QUERY_BLOCK rows, else the blocks of
+    _LANE_BLOCK rows of two lanes, cut at the _LANE_BLOCK boundary at or
+    past half the rows."""
+    if rows <= _QUERY_BLOCK:
+        return [(0, rows)] if rows else []
+    mid = _LANE_BLOCK * -(-rows // _QUERY_BLOCK)
+    starts = [*range(0, mid, _LANE_BLOCK), *range(mid, rows, _LANE_BLOCK)]
+    return list(zip(starts, [*starts[1:], rows]))
 
 
 def moments(k):
@@ -462,8 +478,8 @@ def folded_rows(theta):
     """Per row, whether every theta of its query block is THETA0, which
     the linear branch folds into KV in place of scaling the rows."""
     folded = np.empty(len(theta), dtype=bool)
-    for lo in range(0, len(theta), _QUERY_BLOCK):
-        folded[lo:lo + _QUERY_BLOCK] = np.all(theta[lo:lo + _QUERY_BLOCK] == THETA0)
+    for lo, hi in linear_blocks(len(theta)):
+        folded[lo:hi] = np.all(theta[lo:hi] == THETA0)
     return folded
 
 
@@ -562,6 +578,8 @@ class RecordedWriter:
 class TestRowReaders:
     N = 2 * _QUERY_BLOCK + 3
     BLOCKS = [(0, _QUERY_BLOCK), (_QUERY_BLOCK, 2 * _QUERY_BLOCK), (2 * _QUERY_BLOCK, N)]
+    # the linear path's two lanes, of 3 and 2 blocks, walked in turn
+    LANE_BLOCKS = linear_blocks(N)
 
     def readers(self, n=N, c=8):
         return [RecordedRows(m) for m in random_instance(n, c, 2000, 0.05)]
@@ -574,7 +592,7 @@ class TestRowReaders:
         for a, b in zip((res.output, res.entropies, res.thetas),
                         (want.output, want.entropies, want.thetas)):
             assert np.array_equal(a, b)
-        assert q.reads == k.reads == v.reads == self.BLOCKS  # one pass over each
+        assert q.reads == k.reads == v.reads == self.LANE_BLOCKS  # one pass over each
 
     @pytest.mark.parametrize("path", ["auto", "linear"])
     def test_linear_path_writes_each_block_once(self, path):
@@ -582,10 +600,10 @@ class TestRowReaders:
         out = RecordedWriter((self.N, 8))
         res = eala_attention(q, k, v, EalaConfig(path=path), out=out)
         assert res.output is out
-        assert out.writes == self.BLOCKS
+        assert out.writes == self.LANE_BLOCKS
         want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
         assert np.array_equal(out.mat, want.output)
-        assert q.reads == k.reads == v.reads == self.BLOCKS
+        assert q.reads == k.reads == v.reads == self.LANE_BLOCKS
 
     @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
@@ -682,10 +700,10 @@ class TestRowReaders:
 
 def pipeline_chain(q, k, v, cfg):
     """eala_attention spelled out with the public functions, one query
-    block of _QUERY_BLOCK rows at a time: the key pass (or the centred
-    keys), S2, the entropy, theta and the branch's forward.  Theta is the
-    closed form, and a linear block whose thetas are all THETA0 folds it
-    into KV."""
+    block at a time (of _QUERY_BLOCK rows on the quadratic branch, else
+    `linear_blocks`): the key pass (or the centred keys), S2, the entropy,
+    theta and the branch's forward.  Theta is the closed form, and a
+    linear block whose thetas are all THETA0 folds it into KV."""
     n = len(k)
     quadratic = select_path(cfg.path, n, q.shape[1]) == "quadratic"
     if quadratic:
@@ -693,8 +711,10 @@ def pipeline_chain(q, k, v, cfg):
     else:
         m = key_moments(k, v)
     outs, ents, thetas = [], [], []
-    for lo in range(0, len(q), _QUERY_BLOCK):
-        qb = q[lo:lo + _QUERY_BLOCK]
+    blocks = ([(lo, lo + _QUERY_BLOCK) for lo in range(0, len(q), _QUERY_BLOCK)] if quadratic
+              else linear_blocks(len(q)))
+    for lo, hi in blocks:
+        qb = q[lo:hi]
         if quadratic:
             scores = qb @ khat.T
             s2 = np.einsum("ij,ij->i", scores, scores)
@@ -985,7 +1005,7 @@ class TestCertifiedBlocks:
         q, k, v = qkv
         q = q * scale
         if zero_rows:
-            q[:_QUERY_BLOCK:3] = 0.0  # S2 = 0 in the first block
+            q[:_QUERY_BLOCK:3] = 0.0  # S2 = 0 in the first _QUERY_BLOCK rows
         n = len(k)
         cfg = EalaConfig(path=path)
         res = eala_attention(q, k, v, cfg, entropies=False)
@@ -995,8 +1015,8 @@ class TestCertifiedBlocks:
         assert np.array_equal(res.thetas, want.thetas)
         bounds = core._certified_norms(key_moments(k, v).gram, n, np.log(n))
         khat = center_keys(k)[0]
-        for lo in range(0, len(q), _QUERY_BLOCK):
-            rows = slice(lo, lo + _QUERY_BLOCK)
+        for lo, hi in linear_blocks(len(q)):
+            rows = slice(lo, hi)
             if bounds is not None and core._block_certified(q[rows], bounds):
                 scores = q[rows] @ khat.T
                 s2 = np.einsum("ij,ij->i", scores, scores)
@@ -1117,16 +1137,15 @@ class TestGivenMoments:
         assert got.entropies is None or np.array_equal(got.entropies, want.entropies)
 
     def test_certified_and_uncertified_blocks(self):
-        # three query blocks: the first and last certified, the middle one
-        # not, for one row far beyond the entropy clip
+        # five query blocks: the middle one not certified, for one row far
+        # beyond the entropy clip, and the others certified
         n = 2 * _QUERY_BLOCK + 3
         q, k, v = random_instance(n, 16, 2400, 0.05)
         q[_QUERY_BLOCK + 7] *= 1e3
         m = key_moments(k, v)
         bounds = core._certified_norms(m.gram, n, np.log(n))
-        certified = [core._block_certified(q[lo:lo + _QUERY_BLOCK], bounds)
-                     for lo in range(0, n, _QUERY_BLOCK)]
-        assert certified == [True, False, True]
+        certified = [core._block_certified(q[lo:hi], bounds) for lo, hi in linear_blocks(n)]
+        assert certified == [True, True, False, True, True]
         for e in (False, True):
             got = eala_attention(q, m, None, entropies=e)
             want = eala_attention(q, k, v, entropies=e)
@@ -1176,3 +1195,160 @@ class TestGivenMoments:
         getattr(m, field).flat[-1] = bad
         with pytest.raises(ValueError, match="^the key moments hold NaN or inf$"):
             eala_attention(q, m, None)
+
+
+def with_workers(count, fn):
+    """fn() with the worker count forced to `count`; returns its result and
+    the number of threads started meanwhile."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_WORKERS", count)
+        mp.setattr(threading, "Thread", Counted)
+        return fn(), len(started)
+
+
+KEY_SETS = (shifted_key_instances, low_rank_key_instances, heavy_tailed_key_instances,
+            clustered_key_instances, outlier_key_instances)
+# rows past one block: lanes of 2 + 1, 2 + 2, 3 + 2 and 3 + 2 blocks
+LANE_ROWS = [_QUERY_BLOCK + 1, 3 * _LANE_BLOCK + 1, 2 * _QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 3]
+
+
+@st.composite
+def lane_instances(draw):
+    """(Q, K, V) of a key set of `strategies`, with keys of a row count in
+    LANE_ROWS, and queries of one too or of at most 40 rows."""
+    n = draw(st.sampled_from(LANE_ROWS))
+    m = draw(st.one_of(st.sampled_from(LANE_ROWS), st.integers(min_value=1, max_value=40)))
+    return draw(draw(st.sampled_from(KEY_SETS))(min_n=n, max_n=n, min_m=m, max_m=m))
+
+
+class TestLanes:
+    """The linear path's passes over more than _QUERY_BLOCK rows run as two
+    lanes, lane 1 on a worker thread when the worker count is 2 and the
+    inputs and output are arrays, with the bits of one worker."""
+
+    N = 2 * _QUERY_BLOCK + 3
+
+    @settings(max_examples=max(100, settings.default.max_examples))
+    @given(qkv=lane_instances(), scale=st.sampled_from([0.05, 1.0, 8.0]),
+           entropies=st.booleans(), path=st.sampled_from(["auto", "linear"]),
+           given_moments=st.booleans())
+    def test_one_worker_and_two_give_equal_bits(self, qkv, scale, entropies, path, given_moments):
+        q, k, v = qkv
+        q = q * scale
+
+        def call():
+            m = key_moments(k, v)
+            kv = (m, None) if given_moments else (k, v)
+            return m, eala_attention(q, *kv, EalaConfig(path=path), entropies=entropies)
+
+        (m1, res1), threads1 = with_workers(1, call)
+        (m2, res2), threads2 = with_workers(2, call)
+        # a worker for each pass over more than one block
+        assert threads1 == 0
+        assert threads2 == 1 + (not given_moments) + (len(q) > _QUERY_BLOCK)
+        for f in dataclasses.fields(m1):
+            assert np.array_equal(getattr(m1, f.name), getattr(m2, f.name)), f.name
+        assert np.array_equal(res1.output, res2.output)
+        assert np.array_equal(res1.thetas, res2.thetas)
+        assert (res1.entropies is None) == (res2.entropies is None) == (not entropies)
+        assert res1.entropies is None or np.array_equal(res1.entropies, res2.entropies)
+
+    def test_one_block_calls_start_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(core, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        q, k, v = random_instance(_QUERY_BLOCK, 16, 2900, 0.05)
+        for path in ("auto", "linear"):
+            for e in (False, True):
+                eala_attention(q, k, v, EalaConfig(path=path), entropies=e)
+                eala_attention(q, key_moments(k, v), None, entropies=e)
+        mha_forward(mha_init(32, 4, 2901), gaussian_matrix(_QUERY_BLOCK, 32, 2902), "eala")
+        # the quadratic branch walks its query blocks on the calling thread
+        long_q = gaussian_matrix(self.N, 16, 2903, 0.05)
+        eala_attention(long_q, k[:8], v[:8])
+        eala_attention(long_q, k[:40], v[:40], EalaConfig(path="quadratic"))
+
+    def test_row_readers_walk_both_lanes_on_the_calling_thread(self):
+        q, k, v = random_instance(self.N, 8, 2910, 0.05)
+        want, _ = with_workers(2, lambda: eala_attention(q, k, v, entropies=False))
+        readers = [RecordedRows(x) for x in (q, k, v)]
+        out = RecordedWriter((self.N, 8))
+        (res, threads) = with_workers(2, lambda: eala_attention(*readers, out=out, entropies=False))
+        assert threads == 0 and res.output is out
+        assert np.array_equal(out.mat, want.output)
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(core, "_WORKERS", 2)
+        public, kernels = [], []
+
+        def record(log, name, fn):
+            def recorded(*args, **kwargs):
+                log.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        wrapped = {}
+        for module in (core, tensorio):
+            for name, fn in vars(module).items():
+                if isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__:
+                    wrapped[fn] = record(kernels if name.startswith("_") else public, name, fn)
+        for ns in [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "eala"]:
+            for attr, obj in list(vars(ns).items()):
+                if isinstance(obj, types.FunctionType) and obj in wrapped:
+                    monkeypatch.setattr(ns, attr, wrapped[obj])
+        q, k, v = random_instance(2 * _QUERY_BLOCK + 3, 16, 2920, 0.05)
+        for e in (False, True):
+            core.eala_attention(q, k, v, entropies=e)
+        caller = threading.get_ident()
+        assert {"eala_attention", "key_moments", "center_keys", "eala_forward_linear"} <= {
+            name for name, _ in public}
+        assert all(ident == caller for _, ident in public)
+        # the worker ran its lanes through the kernels
+        assert {name for name, ident in kernels if ident != caller} >= {"_center_keys", "_forward_linear"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("first, second, match", [
+        (None, np.nan, "^Q holds NaN or inf$"),
+        (None, 1e200, "^the score moment S2 overflows float64 although Q is finite$"),
+        # with bad rows in both lanes, lane 0's is named
+        (np.nan, 1e200, "^Q holds NaN or inf$"),
+        (1e200, np.nan, "^the score moment S2 overflows float64 although Q is finite$"),
+    ])
+    def test_bad_query_blocks_are_named_in_row_order(self, first, second, match):
+        q, k, v = random_instance(self.N, 8, 2930, 0.05)
+        q[-1, 0] = second  # lane 1's last block
+        if first is not None:
+            q[5, 0] = first  # lane 0's first block
+        for e in (False, True):
+            def call():
+                with pytest.raises(ValueError, match=match):
+                    eala_attention(q, k, v, entropies=e)
+            assert with_workers(2, call)[1] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_keys_raise_without_a_warning(self):
+        # the Gram of keys at 1e160 overflows in both lanes' sums
+        q, k, v = random_instance(self.N, 8, 2940)
+        for e in (False, True):
+            def call():
+                with pytest.raises(ValueError, match="^the score moment S2 overflows float64 "
+                                                     "although Q is finite$"):
+                    eala_attention(q, k * 1e160, v, entropies=e)
+            assert with_workers(2, call)[1] == 2
+
+
+class TestKeyPassTwoWorkers(TestKeyPass):
+    """TestKeyPass, with lane 1 of the key pass on a worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(core, "_WORKERS", 2)

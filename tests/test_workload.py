@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eala.core import center_keys
-from eala.workload import (WorkloadSpec, gen_workload, gen_workload_raw,
+from eala.workload import (_SCAN_BLOCK, WorkloadSpec, gen_workload, gen_workload_raw,
                            max_abs_score)
 
 
@@ -37,6 +39,18 @@ class TestMaxAbsScore:
         kh, _ = center_keys(k)
         dense = float(np.max(np.abs(q @ kh.T)))
         assert max_abs_score(q, kh) == dense
+
+    def test_scan_holds_one_block_of_scores(self):
+        # a (512, 1024) block is 4 MiB; a copy of |s| beside it made 8 MiB
+        q, k, _ = gen_workload_raw(1024, 32, 78)
+        kh, _ = center_keys(k)
+        tracemalloc.start()
+        try:
+            max_abs_score(q, kh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _SCAN_BLOCK * 1024 + (64 << 10)
 
 
 class TestGenWorkloadRaw:
