@@ -9,16 +9,14 @@ measure how far apart the two land.
 
 from .bench import (BenchRecord, BenchResourceError, allocation_model,
                     bench_sweep, fit_loglog_slope)
-from .core import (EalaConfig, KeyMoments, approx_entropy, center_keys,
-                   eala_attention, eala_forward_linear, eala_forward_quadratic,
-                   eala_weights, key_moments, score_moments, select_path,
-                   theta_star)
+from .core import (KeyMoments, center_keys, eala_attention, eala_forward_linear,
+                   eala_forward_quadratic, eala_weights, key_moments, theta_star)
 from .fidelity import FidelityReport, compare
 from .mha import MhaParams, mha_forward, mha_init
 from .numerics import gaussian_matrix, prng_stream, uniform_stream
-from .oracle import (AttnResult, KlDecomposition, bisection_theta,
-                     entropy_from_scores, exact_attention, kl_decomposition,
-                     kl_divergence, linear_family_entropy, strict_concavity_check)
+from .oracle import (AttnResult, KlDecomposition, bisection_theta, exact_attention,
+                     kl_decomposition, kl_divergence, linear_family_entropy,
+                     strict_concavity_check)
 from .tensorio import (TensorFileError, TensorMagicError, TensorRows,
                        TensorTruncationError, TensorVersionError, read_tensor,
                        write_tensor)
@@ -27,16 +25,14 @@ from .workload import WorkloadSpec, gen_workload, gen_workload_raw
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttnResult", "BenchRecord", "BenchResourceError", "EalaConfig",
-    "FidelityReport", "KeyMoments", "KlDecomposition", "MhaParams",
-    "TensorFileError", "TensorMagicError", "TensorRows",
-    "TensorTruncationError", "TensorVersionError", "WorkloadSpec", "allocation_model",
-    "approx_entropy", "bench_sweep", "bisection_theta", "center_keys",
-    "compare", "eala_attention", "eala_forward_linear",
-    "eala_forward_quadratic", "eala_weights", "entropy_from_scores",
-    "exact_attention", "fit_loglog_slope", "gaussian_matrix", "gen_workload",
-    "gen_workload_raw", "key_moments", "kl_decomposition", "kl_divergence",
-    "linear_family_entropy", "mha_forward", "mha_init", "prng_stream",
-    "read_tensor", "score_moments", "select_path", "strict_concavity_check",
+    "AttnResult", "BenchRecord", "BenchResourceError", "FidelityReport",
+    "KeyMoments", "KlDecomposition", "MhaParams", "TensorFileError",
+    "TensorMagicError", "TensorRows", "TensorTruncationError", "TensorVersionError",
+    "WorkloadSpec", "allocation_model", "bench_sweep", "bisection_theta",
+    "center_keys", "compare", "eala_attention", "eala_forward_linear",
+    "eala_forward_quadratic", "eala_weights", "exact_attention", "fit_loglog_slope",
+    "gaussian_matrix", "gen_workload", "gen_workload_raw", "key_moments",
+    "kl_decomposition", "kl_divergence", "linear_family_entropy", "mha_forward",
+    "mha_init", "prng_stream", "read_tensor", "strict_concavity_check",
     "theta_star", "uniform_stream", "write_tensor",
 ]

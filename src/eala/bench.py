@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import _QUERY_BLOCK, EalaConfig, eala_attention
+from .core import _QUERY_BLOCK, eala_attention
 from .oracle import exact_attention
 from .workload import gen_workload_raw
 
@@ -62,8 +62,7 @@ def _forward_fn(mode: str):
     if mode == "exact":
         return lambda q, k, v: exact_attention(q, k, v, keep_weights=True)
     path = "linear" if mode == "eala-linear" else "quadratic"
-    cfg = EalaConfig(path=path)
-    return lambda q, k, v: eala_attention(q, k, v, cfg)
+    return lambda q, k, v: eala_attention(q, k, v, path=path)
 
 
 def _traced_peak(fn, args) -> int:

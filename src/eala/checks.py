@@ -14,12 +14,11 @@ import math
 
 import numpy as np
 
-from .core import (EalaConfig, center_keys, eala_attention, key_moments,
-                   score_moments, theta_star)
+from .core import _score_moments, center_keys, eala_attention, key_moments, theta_star
 from .fidelity import compare
 from .numerics import gaussian_matrix, uniform_stream
-from .oracle import (bisection_theta, entropy_from_scores, exact_attention,
-                     kl_decomposition, strict_concavity_check)
+from .oracle import (bisection_theta, exact_attention, kl_decomposition,
+                     score_row_entropies, strict_concavity_check)
 from .workload import WorkloadSpec, gen_workload
 
 
@@ -77,7 +76,7 @@ def gram_identity():
         m = key_moments(k, np.zeros((n, 0)))
         khat, _ = center_keys(k, m.mean)
         q = gaussian_matrix(1, c, 52_000 + i)
-        s2 = score_moments(q, m)
+        s2 = _score_moments(q, m.gram)
         brute = 0.0
         for j in range(n):
             brute += float(np.dot(q[0], khat[j])) ** 2
@@ -104,8 +103,8 @@ def branch_equivalence():
         q = gaussian_matrix(n, c, 61_000 + i)
         k = gaussian_matrix(n, c, 62_000 + i)
         v = gaussian_matrix(n, c, 63_000 + i)
-        out_q = eala_attention(q, k, v, EalaConfig(path="quadratic")).output
-        out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
+        out_q = eala_attention(q, k, v, path="quadratic").output
+        out_l = eala_attention(q, k, v, path="linear").output
         denom = max(float(np.max(np.abs(out_q))), 1e-300)
         worst = max(worst, float(np.max(np.abs(out_q - out_l))) / denom)
     ok = worst <= 1e-9 and wide >= 1 and narrow >= 1
@@ -138,7 +137,7 @@ def entropy_approximation():
 def theta_star_fidelity():
     # worked two-key case: scores (0.1, -0.1), exact entropy target
     a = np.array([0.1, -0.1])
-    h2 = entropy_from_scores(a)
+    h2 = float(score_row_entropies(a[None, :])[0])
     th_closed = float(theta_star(np.array([0.02]), np.array([h2]), 2)[0])
     th_bis = bisection_theta(a, h2)
     worked_ok = (f"{th_closed:.6g}" == "1.0025"

@@ -24,7 +24,7 @@ import uuid
 from .bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchResourceError,
                     bench_sweep, fit_loglog_slope, records_to_csv)
 from .checks import CRITERIA, run_criterion
-from .core import EalaConfig, eala_attention
+from .core import eala_attention
 from .fidelity import ENTROPY_SOURCES, compare, jsonable
 from .oracle import exact_attention
 from .tensorio import TensorFileError, TensorRows, TensorRowWriter, read_tensor
@@ -145,7 +145,7 @@ def _run_attend(args) -> int:
         else:
             path = {"eala": "auto", "eala-linear": "linear",
                     "eala-quadratic": "quadratic"}[args.mode]
-            eala_attention(q, k, v, EalaConfig(path=path), out=out, entropies=False)
+            eala_attention(q, k, v, out=out, path=path, entropies=False)
         os.replace(tmp, args.out)
     except BaseException:
         os.remove(tmp)

@@ -94,23 +94,6 @@ def _worker_count() -> int:
 _WORKERS = _worker_count()
 
 
-@dataclass(frozen=True)
-class EalaConfig:
-    """Knobs for the linearized attention pipeline.
-
-    path : forward branch; "auto" picks quadratic only when C > N
-    """
-
-    path: str = "auto"
-
-    def __post_init__(self):
-        if self.path not in _PATHS:
-            raise ValueError(f"path must be one of {_PATHS}")
-
-
-_DEFAULT_CONFIG = EalaConfig()
-
-
 @dataclass
 class KeyMoments:
     """Key and value summaries from one O(N C^2) pass over (K, V).
@@ -298,48 +281,25 @@ def _key_sums(k, v, lo: int, hi: int, shift, center, sums=(None, None)) -> tuple
     return gram, kv_sum, shift
 
 
-def score_moments(q_mat, m: KeyMoments) -> np.ndarray:
-    """Per-query second score moment S2 = sum_j (q.khat_j)^2, in O(C^2)
-    each and never touching individual keys.  (The first moment
-    sum_j q.khat_j is zero, as the centred keys sum to zero.)
-
-    S2 = q M q^T is clamped at zero: M is positive semidefinite, so any
-    negative value is rounding noise.  The product q M is one (rows, C)
-    temporary, which einsum dots row by row with q; `eala_attention`
-    passes its queries a block at a time.
-    """
-    q = np.asarray(q_mat, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != m.gram.shape[0]:
-        raise ValueError(f"queries of shape {q.shape} do not match moments of dim {m.gram.shape[0]}")
-    return _score_moments(q, m.gram)
-
-
 def _score_moments(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Per-query second score moment S2 = sum_j (q.khat_j)^2 = q M q^T of
+    float64 queries against the key Gram M, in O(C^2) each and never
+    touching individual keys.  S2 is clamped at zero: M is positive
+    semidefinite, so any negative value is rounding noise.  The product
+    q M is one (rows, C) temporary, which einsum dots row by row with q."""
     s2 = np.einsum("ij,ij->i", q @ gram, q)
     return np.maximum(s2, 0.0, out=s2)
 
 
-def approx_entropy(s2, n: int) -> np.ndarray:
-    """Entropy estimate per query from its score moment S2.
-
-        Hhat = log n - S2 / n
+def _approx_entropy(s2: np.ndarray, n: int, log_n) -> np.ndarray:
+    """The entropy estimate Hhat = log n - S2 / n of an S2 >= 0, which never
+    exceeds log n.
 
     For centred keys, whose first score moment is zero, the second-order
     expansion of the softmax entropy around uniform is log n - S2 / (2 n):
     the estimate has twice its curvature.  It overshoots low for peaked
-    rows, so it is clipped into the feasible range [0, log n].
+    rows, so it is clipped at 0.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s2.ndim != 1:
-        raise ValueError("s2 must be a 1-D array")
-    log_n = np.log(float(n))
-    return np.minimum(_approx_entropy(s2, n, log_n), log_n)  # a negative s2 passes log n
-
-
-def _approx_entropy(s2: np.ndarray, n: int, log_n) -> np.ndarray:
-    """Hhat of an S2 >= 0, which never exceeds log n."""
     h = log_n - s2 / n
     return np.maximum(h, 0.0, out=h)
 
@@ -352,7 +312,7 @@ def theta_star(s2, entropy, n: int) -> np.ndarray:
 
     Where S2 or the entropy gap is at most DENOM_FLOOR the family target is
     (indistinguishable from) uniform and the sentinel +inf is returned;
-    downstream forwards treat 1/theta as 0.  Fed `approx_entropy` below
+    downstream forwards treat 1/theta as 0.  Fed the estimate Hhat below
     its clip, theta* is 1/sqrt(2) + EPSILON to about ulp(log n) / (S2 / n)
     relative, as the gap log n - Hhat cancels; `eala_attention` takes the
     closed form of the module docstring instead.
@@ -534,12 +494,12 @@ def _weights_from_scores(w: np.ndarray, th: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def _given_moments(q, m: KeyMoments, v_mat, cfg: EalaConfig) -> KeyMoments:
+def _given_moments(q, m: KeyMoments, v_mat, path: str) -> KeyMoments:
     """The float64 arrays of key moments passed in K's place, checked
-    against Q's features and the config; ValueError if they do not fit."""
+    against Q's features and the path; ValueError if they do not fit."""
     if v_mat is not None:
         raise ValueError("V must be None when K is given as its key moments")
-    if cfg.path == "quadratic":
+    if path == "quadratic":
         raise ValueError("path='quadratic' needs K, not its key moments")
     if len(q.shape) != 2:
         raise ValueError("Q must be 2-D")
@@ -556,22 +516,15 @@ def _given_moments(q, m: KeyMoments, v_mat, cfg: EalaConfig) -> KeyMoments:
     return KeyMoments(*arrays, count=int(m.count))
 
 
-def select_path(path: str, n: int, c: int) -> str:
-    """Resolve the forward branch: quadratic exactly when C > N under auto."""
-    if path == "auto":
-        return "quadratic" if c > n else "linear"
-    if path in ("quadratic", "linear"):
-        return path
-    raise ValueError(f"unknown path {path!r}")
-
-
-def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None, *,
+def eala_attention(q_mat, k_mat, v_mat, out=None, *, path: str = "auto",
                    entropies: bool = True) -> AttnResult:
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
     Returns the output matrix along with the per-query entropy estimates
     and temperatures.
     NaN or inf in Q, K or V raises ValueError naming the input.
+    `path` picks the forward branch: "linear", "quadratic", or "auto",
+    which takes the quadratic branch exactly when C > N.
 
     Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
     in numpy, receives the output and is returned as it: a (rows, D) array,
@@ -583,10 +536,9 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     as two lanes of _LANE_BLOCK-row blocks, lane 1 on a worker thread when
     its inputs and output are arrays and `_WORKERS` is 2 (see
     `_run_lanes`); the result's bits do not depend on where it runs.
-    The steps are the kernels of `score_moments` and `approx_entropy`,
-    which the public functions wrap with checks of their input that this
-    pipeline makes once at its entry; theta is the module docstring's
-    closed form.  The quadratic branch reads K and V whole to centre K
+    The steps are `_score_moments`, `_approx_entropy` and the module
+    docstring's closed form for theta, on inputs this pipeline checks once
+    at its entry.  The quadratic branch reads K and V whole to centre K
     into khat, takes S2 as the row sums of squares of each block's scores
     q khat^T, builds no key moments, and turns those scores into its
     weights in place.
@@ -604,12 +556,12 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     match Q, whose count is below 1, or that hold NaN or inf; "auto" takes
     the linear branch whatever n and C are.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
+    if path not in _PATHS:
+        raise ValueError(f"path must be one of {_PATHS}")
     q = _rows_source(q_mat)
     given = isinstance(k_mat, KeyMoments)  # K and V come as their key moments
     if given:
-        m = k = _given_moments(q, k_mat, v_mat, cfg)
+        m = k = _given_moments(q, k_mat, v_mat, path)
         v = None
         n, d = m.count, m.kv.shape[1]
     else:
@@ -629,10 +581,10 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
     if isinstance(out, np.ndarray) and any(
             isinstance(x, np.ndarray) and np.may_share_memory(out, x) for x in (q, k, v)):
         # a block written into out would change rows of Q or V still to be read
-        res = eala_attention(q, k, v, cfg, entropies=entropies)
+        res = eala_attention(q, k, v, path=path, entropies=entropies)
         out[...] = res.output
         return AttnResult(output=out, entropies=res.entropies, thetas=res.thetas)
-    quadratic = not given and select_path(cfg.path, n=n, c=q.shape[1]) == "quadratic"
+    quadratic = not given and (path == "quadratic" or path == "auto" and q.shape[1] > n)
     certify = not quadratic and not entropies  # blocks may skip S2
     log_n = np.log(float(n))
 
@@ -693,8 +645,10 @@ def eala_attention(q_mat, k_mat, v_mat, cfg: EalaConfig | None = None, out=None,
                     else:
                         pending = block_s2(qb)
             (qb, scores, s2, finite), pending = pending, None
-            if not finite:
-                _name_nonfinite([("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
+            if not finite:  # NaN or inf in Q is named first, then an overflowing key Gram
+                gram = [] if quadratic or given else [
+                    ("K", k, m.gram, "the key Gram overflows float64 although K is finite")]
+                _name_nonfinite([*gram, ("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
             if s2 is None:  # certified
                 h, th = None, _THETA_UNCLIPPED
             else:

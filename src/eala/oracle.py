@@ -90,19 +90,6 @@ def _entropy_unchecked(p: np.ndarray) -> float:
     return float(-np.sum(q * np.log(q)))
 
 
-def entropy_from_scores(scores) -> float:
-    """Entropy of softmax(scores): one row of `score_row_entropies`, whose
-    shifted identity H = log(sum e^z) - sum p_j z_j, z = scores - max,
-    does not cancel catastrophically even for near-one-hot rows.
-    """
-    z = np.asarray(scores, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("entropy_from_scores expects a nonempty 1-D array")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("scores must be finite")
-    return float(score_row_entropies(z[None, :])[0])
-
-
 def _softmax_block_rows(n: int) -> int:
     """Rows per block of the softmax pass over rows of n scores."""
     return max(1, _SOFTMAX_BLOCK_ENTRIES // max(n, 1))

@@ -7,7 +7,7 @@ from eala import bench, core
 from eala.bench import (DEFAULT_MEM_LIMIT_BYTES, MODES, BenchRecord,
                         BenchResourceError, allocation_model, bench_sweep,
                         fit_loglog_slope, records_to_csv)
-from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
+from eala.core import _QUERY_BLOCK, eala_attention
 from eala.numerics import uniform_stream
 from eala.oracle import _softmax_block_rows, exact_attention
 from eala.workload import gen_workload_raw
@@ -66,7 +66,7 @@ class TestLinearPathPeak:
             mp.setattr(core, "_WORKERS", self.WORKERS)
             tracemalloc.start()
             try:
-                eala_attention(q, k, v, EalaConfig(path="linear"))
+                eala_attention(q, k, v, path="linear")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -121,7 +121,7 @@ class TestQuadraticPathPeak:
         q, k, v = gen_workload_raw(n, c, 0)
         tracemalloc.start()
         try:
-            eala_attention(q, k, v, EalaConfig(path="quadratic"))
+            eala_attention(q, k, v, path="quadratic")
             traced_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 
 from eala import cli, tensorio
 from eala.cli import cli_main
-from eala.core import _QUERY_BLOCK, EalaConfig, eala_attention
+from eala.core import _QUERY_BLOCK, eala_attention
 from eala.numerics import gaussian_matrix
 from eala.oracle import _query_rows, exact_attention
 from eala.tensorio import read_tensor, write_tensor
@@ -278,8 +278,7 @@ class TestStreamedAttend:
         paths = self.write_inputs(tmp_path, n, dtype=dtype)
         out = tmp_path / "out.bin"
         assert self.attend(paths, out, "--mode", mode) == 0
-        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), EalaConfig(path=path),
-                              entropies=False)
+        want = eala_attention(*(read_tensor(paths[x]) for x in "qkv"), path=path, entropies=False)
         assert np.array_equal(read_tensor(out), want.output)
 
     def test_exact_mode_asks_for_no_entropies(self, tmp_path, monkeypatch):

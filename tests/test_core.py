@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import sys
 import threading
 import tracemalloc
@@ -9,20 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eala
 from eala import core, tensorio
-from eala.core import (_LANE_BLOCK, _QUERY_BLOCK, DENOM_FLOOR, EPSILON, EalaConfig,
-                       approx_entropy, center_keys, eala_attention,
-                       eala_forward_linear, eala_forward_quadratic,
-                       eala_weights, key_moments, score_moments, select_path,
-                       theta_star)
+from eala.core import (_LANE_BLOCK, _QUERY_BLOCK, DENOM_FLOOR, EPSILON, center_keys,
+                       eala_attention, eala_forward_linear, eala_forward_quadratic,
+                       eala_weights, key_moments, theta_star)
 from eala.mha import mha_forward, mha_init
 from eala.numerics import gaussian_matrix, uniform_stream
-from eala.oracle import entropy_from_scores, exact_attention
+from eala.oracle import exact_attention, score_row_entropies
 from strategies import (clustered_key_instances, heavy_tailed_key_instances,
                         low_rank_key_instances, outlier_instance, outlier_key_instances,
                         shifted_key_instances)
-
-CFG = EalaConfig()
 
 
 def random_instance(n, c, seed, scale=1.0):
@@ -56,8 +54,8 @@ def forced_branches(q, k, v):
     theta finite but for the uniform sentinel on rows whose S2 / n is at
     most DENOM_FLOOR (within a factor of 2 for the rounding of the entropy
     gap): all rows when there is one key, which centres to zero."""
-    res_q = eala_attention(q, k, v, EalaConfig(path="quadratic"))
-    out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
+    res_q = eala_attention(q, k, v, path="quadratic")
+    out_l = eala_attention(q, k, v, path="linear").output
     assert np.isfinite(res_q.output).all() and np.isfinite(out_l).all()
     scores = q @ center_keys(k)[0].T
     s2 = np.einsum("ij,ij->i", scores, scores)
@@ -210,9 +208,11 @@ class TestKeyPass:
 
 
 class TestScoreMoments:
+    """The pipeline's S2 kernel, q M q^T against the key Gram M."""
+
     def test_zero_query(self):
         m = moments(gaussian_matrix(6, 4, 3))
-        assert np.all(score_moments(np.zeros((3, 4)), m) == 0.0)
+        assert np.all(core._score_moments(np.zeros((3, 4)), m.gram) == 0.0)
 
     def test_s1_vanishes_after_centering(self):
         # offset keys too: centring against their mean leaves only round-off
@@ -228,19 +228,13 @@ class TestScoreMoments:
         k = gaussian_matrix(n, c, seed)
         kh, _ = center_keys(k)
         q = gaussian_matrix(m, c, seed + 7)
-        s2 = score_moments(q, moments(k))
+        s2 = core._score_moments(q, moments(k).gram)
         assert s2.shape == (m,)
         for i in range(m):
             brute = 0.0
             for j in range(n):
                 brute += float(np.dot(q[i], kh[j])) ** 2
             assert abs(s2[i] - brute) <= 1e-10 * max(brute, 1e-12)
-
-    def test_shape_validation(self):
-        m = moments(gaussian_matrix(6, 4, 3))
-        for bad in (np.zeros(4), np.zeros((2, 3))):
-            with pytest.raises(ValueError, match="do not match"):
-                score_moments(bad, m)
 
 
 def single(x):
@@ -252,34 +246,35 @@ def theta1(s2, entropy, n):
     return float(theta_star(single(s2), single(entropy), n)[0])
 
 
+def kernel_entropy(s2, n):
+    """The pipeline's entropy estimate of each S2 >= 0 against n keys."""
+    return core._approx_entropy(s2, n, np.log(float(n)))
+
+
 class TestApproxEntropy:
     def test_zero_moments_give_log_n(self):
-        assert approx_entropy(np.zeros(3), 7).tolist() == [np.log(7.0)] * 3
+        assert kernel_entropy(np.zeros(3), 7).tolist() == [np.log(7.0)] * 3
 
     def test_worked_value(self):
-        h = approx_entropy(single(0.02), 2)
+        h = kernel_entropy(single(0.02), 2)
         assert abs(h[0] - 0.6831471806) <= 1e-9
 
     def test_matches_exact_to_half_squared_scale(self):
         # scores (s, -s): error of the expansion is about s^2/2 for small s
         s = np.array([0.05, 0.1, 0.2])
-        h_hat = approx_entropy(2 * s * s, 2)
-        for i in range(3):
-            h_true = entropy_from_scores(np.array([s[i], -s[i]]))
-            assert abs(h_hat[i] - h_true) <= 0.75 * s[i] * s[i]
+        h_hat = kernel_entropy(2 * s * s, 2)
+        h_true = score_row_entropies(np.stack([s, -s], axis=1))
+        assert np.all(np.abs(h_hat - h_true) <= 0.75 * s * s)
 
     def test_clamp_floor_and_ceiling(self):
         s2 = 10 * 64 * np.log(64.0)
         assert np.log(64.0) - s2 / 64 < 0.0  # the unclipped estimate
-        assert approx_entropy(single(s2), 64)[0] == 0.0
-        # S2 < 0 lifts the unclipped estimate above log n
-        assert approx_entropy(single(-0.5), 4)[0] == np.log(4.0)
-
-    def test_domain_violation(self):
-        with pytest.raises(ValueError, match="n must be"):
-            approx_entropy(single(0.0), 0)
-        with pytest.raises(ValueError, match="1-D"):
-            approx_entropy(np.zeros((2, 3)), 4)
+        assert kernel_entropy(single(s2), 64)[0] == 0.0
+        # in the pipeline: a zero query takes the ceiling log n, and a
+        # query far beyond the clip the floor 0
+        q, k, v = random_instance(64, 4, 3)
+        q[0], q[1] = 0.0, 1e3 * q[1]
+        assert eala_attention(q, k, v).entropies[:2].tolist() == [np.log(64.0), 0.0]
 
 
 class TestThetaStar:
@@ -315,43 +310,79 @@ class TestThetaStar:
             theta1(0.02, 0.5, 0)
 
 
+def kernel_theta(s2, n):
+    """The pipeline's closed-form temperature of one S2 >= 0 against n keys."""
+    return float(np.atleast_1d(core._approx_theta(single(s2), n, np.log(float(n))))[0])
+
+
 class TestApproxThetaClosedForm:
-    """Fed the approximate entropy, theta_star is a closed form of S2: the
-    gap log n - Hhat is S2 / n below the clip, so theta is 1/sqrt(2) + eps
-    there and sqrt(S2 / (2 n log n)) + eps above it."""
+    """The approx temperature is a closed form of S2: the gap log n - Hhat
+    is S2 / n below the clip, so theta is 1/sqrt(2) + eps there and
+    sqrt(S2 / (2 n log n)) + eps above it."""
 
     @given(st.integers(min_value=2, max_value=1 << 20),
            st.floats(min_value=1e-6, max_value=1e6))
     def test_matches_closed_form(self, n, s2_per_key):
-        s2 = single(s2_per_key * n)
-        got = float(theta_star(s2, approx_entropy(s2, n), n)[0])
-        want = max(np.sqrt(0.5), np.sqrt(s2[0] / (2 * n * np.log(n)))) + EPSILON
+        s2 = s2_per_key * n
+        got = kernel_theta(s2, n)
+        want = max(np.sqrt(0.5), np.sqrt(s2 / (2 * n * np.log(n)))) + EPSILON
         assert abs(got - want) <= 1e-9 * want
+        # theta_star fed the estimate agrees, but for the gap's rounding
+        via_gap = float(theta_star(single(s2), kernel_entropy(single(s2), n), n)[0])
+        assert abs(via_gap - want) <= 1e-9 * want
 
     @given(st.integers(min_value=1, max_value=1 << 20),
            st.floats(min_value=0.0, max_value=DENOM_FLOOR))
     def test_vanishing_s2_gives_the_sentinel(self, n, s2):
-        assert theta_star(single(s2), approx_entropy(single(s2), n), n)[0] == np.inf
+        assert kernel_theta(s2, n) == np.inf
 
     @given(st.floats(min_value=0.0, max_value=1e300))
     def test_single_key_gives_the_sentinel(self, s2):
-        assert theta_star(single(s2), approx_entropy(single(s2), 1), 1)[0] == np.inf
+        assert kernel_theta(s2, 1) == np.inf
 
 
 class TestConfig:
+    """eala_attention's settings are the keywords `path` and `entropies`."""
+
     def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(EalaConfig)] == ["path"]
-        assert CFG.path == "auto"
+        params = inspect.signature(eala_attention).parameters
+        assert list(params) == ["q_mat", "k_mat", "v_mat", "out", "path", "entropies"]
+        assert params["path"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["path"].default == "auto"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EalaConfig(path="diagonal")
+        q, k, v = random_instance(8, 3, 1)
+        for path in ("diagonal", "Linear", None):
+            with pytest.raises(ValueError, match="^path must be one of"):
+                eala_attention(q, k, v, path=path)
+            with pytest.raises(ValueError, match="^path must be one of"):
+                eala_attention(q, key_moments(k, v), None, path=path)
 
     @pytest.mark.parametrize("source", ["approx", "exact"])
     def test_entropy_source_is_not_a_field(self, source):
         # the exact entropy source is a setting of compare alone
         with pytest.raises(TypeError):
-            EalaConfig(entropy_source=source)
+            eala_attention(*random_instance(8, 3, 1), entropy_source=source)
+
+    def test_config_objects_are_not_taken(self):
+        q, k, v = random_instance(8, 3, 1)
+        with pytest.raises(TypeError):
+            eala_attention(q, k, v, cfg=types.SimpleNamespace(path="linear"))
+        assert not hasattr(core, "EalaConfig")
+
+
+def test_public_names_are_pinned():
+    assert sorted(eala.__all__) == [
+        "AttnResult", "BenchRecord", "BenchResourceError", "FidelityReport", "KeyMoments",
+        "KlDecomposition", "MhaParams", "TensorFileError", "TensorMagicError", "TensorRows",
+        "TensorTruncationError", "TensorVersionError", "WorkloadSpec", "allocation_model",
+        "bench_sweep", "bisection_theta", "center_keys", "compare", "eala_attention",
+        "eala_forward_linear", "eala_forward_quadratic", "eala_weights", "exact_attention",
+        "fit_loglog_slope", "gaussian_matrix", "gen_workload", "gen_workload_raw",
+        "key_moments", "kl_decomposition", "kl_divergence", "linear_family_entropy",
+        "mha_forward", "mha_init", "prng_stream", "read_tensor", "strict_concavity_check",
+        "theta_star", "uniform_stream", "write_tensor"]
+    assert all(hasattr(eala, name) for name in eala.__all__)
 
 
 class TestForwardPaths:
@@ -462,12 +493,18 @@ class TestForwardPaths:
 THETA0 = np.sqrt(0.5) + EPSILON
 
 
+def estimate(s2, n):
+    """The entropy estimate Hhat = log n - S2 / n of each S2 >= 0, clipped
+    at 0."""
+    return np.maximum(np.log(float(n)) - s2 / n, 0.0)
+
+
 def closed_form_theta(s2, n):
     """The approx path's theta of each S2 >= 0: THETA0 where Hhat is not
     clipped, sqrt(S2 / (2 n log n)) + EPSILON where it is, and the
     sentinel where S2 or the gap log n - Hhat is at most DENOM_FLOOR."""
     log_n = np.log(float(n))
-    h = approx_entropy(s2, n)
+    h = estimate(s2, n)
     with np.errstate(divide="ignore", invalid="ignore"):  # n = 1: every row is the sentinel
         theta = np.where(h > 0.0, THETA0, np.sqrt(s2 / (log_n * (2.0 * n))) + EPSILON)
     theta[np.fmin(s2, log_n - h) <= DENOM_FLOOR] = np.inf
@@ -490,7 +527,7 @@ def whole_matrix_linear_path(q, k, v):
     n, c = khat.shape
     s2 = np.einsum("ij,ij->i", q @ (khat.T @ khat), q)
     np.maximum(s2, 0.0, out=s2)
-    ent = approx_entropy(s2, n)
+    ent = estimate(s2, n)
     theta = closed_form_theta(s2, n)
     # one GEMM gives khat^T V and, through a column of ones, the value sum
     kv_sum = np.hstack([khat, np.ones((n, 1))]).T @ v
@@ -500,10 +537,8 @@ def whole_matrix_linear_path(q, k, v):
 
 
 class TestQueryBlocks:
-    LINEAR = EalaConfig(path="linear")
-
     def check(self, q, k, v, bitwise):
-        res = eala_attention(q, k, v, self.LINEAR)
+        res = eala_attention(q, k, v, path="linear")
         got = (res.output, res.entropies, res.thetas)
         for a, b in zip(got, whole_matrix_linear_path(q, k, v)):
             assert a.shape == b.shape
@@ -542,7 +577,7 @@ class TestQueryBlocks:
         for q in (np.zeros((0, 3)), gaussian_matrix(4, 3, 7)):
             for path in ("linear", "quadratic"):
                 with pytest.raises(ValueError, match="nonempty"):
-                    eala_attention(q, np.zeros((0, 3)), np.zeros((0, 2)), EalaConfig(path=path))
+                    eala_attention(q, np.zeros((0, 3)), np.zeros((0, 2)), path=path)
             with pytest.raises(ValueError, match="nonempty"):
                 exact_attention(q, np.zeros((0, 3)), np.zeros((0, 2)))
 
@@ -587,8 +622,8 @@ class TestRowReaders:
     @pytest.mark.parametrize("path", ["auto", "linear"])
     def test_linear_path_reads_row_blocks_only(self, path):
         q, k, v = self.readers()
-        res = eala_attention(q, k, v, EalaConfig(path=path))
-        want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
+        res = eala_attention(q, k, v, path=path)
+        want = eala_attention(q.mat, k.mat, v.mat, path=path)
         for a, b in zip((res.output, res.entropies, res.thetas),
                         (want.output, want.entropies, want.thetas)):
             assert np.array_equal(a, b)
@@ -598,41 +633,41 @@ class TestRowReaders:
     def test_linear_path_writes_each_block_once(self, path):
         q, k, v = self.readers()
         out = RecordedWriter((self.N, 8))
-        res = eala_attention(q, k, v, EalaConfig(path=path), out=out)
+        res = eala_attention(q, k, v, path=path, out=out)
         assert res.output is out
         assert out.writes == self.LANE_BLOCKS
-        want = eala_attention(q.mat, k.mat, v.mat, EalaConfig(path=path))
+        want = eala_attention(q.mat, k.mat, v.mat, path=path)
         assert np.array_equal(out.mat, want.output)
         assert q.reads == k.reads == v.reads == self.LANE_BLOCKS
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
+    @pytest.mark.parametrize("cfg", [{"path": "quadratic"}])
     def test_branches_needing_khat_stream_queries_and_output(self, cfg):
         q = self.readers()[0]
         k, v = self.readers(n=40)[1:]
         out = RecordedWriter((self.N, 8))
-        res = eala_attention(q, k, v, cfg, out=out)
+        res = eala_attention(q, k, v, out=out, **cfg)
         assert res.output is out
-        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        want = eala_attention(q.mat, k.mat, v.mat, **cfg)
         assert np.array_equal(out.mat, want.output)
         # khat needs K whole, and V is read with it
         assert q.reads == out.writes == self.BLOCKS
         assert k.reads == v.reads == [(0, 40)]
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
+    @pytest.mark.parametrize("cfg", [{"path": "quadratic"}])
     def test_branches_needing_khat_write_once_whole(self, cfg):
         q, k, v = self.readers(n=40)
         out = RecordedWriter((40, 8))
-        eala_attention(q, k, v, cfg, out=out)
-        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        eala_attention(q, k, v, out=out, **cfg)
+        want = eala_attention(q.mat, k.mat, v.mat, **cfg)
         assert np.array_equal(out.mat, want.output)
         # at 40 rows the query loop has one block
         assert out.writes == [(0, 40)]
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="quadratic")])
+    @pytest.mark.parametrize("cfg", [{"path": "quadratic"}])
     def test_branches_needing_khat_read_each_input_once_whole(self, cfg):
         q, k, v = self.readers(n=40)
-        res = eala_attention(q, k, v, cfg)
-        want = eala_attention(q.mat, k.mat, v.mat, cfg)
+        res = eala_attention(q, k, v, **cfg)
+        want = eala_attention(q.mat, k.mat, v.mat, **cfg)
         assert np.array_equal(res.output, want.output)
         assert q.reads == k.reads == v.reads == [(0, 40)]
 
@@ -641,7 +676,7 @@ class TestRowReaders:
         _, k, v = random_instance(40, 8, 2003, 0.05)
         tracemalloc.start()
         try:
-            eala_attention(q, k, v, EalaConfig(path="quadratic"))
+            eala_attention(q, k, v, path="quadratic")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -649,18 +684,18 @@ class TestRowReaders:
 
     def test_array_out_is_filled_and_returned(self):
         q, k, v = random_instance(self.N, 8, 2001, 0.05)
-        for cfg in (EalaConfig(path="linear"), EalaConfig(path="quadratic")):
+        for path in ("linear", "quadratic"):
             out = np.full((self.N, 8), np.nan)
-            res = eala_attention(q, k, v, cfg, out=out)
+            res = eala_attention(q, k, v, out, path=path)
             assert res.output is out
-            assert np.array_equal(out, eala_attention(q, k, v, cfg).output)
+            assert np.array_equal(out, eala_attention(q, k, v, path=path).output)
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(path="linear"), EalaConfig(path="quadratic")])
+    @pytest.mark.parametrize("cfg", [{"path": "linear"}, {"path": "quadratic"}])
     @pytest.mark.parametrize("layout", ["out is Q", "out one row past Q", "out over V"])
     def test_out_overlapping_an_input(self, cfg, layout):
         q, k, v = random_instance(self.N, 8, 2004, 0.05)
         k, v = k[:40], v[:40]
-        want = eala_attention(q, k, v, cfg)
+        want = eala_attention(q, k, v, **cfg)
         if layout == "out is Q":
             out = q
         elif layout == "out one row past Q":
@@ -671,7 +706,7 @@ class TestRowReaders:
             # writing the first block of output overwrites V
             out = np.vstack([v, np.zeros((self.N - 40, 8))])
             v = out[:40]
-        res = eala_attention(q, k, v, cfg, out=out)
+        res = eala_attention(q, k, v, out=out, **cfg)
         assert res.output is out
         for a, b in zip((out, res.entropies, res.thetas),
                         (want.output, want.entropies, want.thetas)):
@@ -698,14 +733,15 @@ class TestRowReaders:
             eala_attention(q, k, v)
 
 
-def pipeline_chain(q, k, v, cfg):
-    """eala_attention spelled out with the public functions, one query
-    block at a time (of _QUERY_BLOCK rows on the quadratic branch, else
-    `linear_blocks`): the key pass (or the centred keys), S2, the entropy,
-    theta and the branch's forward.  Theta is the closed form, and a
+def pipeline_chain(q, k, v, path):
+    """eala_attention spelled out, one query block at a time (of
+    _QUERY_BLOCK rows on the quadratic branch, else `linear_blocks`): the
+    public key pass (or centred keys), S2 and the entropy estimate written
+    out here, the closed-form theta and the branch's public forward.  A
     linear block whose thetas are all THETA0 folds it into KV."""
     n = len(k)
-    quadratic = select_path(cfg.path, n, q.shape[1]) == "quadratic"
+    # "auto" takes the quadratic branch exactly when C > N
+    quadratic = path == "quadratic" or path == "auto" and q.shape[1] > n
     if quadratic:
         khat = center_keys(k)[0]
     else:
@@ -718,9 +754,10 @@ def pipeline_chain(q, k, v, cfg):
         if quadratic:
             scores = qb @ khat.T
             s2 = np.einsum("ij,ij->i", scores, scores)
-        else:
-            s2 = score_moments(qb, m)
-        ent = approx_entropy(s2, n)
+        else:  # q M q^T, clamped at zero, as M is positive semidefinite
+            s2 = np.einsum("ij,ij->i", qb @ m.gram, qb)
+            np.maximum(s2, 0.0, out=s2)
+        ent = estimate(s2, n)
         theta = closed_form_theta(s2, n)
         fold = np.all(theta == THETA0)
         outs.append(eala_forward_quadratic(qb, khat, v, theta) if quadratic
@@ -737,8 +774,8 @@ PIPELINE_SIZES = st.one_of(st.integers(min_value=1, max_value=40),
 
 
 class TestPipelineChain:
-    """eala_attention runs private kernels where the public functions check
-    their input; both are one arithmetic, bit for bit."""
+    """eala_attention and its steps chained by hand are one arithmetic, bit
+    for bit."""
 
     @given(m=PIPELINE_SIZES, n=PIPELINE_SIZES, c=st.integers(min_value=1, max_value=48),
            seed=st.integers(min_value=0, max_value=10_000),
@@ -751,9 +788,8 @@ class TestPipelineChain:
             q[::3] = 0.0  # S2 = 0: the sentinel theta
         k = gaussian_matrix(n, c, seed + 1, scale)
         v = gaussian_matrix(n, 3, seed + 2)
-        cfg = EalaConfig(path=path)
-        res = eala_attention(q, k, v, cfg)
-        for got, want in zip((res.output, res.entropies, res.thetas), pipeline_chain(q, k, v, cfg)):
+        res = eala_attention(q, k, v, path=path)
+        for got, want in zip((res.output, res.entropies, res.thetas), pipeline_chain(q, k, v, path)):
             assert np.array_equal(got, want)
 
 
@@ -761,7 +797,7 @@ class TestNonFiniteInput:
     """NaN and inf are found in sums the pipeline takes anyway (the key
     mean, the value sum, S2) and named, with no RuntimeWarning on the way."""
 
-    CONFIGS = [EalaConfig(path="linear"), EalaConfig(path="quadratic")]
+    CONFIGS = [{"path": "linear"}, {"path": "quadratic"}]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -771,7 +807,7 @@ class TestNonFiniteInput:
         inputs = dict(zip("QKV", random_instance(12, 5, 1900)))
         inputs[name][3, 2] = bad
         with pytest.raises(ValueError, match=f"^{name} holds NaN or inf$"):
-            eala_attention(*inputs.values(), cfg)
+            eala_attention(*inputs.values(), **cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opposite_infinities_in_one_key_column(self):
@@ -803,7 +839,7 @@ class TestNonFiniteInput:
         q = gaussian_matrix(8, 4, 1950) * 1e50
         k = gaussian_matrix(8, 4, 1951) * 1e50
         v = gaussian_matrix(8, 3, 1952) * 1e210
-        res = eala_attention(q, k, v, EalaConfig(path=path))
+        res = eala_attention(q, k, v, path=path)
         for got, want in zip((res.output, res.entropies, res.thetas), direct_sums(q, k, v)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -815,9 +851,38 @@ class TestNonFiniteInput:
         k = gaussian_matrix(8, 4, 17) * 1e50
         v = gaussian_matrix(8, 3, 18) * 1e260
         with pytest.raises(ValueError, match=r"^khat\^T V overflows float64 although K and V are finite$"):
-            eala_attention(q, k, v, EalaConfig(path="linear"))
+            eala_attention(q, k, v, path="linear")
         # the quadratic branch reads no KV and is fine
-        assert np.isfinite(eala_attention(q, k, v, EalaConfig(path="quadratic")).output).all()
+        assert np.isfinite(eala_attention(q, k, v, path="quadratic").output).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("reader", [False, True])
+    @pytest.mark.parametrize("entropies", [False, True])
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
+    def test_overflowing_key_gram_names_k(self, scale, entropies, reader):
+        # one block of keys whose mean, value sum and khat^T V are finite,
+        # but whose Gram, and so every S2, is not
+        q, k, v = random_instance(300, 8, 1960)
+        inputs = [q, k * scale, v]
+        if reader:
+            inputs = [RecordedRows(x) for x in inputs]
+        with pytest.raises(ValueError, match="^the key Gram overflows float64 although K is finite$"):
+            eala_attention(*inputs, entropies=entropies)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entropies", [False, True])
+    def test_nan_in_q_is_named_before_an_overflowing_key_gram(self, entropies):
+        q, k, v = random_instance(300, 8, 1970)
+        q[7, 3] = np.nan
+        with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
+            eala_attention(q, k * 1e160, v, entropies=entropies)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scores_of_the_quadratic_branch_name_s2(self):
+        # the quadratic branch takes S2 from its scores and builds no Gram
+        q, k, v = random_instance(300, 8, 1980)
+        with pytest.raises(ValueError, match="^the score moment S2 overflows float64 although Q is finite$"):
+            eala_attention(q, k * 1e160, v, path="quadratic")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_is_told_apart(self):
@@ -851,22 +916,36 @@ class TestKeyMagnitude:
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         k = gaussian_matrix(8, 4, 17) * scale
         v = gaussian_matrix(8, 3, 18)
-        res = eala_attention(q, k, v, EalaConfig(path=path))
+        res = eala_attention(q, k, v, path=path)
         for got, want in zip((res.output, res.entropies, res.thetas), direct_sums(q, k, v)):
             # the entropies clip to exactly 0, so the bound is relative
             # to the largest entry
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def branch_taken(n, c, path):
+    """The forward that eala_attention runs on n keys of c features."""
+    taken = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eala_forward_quadratic", "eala_forward_linear"):
+            def recorded(*args, _name=name, _fn=getattr(core, name), **kwargs):
+                taken.add(_name)
+                return _fn(*args, **kwargs)
+            mp.setattr(core, name, recorded)
+        eala_attention(*random_instance(n, c, 1250), path=path)
+    [name] = taken
+    return name.removeprefix("eala_forward_")
+
+
 class TestSelectPath:
     def test_auto_rule(self):
-        assert select_path("auto", n=8, c=16) == "quadratic"
-        assert select_path("auto", n=16, c=8) == "linear"
-        assert select_path("auto", n=8, c=8) == "linear"
+        assert branch_taken(n=8, c=16, path="auto") == "quadratic"
+        assert branch_taken(n=16, c=8, path="auto") == "linear"
+        assert branch_taken(n=8, c=8, path="auto") == "linear"
 
     def test_forced(self):
-        assert select_path("quadratic", n=100, c=1) == "quadratic"
-        assert select_path("linear", n=1, c=100) == "linear"
+        assert branch_taken(n=100, c=1, path="quadratic") == "quadratic"
+        assert branch_taken(n=1, c=100, path="linear") == "linear"
 
 
 class TestEalaAttention:
@@ -882,8 +961,8 @@ class TestEalaAttention:
 
     def test_forced_paths_agree(self):
         q, k, v = random_instance(24, 6, 1200)
-        out_q = eala_attention(q, k, v, EalaConfig(path="quadratic")).output
-        out_l = eala_attention(q, k, v, EalaConfig(path="linear")).output
+        out_q = eala_attention(q, k, v, path="quadratic").output
+        out_l = eala_attention(q, k, v, path="linear").output
         denom = max(float(np.max(np.abs(out_q))), 1e-300)
         assert float(np.max(np.abs(out_q - out_l))) / denom <= 1e-9
 
@@ -939,7 +1018,7 @@ class TestEalaAttention:
         scores = q @ center_keys(k)[0].T
         s2 = np.einsum("ij,ij->i", scores, scores)
         res = eala_attention(q, k, v)
-        assert np.array_equal(res.entropies, approx_entropy(s2, 24))
+        assert np.array_equal(res.entropies, estimate(s2, 24))
         assert np.array_equal(res.thetas, closed_form_theta(s2, 24))
 
     def test_quadratic_branch_forms_the_scores_once(self, monkeypatch):
@@ -991,7 +1070,7 @@ class TestCertifiedBlocks:
     is the theta the default call finds for the block, which it folds into
     KV too, so both calls give the same bits on every block."""
 
-    LINEAR = EalaConfig(path="linear")
+    LINEAR = {"path": "linear"}
     N = 2 * _QUERY_BLOCK + 3
 
     # about 30 examples of each key set, or the deep profile's count
@@ -1007,9 +1086,8 @@ class TestCertifiedBlocks:
         if zero_rows:
             q[:_QUERY_BLOCK:3] = 0.0  # S2 = 0 in the first _QUERY_BLOCK rows
         n = len(k)
-        cfg = EalaConfig(path=path)
-        res = eala_attention(q, k, v, cfg, entropies=False)
-        want = eala_attention(q, k, v, cfg)
+        res = eala_attention(q, k, v, path=path, entropies=False)
+        want = eala_attention(q, k, v, path=path)
         assert res.entropies is None
         assert np.array_equal(res.output, want.output)
         assert np.array_equal(res.thetas, want.thetas)
@@ -1023,7 +1101,7 @@ class TestCertifiedBlocks:
                 assert np.all(s2 <= n * np.log(n)) and np.all(s2 / n > DENOM_FLOOR)
                 assert np.all(res.thetas[rows] == THETA0)
 
-    @pytest.mark.parametrize("cfg", [EalaConfig(), LINEAR])
+    @pytest.mark.parametrize("cfg", [{}, LINEAR])
     @pytest.mark.parametrize("case", ["no queries", "no features", "one key",
                                       "identical keys", "more features than keys"])
     def test_degenerate_inputs_certify_nothing(self, case, cfg):
@@ -1036,8 +1114,8 @@ class TestCertifiedBlocks:
                                gaussian_matrix(10, 3, 8)),
             "more features than keys": random_instance(8, 12, 9, 0.05),
         }[case]
-        res = eala_attention(q, k, v, cfg, entropies=False)
-        want = eala_attention(q, k, v, cfg)
+        res = eala_attention(q, k, v, entropies=False, **cfg)
+        want = eala_attention(q, k, v, **cfg)
         assert res.entropies is None
         assert np.array_equal(res.output, want.output)
         assert np.array_equal(res.thetas, want.thetas)
@@ -1129,8 +1207,8 @@ class TestGivenMoments:
         if zero_rows:
             q[::3] = 0.0  # S2 = 0: the sentinel theta, and no certified block
         k, v = gaussian_matrix(n, c, seed + 1, scale), gaussian_matrix(n, d, seed + 2)
-        got = eala_attention(q, key_moments(k, v), None, EalaConfig(path=path), entropies=entropies)
-        want = eala_attention(q, k, v, EalaConfig(path="linear"), entropies=entropies)
+        got = eala_attention(q, key_moments(k, v), None, path=path, entropies=entropies)
+        want = eala_attention(q, k, v, path="linear", entropies=entropies)
         assert np.array_equal(got.output, want.output)
         assert np.array_equal(got.thetas, want.thetas)
         assert (got.entropies is None) == (not entropies)
@@ -1154,12 +1232,12 @@ class TestGivenMoments:
         assert got.thetas[_QUERY_BLOCK + 7] > THETA0
 
     @pytest.mark.parametrize("cfg, match", [
-        (EalaConfig(path="quadratic"), "^path='quadratic' needs K, not its key moments$"),
+        ({"path": "quadratic"}, "^path='quadratic' needs K, not its key moments$"),
     ])
     def test_branches_that_read_k_refuse_moments(self, cfg, match):
         q, k, v = random_instance(20, 4, 2500, 0.05)
         with pytest.raises(ValueError, match=match):
-            eala_attention(q, key_moments(k, v), None, cfg)
+            eala_attention(q, key_moments(k, v), None, **cfg)
 
     @pytest.mark.parametrize("change, match", [
         ({"mean": np.zeros(5)}, "do not match Q"),
@@ -1246,7 +1324,7 @@ class TestLanes:
         def call():
             m = key_moments(k, v)
             kv = (m, None) if given_moments else (k, v)
-            return m, eala_attention(q, *kv, EalaConfig(path=path), entropies=entropies)
+            return m, eala_attention(q, *kv, path=path, entropies=entropies)
 
         (m1, res1), threads1 = with_workers(1, call)
         (m2, res2), threads2 = with_workers(2, call)
@@ -1269,13 +1347,13 @@ class TestLanes:
         q, k, v = random_instance(_QUERY_BLOCK, 16, 2900, 0.05)
         for path in ("auto", "linear"):
             for e in (False, True):
-                eala_attention(q, k, v, EalaConfig(path=path), entropies=e)
+                eala_attention(q, k, v, path=path, entropies=e)
                 eala_attention(q, key_moments(k, v), None, entropies=e)
         mha_forward(mha_init(32, 4, 2901), gaussian_matrix(_QUERY_BLOCK, 32, 2902), "eala")
         # the quadratic branch walks its query blocks on the calling thread
         long_q = gaussian_matrix(self.N, 16, 2903, 0.05)
         eala_attention(long_q, k[:8], v[:8])
-        eala_attention(long_q, k[:40], v[:40], EalaConfig(path="quadratic"))
+        eala_attention(long_q, k[:40], v[:40], path="quadratic")
 
     def test_row_readers_walk_both_lanes_on_the_calling_thread(self):
         q, k, v = random_instance(self.N, 8, 2910, 0.05)
@@ -1340,8 +1418,8 @@ class TestLanes:
         q, k, v = random_instance(self.N, 8, 2940)
         for e in (False, True):
             def call():
-                with pytest.raises(ValueError, match="^the score moment S2 overflows float64 "
-                                                     "although Q is finite$"):
+                with pytest.raises(ValueError, match="^the key Gram overflows float64 "
+                                                     "although K is finite$"):
                     eala_attention(q, k * 1e160, v, entropies=e)
             assert with_workers(2, call)[1] == 2
 

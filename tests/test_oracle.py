@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from eala.numerics import gaussian_matrix, uniform_stream
 from eala.oracle import (_query_block_edges, _query_rows, _softmax_block_rows,
-                         bisection_theta, entropy_from_scores, exact_attention,
-                         kl_decomposition, kl_divergence, linear_family_entropy,
+                         bisection_theta, exact_attention, kl_decomposition,
+                         kl_divergence, linear_family_entropy, score_row_entropies,
                          strict_concavity_check)
 from eala.workload import gen_workload_raw
 from strategies import (score_vectors, shannon_entropy, simplex_pairs,
@@ -76,20 +76,25 @@ class TestShannonEntropy:
             shannon_entropy(np.array([1.5, -0.5]))
 
 
+def row_entropy(scores):
+    """The entropy of softmax(scores), one row of `score_row_entropies`."""
+    return float(score_row_entropies(np.asarray(scores)[None, :])[0])
+
+
 class TestEntropyFromScores:
     def test_worked_value(self):
-        assert abs(entropy_from_scores(WORKED_SCORES) - WORKED_ENTROPY) <= 1e-9
+        assert abs(row_entropy(WORKED_SCORES) - WORKED_ENTROPY) <= 1e-9
 
     def test_one_hot_limit(self):
-        assert 0.0 <= entropy_from_scores(np.array([50.0, 0.0])) < 1e-15
+        assert 0.0 <= row_entropy(np.array([50.0, 0.0])) < 1e-15
 
     def test_identical_scores_give_log_n(self):
-        assert abs(entropy_from_scores(np.full(9, 2.5)) - np.log(9.0)) <= 1e-12
+        assert abs(row_entropy(np.full(9, 2.5)) - np.log(9.0)) <= 1e-12
 
     @settings(max_examples=100)
     @given(score_vectors(magnitude=20.0))
     def test_matches_softmax_entropy(self, x):
-        h = entropy_from_scores(x)
+        h = row_entropy(x)
         assert abs(h - shannon_entropy(softmax_row(x))) <= 1e-10
         assert 0.0 <= h <= np.log(len(x)) + 1e-12
 
@@ -479,7 +484,7 @@ class TestBisectionTheta:
             a = gaussian_matrix(1, 16, 4000 + seed)[0]
             a -= np.mean(a)
             a *= 0.1 / float(np.max(np.abs(a)))
-            target = entropy_from_scores(a)
+            target = row_entropy(a)
             th = bisection_theta(a, target)
             h, ok = linear_family_entropy(a, th)
             assert ok and abs(h - target) <= 1e-10
