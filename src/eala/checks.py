@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import _score_moments, center_keys, eala_attention, key_moments, theta_star
+from .core import _score_moments, eala_attention, key_moments, theta_star
 from .fidelity import compare
 from .numerics import gaussian_matrix, uniform_stream
 from .oracle import (bisection_theta, exact_attention, kl_decomposition,
@@ -74,7 +74,7 @@ def gram_identity():
         c = 1 + int(float(u[1]) * 63)
         k = gaussian_matrix(n, c, 51_000 + i)
         m = key_moments(k, np.zeros((n, 0)))
-        khat, _ = center_keys(k, m.mean)
+        khat = k - m.mean
         q = gaussian_matrix(1, c, 52_000 + i)
         s2 = _score_moments(q, m.gram)
         brute = 0.0

@@ -112,28 +112,27 @@ class KeyMoments:
     count: int
 
 
-def center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the key mean: khat_j = k_j - mean.  Returns (khat, mean).
+def center_keys(k_mat, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the key pass's mean: khat_j = k_j - mean.  Returns (khat,
+    mean), khat written into `out` when one is given.
 
-    `mean` defaults to the key pass's mean (see `key_moments`): the column
-    mean of K when it has at most _QUERY_BLOCK rows, else s + delta, where
-    s is the column mean of the first _LANE_BLOCK rows, delta the column
-    mean of k - s and khat_j = (k_j - s) - delta.  So every branch centres
-    the keys as the linear path does, with no rounded sum of raw keys in
-    khat.  The key pass gives its shift s to centre one row block at a
-    time into its scratch `out`.
+    The mean is the key pass's (see `key_moments`): the column mean of K
+    when it has at most _QUERY_BLOCK rows, else s + delta, where s is the
+    column mean of the first _LANE_BLOCK rows, delta the column mean of
+    k - s and khat_j = (k_j - s) - delta.  So every branch centres the
+    keys as the linear path does, with no rounded sum of raw keys in khat.
+    The key pass calls it once, on its first block, whose mean is its
+    shift s.
     """
-    return _center_keys(k_mat, mean, out)
+    return _center_keys(k_mat, out=out)
 
 
-def _center_keys(k_mat, mean=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """`center_keys`' kernel, with which `mha_forward`'s key pass and a
-    key pass's worker lane centre."""
+def _center_keys(k_mat, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """`center_keys`' kernel, with which `mha_forward`'s key pass centres
+    its first block."""
     k = np.asarray(k_mat, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] == 0:
         raise ValueError("center_keys expects a nonempty 2-D key matrix")
-    if mean is not None:
-        return np.subtract(k, mean, out=out), mean
     first = k if len(k) <= _QUERY_BLOCK else k[:_LANE_BLOCK]
     shift = np.add.reduce(first, axis=0) / len(first)  # the bits of np.mean, without its wrappers
     khat = np.subtract(k, shift, out=out)
@@ -204,10 +203,11 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
 
     K and V are matrices or row readers, read once each in row blocks.
     Every block of keys is centred against a shift s into the first C
-    columns of a reused (block, C + 1) scratch whose last column is 1.  The
-    pass sums the GEMM of the scratch's transpose with the block of V,
+    columns of a (block, C + 1) scratch whose last column is 1.  The pass
+    sums the GEMM of the scratch's transpose with the block of V,
     (K - s)^T V in its first C rows and the value sum in its last, and the
-    Gram G_s = (K - s)^T (K - s).
+    Gram G_s = (K - s)^T (K - s).  `center_keys` centres the first block
+    and gives s, its mean; every later block subtracts s in place.
 
     Up to _QUERY_BLOCK keys are one block and s is their mean.  More keys
     run as two lanes (see `_run_lanes`), each walked in blocks of
@@ -226,11 +226,11 @@ def key_moments(k_mat, v_mat) -> KeyMoments:
 
 
 def _key_moments(k_mat, v_mat, center) -> KeyMoments:
-    """`key_moments`' kernel, which centres each block of the calling
-    thread with `center`, and each of a worker with `_center_keys`.
-    `mha_forward` runs it on x with a zero-width V and `_center_keys`, for
-    x's mean and centred Gram: it calls the kernels, not the public
-    functions, so the public calls under it are its heads' alone."""
+    """`key_moments`' kernel, which centres the first block with `center`
+    on the calling thread.  `mha_forward` runs it on x with a zero-width V
+    and `_center_keys`, for x's mean and centred Gram: it calls the
+    kernels, not the public functions, so the public calls under it are
+    its heads' alone."""
     k = _rows_source(k_mat)
     v = _rows_source(v_mat)
     if len(k.shape) != 2 or k.shape[0] == 0 or len(v.shape) != 2:
@@ -238,22 +238,24 @@ def _key_moments(k_mat, v_mat, center) -> KeyMoments:
     n, c = k.shape
     if v.shape[0] != n:
         raise ValueError(f"K and V row counts differ: {n} vs {v.shape[0]}")
-    if n <= _QUERY_BLOCK:  # one block: s is the mean of all keys
-        block = np.empty((n, c + 1))
-        block[:, c] = 1.0
-        shift = center(k[0:n], None, out=block[:, :c])[1]
+    first = n if n <= _QUERY_BLOCK else _LANE_BLOCK  # the first block's rows, whose mean is s
+    block = np.empty((first, c + 1))
+    block[:, c] = 1.0
+    shift = center(k[0:first], out=block[:, :c])[1]
+    if first == n:  # one block
         kb = block[:, :c]
         gram, kv_sum = kb.T @ kb, block.T @ v[0:n]  # kb.T @ kb takes numpy's syrk path
         return KeyMoments(mean=shift, gram=gram, kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
-    head = _key_sums(k, v, 0, _LANE_BLOCK, None, center)
+    head = block.T @ block, block.T @ v[0:first]
+    del block  # freed before the lanes make their scratch
 
     def lane(lo, hi, on_worker):
         if lo == 0:  # lane 0 goes on from its first block
-            return _key_sums(k, v, _LANE_BLOCK, hi, head[2], center, head[:2])
-        return _key_sums(k, v, lo, hi, head[2], _center_keys if on_worker else center)
+            return _key_sums(k, v, first, hi, shift, head)
+        return _key_sums(k, v, lo, hi, shift)
 
     worker = _WORKERS > 1 and isinstance(k, np.ndarray) and isinstance(v, np.ndarray)
-    (gram, kv_sum, shift), (gram1, kv1, _) = _run_lanes(lane, n, worker)
+    (gram, kv_sum), (gram1, kv1) = _run_lanes(lane, n, worker)
     gram += gram1
     kv_sum += kv1
     delta = gram[:c, c] / n
@@ -262,23 +264,22 @@ def _key_moments(k_mat, v_mat, center) -> KeyMoments:
                       kv=kv_sum[:c], value_sum=kv_sum[c], count=n)
 
 
-def _key_sums(k, v, lo: int, hi: int, shift, center, sums=(None, None)) -> tuple:
+def _key_sums(k, v, lo: int, hi: int, shift, sums=(None, None)) -> tuple:
     """`sums` plus the Gram of [K - s | 1] and [K - s | 1]^T V over rows
-    lo:hi, in blocks of _LANE_BLOCK rows, and s: `shift`, or, if that is
-    None, the mean of the first block."""
+    lo:hi, in blocks of _LANE_BLOCK rows, for the shift s."""
     c = k.shape[1]
     scratch = np.empty((min(hi - lo, _LANE_BLOCK), c + 1))
     scratch[:, c] = 1.0
     gram, kv_sum = sums
     for a, b in _row_blocks(lo, hi, _LANE_BLOCK):
         block = scratch[: b - a]
-        shift = center(k[a:b], shift, out=block[:, :c])[1]
+        np.subtract(k[a:b], shift, out=block[:, :c])
         if gram is None:  # the first block's GEMMs are the sums so far
             gram, kv_sum = block.T @ block, block.T @ v[a:b]
         else:
             gram += block.T @ block
             kv_sum += block.T @ v[a:b]
-    return gram, kv_sum, shift
+    return gram, kv_sum
 
 
 def _score_moments(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -516,22 +517,25 @@ def _given_moments(q, m: KeyMoments, v_mat, path: str) -> KeyMoments:
     return KeyMoments(*arrays, count=int(m.count))
 
 
-def eala_attention(q_mat, k_mat, v_mat, out=None, *, path: str = "auto",
+def eala_attention(q_mat, k_mat, v_mat, *, out=None, path: str = "auto",
                    entropies: bool = True) -> AttnResult:
     """Full pipeline: summarize keys, estimate entropy, match, average.
 
     Returns the output matrix along with the per-query entropy estimates
     and temperatures.
-    NaN or inf in Q, K or V raises ValueError naming the input.
+    NaN or inf in Q, K or V raises ValueError naming the input.  A finite
+    input whose sums overflow names the sum; on either branch keys whose
+    Gram overflows are named before an overflowing S2 of finite queries.
     `path` picks the forward branch: "linear", "quadratic", or "auto",
     which takes the quadratic branch exactly when C > N.
 
-    Q, K and V are matrices or row readers (see `key_moments`).  `out`, as
-    in numpy, receives the output and is returned as it: a (rows, D) array,
-    or a row writer with a `shape` that takes `out[lo:hi] = block`.  After
-    the key summaries, one pass over row blocks of queries takes each
-    block through S2, the entropy, the temperature and the branch's
-    forward, into its rows of `out`, so no n x D buffer is made.  On the
+    Q, K and V are matrices or row readers (see `key_moments`).  `out`, a
+    keyword as in numpy, receives the output and is returned as it: a
+    (rows, D) array, or a row writer with a `shape` that takes
+    `out[lo:hi] = block`.  After the key summaries, one pass over row
+    blocks of queries takes each block through S2, the entropy, the
+    temperature and the branch's forward, into its rows of `out` and of
+    the result's entropies and thetas, so no n x D buffer is made.  On the
     linear branch, a pass over more than _QUERY_BLOCK keys or queries runs
     as two lanes of _LANE_BLOCK-row blocks, lane 1 on a worker thread when
     its inputs and output are arrays and `_WORKERS` is 2 (see
@@ -622,9 +626,7 @@ def eala_attention(q_mat, k_mat, v_mat, out=None, *, path: str = "auto",
             "the value sum overflows float64 although V is finite",
             "khat^T V overflows float64 although K and V are finite"))))
     bounds = _certified_norms(m.gram, n, log_n) if certify and rows else None
-    own = 0 < rows <= _QUERY_BLOCK and bounds is None  # one block returns its own arrays
-    if not own:
-        ent, theta = np.empty(rows) if entropies else None, np.empty(rows)
+    ent, theta = np.empty(rows) if entropies else None, np.empty(rows)
     if out is None:
         out = np.empty((rows, d))
     lanes = not quadratic and rows > _QUERY_BLOCK
@@ -632,9 +634,7 @@ def eala_attention(q_mat, k_mat, v_mat, out=None, *, path: str = "auto",
     def run(start, stop, on_worker, pending=None):
         """Q's rows start:stop through S2, the entropy, the temperature and
         the branch's forward into their rows of out, ent and theta, in
-        blocks of _LANE_BLOCK rows on a lane, else of _QUERY_BLOCK.  Only
-        a call of one block sets ent and theta."""
-        nonlocal ent, theta
+        blocks of _LANE_BLOCK rows on a lane, else of _QUERY_BLOCK."""
         forward = _forward_linear if on_worker else eala_forward_linear
         for lo, hi in _row_blocks(start, stop, _LANE_BLOCK if lanes else _QUERY_BLOCK):
             if pending is None:
@@ -646,24 +646,22 @@ def eala_attention(q_mat, k_mat, v_mat, out=None, *, path: str = "auto",
                         pending = block_s2(qb)
             (qb, scores, s2, finite), pending = pending, None
             if not finite:  # NaN or inf in Q is named first, then an overflowing key Gram
-                gram = [] if quadratic or given else [
-                    ("K", k, m.gram, "the key Gram overflows float64 although K is finite")]
+                # the quadratic branch forms no Gram, and reads its trace sum khat^2
+                gram = [] if given else [("K", k, np.vdot(khat, khat) if quadratic else m.gram,
+                                          "the key Gram overflows float64 although K is finite")]
                 _name_nonfinite([*gram, ("Q", qb, s2, "the score moment S2 overflows float64 although Q is finite")])
             if s2 is None:  # certified
                 h, th = None, _THETA_UNCLIPPED
             else:
                 h = _approx_entropy(s2, n, log_n) if entropies else None
                 th = _approx_theta(s2, n, log_n)
-            per_row = isinstance(th, np.ndarray)  # else one temperature, folded into KV
-            if own:
-                ent, theta = h if entropies else None, th if per_row else np.full(rows, th)
-            else:  # copied into the call's arrays; the block's own are freed before the forward
-                if entropies:
-                    ent[lo:hi] = h
-                theta[lo:hi] = th
-                s2 = h = None
-                if per_row:
-                    th = theta[lo:hi]
+            # copied into the call's arrays; the block's own are freed before the forward
+            if entropies:
+                ent[lo:hi] = h
+            theta[lo:hi] = th
+            s2 = h = None
+            if isinstance(th, np.ndarray):  # else one temperature, folded into KV
+                th = theta[lo:hi]
             dest = out[lo:hi] if isinstance(out, np.ndarray) else None
             if quadratic:
                 block = eala_forward_quadratic(qb, khat, v, theta[lo:hi], out=dest, scores=scores)

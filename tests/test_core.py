@@ -98,6 +98,15 @@ class TestCenterKeys:
         with pytest.raises(ValueError):
             center_keys(np.zeros((0, 3)))
 
+    def test_out_is_keyword_only(self):
+        # center_keys takes no mean: a caller with one subtracts it itself
+        k = gaussian_matrix(16, 4, 9)
+        out = np.empty_like(k)
+        kh, mean = center_keys(k, out=out)
+        assert kh is out and np.array_equal(out, k - mean)
+        with pytest.raises(TypeError):
+            center_keys(k, mean)
+
 
 class TestKeyMoments:
     def test_symmetric_pair_gram(self):
@@ -347,8 +356,12 @@ class TestConfig:
     def test_defaults(self):
         params = inspect.signature(eala_attention).parameters
         assert list(params) == ["q_mat", "k_mat", "v_mat", "out", "path", "entropies"]
-        assert params["path"].kind is inspect.Parameter.KEYWORD_ONLY
+        for name in ("out", "path", "entropies"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
         assert params["path"].default == "auto"
+        # a path in out's old positional slot is an extra positional argument
+        with pytest.raises(TypeError):
+            eala_attention(*random_instance(8, 4, 1), "linear")
 
     def test_validation(self):
         q, k, v = random_instance(8, 3, 1)
@@ -686,7 +699,7 @@ class TestRowReaders:
         q, k, v = random_instance(self.N, 8, 2001, 0.05)
         for path in ("linear", "quadratic"):
             out = np.full((self.N, 8), np.nan)
-            res = eala_attention(q, k, v, out, path=path)
+            res = eala_attention(q, k, v, out=out, path=path)
             assert res.output is out
             assert np.array_equal(out, eala_attention(q, k, v, path=path).output)
 
@@ -861,28 +874,34 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
     def test_overflowing_key_gram_names_k(self, scale, entropies, reader):
         # one block of keys whose mean, value sum and khat^T V are finite,
-        # but whose Gram, and so every S2, is not
+        # but whose Gram, and so every S2, is not; the quadratic branch
+        # forms no Gram, and finds the overflow in its trace sum khat^2
         q, k, v = random_instance(300, 8, 1960)
         inputs = [q, k * scale, v]
         if reader:
             inputs = [RecordedRows(x) for x in inputs]
-        with pytest.raises(ValueError, match="^the key Gram overflows float64 although K is finite$"):
-            eala_attention(*inputs, entropies=entropies)
+        for path in ("auto", "quadratic"):
+            with pytest.raises(ValueError, match="^the key Gram overflows float64 although K is finite$"):
+                eala_attention(*inputs, path=path, entropies=entropies)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entropies", [False, True])
     def test_nan_in_q_is_named_before_an_overflowing_key_gram(self, entropies):
         q, k, v = random_instance(300, 8, 1970)
         q[7, 3] = np.nan
-        with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
-            eala_attention(q, k * 1e160, v, entropies=entropies)
+        for path in ("auto", "quadratic"):
+            with pytest.raises(ValueError, match="^Q holds NaN or inf$"):
+                eala_attention(q, k * 1e160, v, path=path, entropies=entropies)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_scores_of_the_quadratic_branch_name_s2(self):
-        # the quadratic branch takes S2 from its scores and builds no Gram
+        # Q and K scaled together by 1e150: the key Gram and its trace are
+        # finite, the scores' squares are not, on either branch
         q, k, v = random_instance(300, 8, 1980)
-        with pytest.raises(ValueError, match="^the score moment S2 overflows float64 although Q is finite$"):
-            eala_attention(q, k * 1e160, v, path="quadratic")
+        for path in ("linear", "quadratic"):
+            for e in (False, True):
+                with pytest.raises(ValueError, match="^the score moment S2 overflows float64 although Q is finite$"):
+                    eala_attention(q * 1e150, k * 1e150, v, path=path, entropies=e)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_is_told_apart(self):
@@ -1391,7 +1410,31 @@ class TestLanes:
             name for name, _ in public}
         assert all(ident == caller for _, ident in public)
         # the worker ran its lanes through the kernels
-        assert {name for name, ident in kernels if ident != caller} >= {"_center_keys", "_forward_linear"}
+        worker = {name for name, ident in kernels if ident != caller}
+        assert worker >= {"_key_sums", "_forward_linear"} and "_center_keys" not in worker
+
+    @pytest.mark.parametrize("workers, reader", [(1, False), (2, False), (2, True)])
+    def test_a_key_pass_centres_its_first_block_alone(self, monkeypatch, workers, reader):
+        # later blocks subtract the first block's mean in place, on either thread
+        calls = []
+
+        def counted(name, fn):
+            def recorded(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        for name in ("center_keys", "_center_keys"):
+            monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+        q, k, v = random_instance(self.N, 8, 2950, 0.05)
+        if reader:
+            q, k, v = RecordedRows(q), RecordedRows(k), RecordedRows(v)
+        lanes = workers == 2 and not reader  # passes whose lane 1 runs on a worker
+        caller = threading.get_ident()
+        for call, passes in ((lambda: key_moments(k, v), 1), (lambda: eala_attention(q, k, v), 2)):
+            calls.clear()
+            assert with_workers(workers, call)[1] == passes * lanes
+            assert calls == [("center_keys", caller), ("_center_keys", caller)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("first, second, match", [
